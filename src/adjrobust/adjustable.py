@@ -61,6 +61,14 @@ class DualizedSet:
         # i.e. row i of B is nonzero (B is nonnegative)
         return bool(np.all(self.B.max(axis=1) > 0))
 
+    def require_bounded(self) -> "DualizedSet":
+        """Return self, or raise SeparationError when W is unbounded."""
+        if not self.is_bounded:
+            raise SeparationError(
+                "W is unbounded: some row of B is all zero, so the second "
+                "stage cannot cover that demand coordinate")
+        return self
+
     def uncertainty(self) -> UncertaintySet:
         n = self.B.shape[1]
         return UncertaintySet.hrep(self.B.T.copy(),
@@ -97,11 +105,7 @@ class Digitization:
     def from_instance(cls, inst: Instance, epsilon: float) -> "Digitization":
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        W = DualizedSet.of(inst)
-        if not W.is_bounded:
-            raise SeparationError(
-                "W is unbounded: some row of B is all zero, so the second "
-                "stage cannot cover that demand coordinate")
+        W = DualizedSet.of(inst).require_bounded()
         du = _exponent(float(_coordinate_caps(inst.uncertainty).max(initial=0.0)))
         dw = _exponent(float(_coordinate_caps(W.uncertainty()).max(initial=0.0)))
         s = math.ceil(math.log2(inst.m * (1 + 2.0 ** du) / epsilon) - 1e-12)
@@ -264,11 +268,7 @@ def _recover_pair(inst: Instance, x_hat, sol_x, m):
 
 def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     """Exact separation: best vertex of U against its LP-optimal w."""
-    W = DualizedSet.of(inst)
-    if not W.is_bounded:
-        raise SeparationError(
-            "W is unbounded: some row of B is all zero, so the second "
-            "stage cannot cover that demand coordinate")
+    DualizedSet.of(inst).require_bounded()
     ax = inst.A @ np.asarray(x_hat, dtype=float)
     n, m = inst.n, inst.m
     best = None
@@ -358,10 +358,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
         raise ValueError("max_iters must be at least 1")
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
-    if not DualizedSet.of(inst).is_bounded:
-        raise SeparationError(
-            "W is unbounded: some row of B is all zero, so the second "
-            "stage cannot cover that demand coordinate")
+    DualizedSet.of(inst).require_bounded()
 
     cuts = CutPool()
     # w = 0 is always in W and bounds the master below by min c.x >= 0

@@ -21,8 +21,7 @@ from .affine import solve_affine
 from .analysis import (kappa_sandwich, theorem1_bound, theorem2_bound,
                        worstcase_lower_bound)
 from .bench import BenchConfig, generate_bench_instance, run_benchmark
-from .instances import (DimensionCapError, InstanceError, InstanceFormatError,
-                        enumerate_vertices, gen_worst_case, read_instance,
+from .instances import (enumerate_vertices, gen_worst_case, read_instance,
                         write_instance)
 from .lp import LpError
 from .mip import MipError
@@ -263,13 +262,9 @@ def cli_main(argv=None) -> int:
         return 1
     except SystemExit as exc:          # argparse --help
         return int(exc.code or 0)
-    except (InstanceFormatError, DimensionCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InstanceError, ValueError) as exc:
+    # InstanceError, InstanceFormatError, DimensionCapError and
+    # json.JSONDecodeError are all ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LpError, MipError, SeparationError) as exc:

@@ -4,7 +4,9 @@ Two-phase primal simplex on a dense tableau.  Pricing is Dantzig
 (most negative reduced cost) and switches to Bland's rule after
 5*(columns+rows) iterations so cycling cannot occur; ratio-test ties go
 to the smallest basic variable index, which keeps runs deterministic
-and is the tie-break Bland's termination argument needs.
+and is the tie-break Bland's termination argument needs.  A pivot
+rewrites only the rows where the entering column is nonzero, so its
+cost follows that column's nonzeros rather than the tableau's size.
 
 Conventions
 -----------
@@ -36,6 +38,8 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
+# tableau cells below which a pivot always takes the dense update
+_SPARSE_PIVOT_CELLS = 8192
 
 
 class LpError(Exception):
@@ -65,7 +69,6 @@ class LinearProgram:
                       else np.asarray(upper, dtype=float).copy())
         if self.lower.size != nv or self.upper.size != nv:
             raise ValueError("bounds length mismatch with objective")
-        self._pending: list[tuple[np.ndarray, int, float]] = []
         self._A = np.zeros((0, nv))
         self._rel = np.zeros(0, dtype=np.int8)
         self._b = np.zeros(0)
@@ -86,34 +89,16 @@ class LinearProgram:
             raise ValueError("relation/rhs length mismatch")
         return lp
 
-    def add_row(self, coeffs, rel: str, rhs: float) -> None:
-        row = np.asarray(coeffs, dtype=float).ravel()
-        if row.size != self.num_vars:
-            raise ValueError("row length mismatch")
-        self._pending.append((row, _REL_CODE[rel], float(rhs)))
-
-    def _flush(self) -> None:
-        if self._pending:
-            rows, rels, rhss = zip(*self._pending)
-            self._A = np.vstack([self._A, np.asarray(rows)])
-            self._rel = np.concatenate([self._rel,
-                                        np.asarray(rels, dtype=np.int8)])
-            self._b = np.concatenate([self._b, np.asarray(rhss, dtype=float)])
-            self._pending = []
-
     @property
     def A(self) -> np.ndarray:
-        self._flush()
         return self._A
 
     @property
     def rel(self) -> np.ndarray:
-        self._flush()
         return self._rel
 
     @property
     def b(self) -> np.ndarray:
-        self._flush()
         return self._b
 
     @property
@@ -122,12 +107,10 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        self._flush()
         return self._A.shape[0]
 
     def with_bounds(self, lower, upper) -> "LinearProgram":
         """Same rows and objective, new bounds; row data is shared."""
-        self._flush()
         lp = LinearProgram(self.sense, self.obj, lower, upper)
         lp._A, lp._rel, lp._b = self._A, self._rel, self._b
         return lp
@@ -290,8 +273,25 @@ class _Tableau:
         pr = T[p] / piv
         colq = T[:, q].copy()
         colq[p] = 0.0
-        np.multiply(colq[:, None], pr[None, :], out=self.buf)
-        T -= self.buf
+        # a row with colq == 0 would only receive x - 0*y, so skipping it
+        # changes no value.  Gathering and scattering the other rows costs
+        # more than one buffered dense update on small tableaux and when
+        # at least half the rows are nonzero.
+        rows = (np.flatnonzero(colq) if T.size >= _SPARSE_PIVOT_CELLS
+                else None)
+        if rows is not None and 2 * rows.size < colq.size:
+            # fewer than half the rows: both halves of buf fit, so no
+            # temporary of the update's size is allocated
+            k = rows.size
+            prod, part = self.buf[:k], self.buf[k:2 * k]
+            np.multiply(colq[rows, None], pr, out=prod)
+            # rows are in range; any mode but "raise" writes part directly
+            np.take(T, rows, axis=0, out=part, mode="clip")
+            part -= prod
+            T[rows] = part
+        else:
+            np.multiply(colq[:, None], pr[None, :], out=self.buf)
+            T -= self.buf
         T[p] = pr
         T[:, q] = 0.0
         T[p, q] = 1.0

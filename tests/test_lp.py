@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from adjrobust.instances import budget_set
+from adjrobust import adjustable
+from adjrobust.instances import budget_set, gen_worst_case
 from adjrobust.lp import (
+    PIVOT_TOL,
     LinearProgram,
     LpBreakdownError,
     UnboundedSetError,
+    _SPARSE_PIVOT_CELLS,
+    _Tableau,
     max_coordinate,
     solve_lp,
 )
@@ -226,3 +230,110 @@ def test_nonfinite_data_rejected():
         solve_lp(
             LinearProgram.from_arrays("min", [np.nan], [[1.0]], ["<="], [1.0])
         )
+
+
+def _dense_pivot(self, p, q):
+    """Reference pivot: one buffered rank-one update of every row."""
+    T = self.T
+    piv = T[p, q]
+    if abs(piv) <= PIVOT_TOL:
+        raise LpBreakdownError("pivot element below threshold")
+    pr = T[p] / piv
+    colq = T[:, q].copy()
+    colq[p] = 0.0
+    np.multiply(colq[:, None], pr[None, :], out=self.buf)
+    T -= self.buf
+    T[p] = pr
+    T[:, q] = 0.0
+    T[p, q] = 1.0
+    if self.z1[q] != 0.0:
+        self.z1 -= self.z1[q] * pr
+        self.z1[q] = 0.0
+    if self.z2[q] != 0.0:
+        self.z2 -= self.z2[q] * pr
+        self.z2[q] = 0.0
+    self.basis[p] = q
+    rhs = T[:, -1]
+    np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -1e-11))
+
+
+def _oracle_lp(monkeypatch):
+    # the extensive-form LP: each recourse block touches only its own rows
+    seen = []
+
+    def record(lp, **kw):
+        seen.append(lp)
+        return solve_lp(lp, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(adjustable, "solve_lp", record)
+        adjustable.solve_adjustable_vertex_oracle(
+            gen_worst_case(6, randomized=True, seed=0))
+    (lp,) = seen
+    return lp
+
+
+def _dense_lp(monkeypatch, n=6, rows=8):
+    rng = SplitMix64(2718)
+    A = np.array([[0.1 + rng.next_float() for _ in range(n)]
+                  for _ in range(rows)])
+    rel = ["<="] * (rows - 2) + [">="] * 2  # >= rows force a phase 1
+    b = np.array([1.0 + rng.next_float() for _ in range(rows)])
+    b[-2:] *= 0.2
+    c = np.array([rng.next_float() - 0.3 for _ in range(n)])
+    return LinearProgram.from_arrays("max", c, A, rel, b)
+
+
+def _large_dense_lp(monkeypatch):
+    return _dense_lp(monkeypatch, n=80, rows=60)
+
+
+def _update_kind(tb, q):
+    colq = tb.T[:, q]
+    if tb.T.size < _SPARSE_PIVOT_CELLS:
+        return "small"
+    nonzero = np.count_nonzero(colq) - 1  # the pivot row is not updated
+    return "dense" if 2 * nonzero >= colq.size else "rows"
+
+
+@pytest.mark.parametrize("make_lp,kind", [(_oracle_lp, "rows"),
+                                          (_large_dense_lp, "dense"),
+                                          (_dense_lp, "small")])
+def test_row_skipping_pivot_matches_dense_update(make_lp, kind,
+                                                 monkeypatch):
+    lp = make_lp(monkeypatch)
+    kinds = []
+    pivot = _Tableau.pivot
+
+    def spy(self, p, q):
+        kinds.append(_update_kind(self, q))
+        pivot(self, p, q)
+
+    monkeypatch.setattr(_Tableau, "pivot", spy)
+    new = solve_lp(lp)
+    monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
+    old = solve_lp(lp)
+    # each LP mostly runs the branch of the pivot it is meant to cover
+    assert max(set(kinds), key=kinds.count) == kind
+    assert new.status == old.status == "optimal"
+    assert new.iterations == old.iterations
+    np.testing.assert_array_equal(new.x, old.x)
+    np.testing.assert_array_equal(new.duals, old.duals)
+    assert new.objective == old.objective
+
+
+def test_pivot_leaves_rows_off_the_entering_column_untouched():
+    rng = SplitMix64(11)
+    G = np.array([[rng.next_float() for _ in range(50)] for _ in range(100)])
+    G[np.arange(100) % 7 != 3, 0] = 0.0  # column 0 is nonzero in 14 rows
+    c = -np.ones(50)
+    tb = _Tableau(c, G, np.ones(100), 1000, 1000)
+    ref = _Tableau(c, G, np.ones(100), 1000, 1000)
+    assert _update_kind(tb, 0) == "rows"
+    before = tb.T.copy()
+    tb.pivot(3, 0)
+    _dense_pivot(ref, 3, 0)
+    off = np.flatnonzero(G[:, 0] == 0.0)
+    np.testing.assert_array_equal(tb.T[off], before[off])
+    np.testing.assert_array_equal(tb.T, ref.T)
+    np.testing.assert_array_equal(tb.z2, ref.z2)
