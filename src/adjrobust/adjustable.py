@@ -10,8 +10,10 @@ alternates with a separation step that maximizes the bilinear form at
 the current x.  Separation is a MIP for HRep sets: each h_i and w_i is
 written in binary with place values 2^{-k}, k in [-Delta, s] (the
 largest place value carries 2^Delta), and the bit products are
-McCormick-linearized.  For VRep sets separation is exact: one small LP
-max (h_v - A x)^T w over W per vertex h_v.
+McCormick-linearized.  For VRep sets separation is exact: a best-first
+search over the vertices h_v solves the small LP max (h_v - A x)^T w
+over W only where LP duality (the duals of the LPs already solved)
+cannot bound h_v below the best pair found so far.
 
 Digitization accuracy.  Truncating at place 2^{-s} perturbs each
 coordinate by at most 2^{-s}, and rounding down preserves feasibility,
@@ -267,21 +269,47 @@ def _recover_pair(inst: Instance, x_hat, sol_x, m):
 
 
 def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
-    """Exact separation: best vertex of U against its LP-optimal w."""
-    DualizedSet.of(inst).require_bounded()
+    """Exact separation: the best vertex h of U against its LP-optimal w.
+
+    Vertex h's LP is max c_h.w over W with c_h = h - A x_hat; its dual is
+    min d_bar*sum(y) over {y >= 0 : B y >= c_h}.  Rather than one LP per
+    vertex, a best-first search keeps an upper bound UB_h per vertex.
+    UB_h starts at the bound of the box w_i <= d_bar / max_j B_ij that
+    contains W, and each solve's duals y_k >= 0 tighten it: t*y_k is
+    dual feasible for h at the smallest t >= 0 with t B y_k >= c_h, so
+    UB_h <= t d_bar sum(y_k).  Every LP point w_k is also tried against
+    all vertices, and the best pair (h, w_k) so far is the incumbent.
+    The next LP goes to the unsolved vertex of highest UB_h; the search
+    stops once that bound does not exceed the incumbent, so every vertex
+    left unsolved has a dual certificate and the result equals the
+    maximum over all vertex LPs up to float rounding.
+    """
+    W = DualizedSet.of(inst).require_bounded()
     ax = inst.A @ np.asarray(x_hat, dtype=float)
-    n, m = inst.n, inst.m
-    best = None
-    for h in inst.uncertainty.vertices:
-        lp = LinearProgram.from_arrays("max", h - ax, inst.B.T, ["<="] * n,
-                                       np.full(n, inst.d_bar))
+    V = inst.uncertainty.vertices
+    C = V - ax
+    n = inst.n
+    rhs = np.full(n, W.d_bar)
+    ub = np.maximum(C, 0.0) @ (W.d_bar / W.B.max(axis=1))
+    best, best_h, best_w = -np.inf, None, None
+    k = int(np.argmax(ub))
+    while ub[k] > best:
+        lp = LinearProgram.from_arrays("max", C[k], W.B.T, ["<="] * n, rhs)
         sol = solve_lp(lp, tol=tol)
         if sol.status != "optimal":
             raise SeparationError(f"separation LP came back {sol.status}")
-        if best is None or sol.objective > best[2]:
-            best = (h.copy(), sol.x.copy(), float(sol.objective))
-    h, w, _ = best
-    return h, w, float((h - ax) @ w)
+        vals = C @ sol.x
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, best_h, best_w = vals[j], j, sol.x.copy()
+        y = np.maximum(sol.duals, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(C > 0.0, C / (W.B @ y), 0.0).max(axis=1)
+            np.minimum(ub, t * (W.d_bar * y.sum()), out=ub, where=t < np.inf)
+        ub[k] = -np.inf    # solved
+        k = int(np.argmax(ub))
+    h = V[best_h].copy()
+    return h, best_w, float((h - ax) @ best_w)
 
 
 def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,

@@ -173,21 +173,14 @@ def _solve_hrep(inst: Instance, tol: float) -> AffineResult:
     return AffineResult("optimal", sol.objective, x, P, q, sol.iterations)
 
 
-def _anchor_indices(V: np.ndarray, tol: float = 1e-9) -> list[int] | None:
-    """Indices of 0, e_1, ..., e_m inside the vertex array, if all present."""
+def _has_anchors(V: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether 0, e_1, ..., e_m are all among the vertices."""
     m = V.shape[1]
     targets = np.vstack([np.zeros((1, m)), np.eye(m)])
-    idx = []
-    for t in targets:
-        hits = np.where(np.max(np.abs(V - t), axis=1) <= tol)[0]
-        if hits.size == 0:
-            return None
-        idx.append(int(hits[0]))
-    return idx
+    return all(np.any(np.max(np.abs(V - t), axis=1) <= tol) for t in targets)
 
 
-def _solve_vrep_anchored(inst: Instance, anchors: list[int],
-                         tol: float) -> AffineResult:
+def _solve_vrep_anchored(inst: Instance, tol: float) -> AffineResult:
     # variables: x, z, then u_0..u_m with u_k = y at anchor k (all >= 0);
     # y(h) = (1 - sum h) u_0 + sum_k h_k u_k recovers P = [u_k - u_0], q = u_0
     Vx = inst.uncertainty.vertices
@@ -312,9 +305,8 @@ def solve_affine(inst: Instance, tol: float = 1e-8) -> AffineResult:
     inst.validate()
     if inst.uncertainty.is_hrep:
         return _solve_hrep(inst, tol)
-    anchors = _anchor_indices(inst.uncertainty.vertices)
-    if anchors is not None:
-        return _solve_vrep_anchored(inst, anchors, tol)
+    if _has_anchors(inst.uncertainty.vertices):
+        return _solve_vrep_anchored(inst, tol)
     return _solve_vrep_generic(inst, tol)
 
 

@@ -3,9 +3,10 @@
 Each row generates one instance from (kind, m, n, seed), times the
 affine solve and the fully adjustable solve, and records the ratio.
 The adjustable side exploits that every generated family has A = 0 and
-c = 0: the budget set's vertices are enumerated once per m and the
-value comes from a single exact separation at x = 0.  Failures and
-timeouts mark the row and never abort the sweep.
+c = 0: the budget set's vertices are written down once per m in closed
+form and the value comes from a single exact separation at x = 0.
+Failures and timeouts mark the row and never abort the sweep; an
+error row keeps its exception as "Type: message" in `BenchRow.error`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .adjustable import adjustable_special_case, solve_adjustable
 from .affine import solve_affine
-from .instances import (Instance, RandomSpec, UncertaintySet, budget_set,
-                        enumerate_vertices, gen_iid, gen_worst_case)
+from .instances import (Instance, RandomSpec, UncertaintySet,
+                        budget_vertices, gen_iid, gen_worst_case)
 
 CSV_HEADER = "m,n,seed,z_aff,z_ar,ratio,t_aff_s,t_ar_s,status"
 
@@ -71,6 +72,7 @@ class BenchRow:
     t_aff_s: float
     t_ar_s: float
     status: str                              # ok | timeout | error
+    error: str | None = None                 # "Type: message" of an error
 
 
 @dataclass
@@ -107,7 +109,7 @@ def solve_bench_row(config: BenchConfig, m: int, n: int, seed: int,
     limit = config.time_limit_s
     z_aff = z_ar = ratio = None
     t_aff = t_ar = 0.0
-    status = "ok"
+    status, error = "ok", None
     try:
         inst = generate_bench_instance(config.kind, m, n, seed, config.p)
 
@@ -133,9 +135,10 @@ def solve_bench_row(config: BenchConfig, m: int, n: int, seed: int,
             return BenchRow(m, n, seed, z_aff, None, None, t_aff, t_ar,
                             "timeout")
         ratio = _ratio(z_aff, z_ar)
-    except Exception:
-        status = "error"
-    return BenchRow(m, n, seed, z_aff, z_ar, ratio, t_aff, t_ar, status)
+    except Exception as exc:
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    return BenchRow(m, n, seed, z_aff, z_ar, ratio, t_aff, t_ar, status,
+                    error)
 
 
 def run_benchmark(config: BenchConfig) -> tuple[list[BenchRow],
@@ -151,7 +154,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRow],
     for m, n in config.sizes():
         verts = None
         if config.kind not in _WORST:
-            verts = enumerate_vertices(budget_set(m))
+            verts = budget_vertices(m)
         seeds = [config.seed_base + i for i in range(config.count)]
         if config.jobs > 1:
             with ThreadPoolExecutor(max_workers=config.jobs) as pool:

@@ -107,6 +107,33 @@ def budget_set(m: int) -> UncertaintySet:
     return UncertaintySet.hrep(R, r)
 
 
+def budget_vertices(m: int) -> UncertaintySet:
+    """The vertices of budget_set(m) in closed form.
+
+    With k = floor(sqrt(m)) and f = sqrt(m) - k, they are the 0/1
+    vectors with at most k ones and, when f > 0, the vectors with k ones
+    plus one more coordinate at f.  Rows are sorted lexicographically,
+    the order enumerate_vertices returns.
+    """
+    if m < 1:
+        raise InstanceError("budget set needs m >= 1")
+    k = math.isqrt(m)
+    f = math.sqrt(m) - k
+    rows = []
+    for ones in range(k + 1):
+        for idx in itertools.combinations(range(m), ones):
+            h = np.zeros(m)
+            h[list(idx)] = 1.0
+            rows.append(h)
+            if ones == k and f > 0.0:
+                for j in np.flatnonzero(h == 0.0):
+                    g = h.copy()
+                    g[j] = f
+                    rows.append(g)
+    V = np.asarray(rows)
+    return UncertaintySet.vrep(V[np.lexsort(V.T[::-1])])
+
+
 def enumerate_vertices(uset: UncertaintySet, cap: int = 12,
                        dedup_tol: float = 1e-9) -> UncertaintySet:
     """All vertices of an HRep set by active-set brute force.

@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from adjrobust import adjustable
 from adjrobust.adjustable import (CutPool, Digitization, DualizedSet,
                                   InconclusiveSeparationError, SeparationError,
-                                  adjustable_special_case,
+                                  _separate_vrep, adjustable_special_case,
                                   build_separation_mip, separate,
                                   solve_adjustable,
                                   solve_adjustable_vertex_oracle)
 from adjrobust.instances import (Instance, InstanceError, RandomSpec,
-                                 UncertaintySet, budget_set,
+                                 UncertaintySet, budget_set, budget_vertices,
                                  enumerate_vertices, gen_iid, gen_worst_case)
+from adjrobust.lp import LinearProgram, solve_lp
 from adjrobust.mip import solve_mip
 
 SQRT2 = float(np.sqrt(2.0))
@@ -152,6 +154,75 @@ def test_separation_node_limit_inconclusive():
     dig = Digitization.from_instance(inst, 0.25)
     with pytest.raises(InconclusiveSeparationError):
         separate(inst, np.zeros(2), -np.inf, dig, mip_tol=0.1, node_limit=1)
+
+
+# ---------------------------------------------------------------------------
+# VRep separation against one LP per vertex
+
+
+def exhaustive_vrep_value(inst, x_hat):
+    """max over the vertices h of max (h - A x_hat).w over W, one LP each."""
+    ax = inst.A @ x_hat
+    best = -np.inf
+    for h in inst.uncertainty.vertices:
+        lp = LinearProgram.from_arrays("max", h - ax, inst.B.T,
+                                       ["<="] * inst.n,
+                                       np.full(inst.n, inst.d_bar))
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        best = max(best, float(sol.objective))
+    return best
+
+
+def assert_exact_vrep_separation(inst, x_hat):
+    h, w, val = _separate_vrep(inst, x_hat)
+    want = exhaustive_vrep_value(inst, x_hat)
+    assert abs(val - want) <= 1e-12 * (1.0 + abs(want))
+    # the pair is a vertex of U and a point of W that reproduce the value
+    assert np.any(np.all(inst.uncertainty.vertices == h, axis=1))
+    assert (w >= -1e-9).all() and (inst.B.T @ w <= inst.d_bar + 1e-8).all()
+    assert val == float((h - inst.A @ x_hat) @ w)
+
+
+def test_vrep_separation_exact_on_budget_tables():
+    cases = [(m, 100 + m) for m in range(5, 11)]
+    # the search usually meets the optimum early, so a stopping rule that
+    # quits too soon shows only on a few seeds: sweep many small ones
+    cases += [(m, seed) for m in (4, 5) for seed in range(40)]
+    for m, seed in cases:
+        b = gen_iid(m, m, RandomSpec("uniform"), seed)
+        assert_exact_vrep_separation(b.with_uncertainty(budget_vertices(m)),
+                                     np.zeros(m))
+
+
+def test_vrep_separation_exact_with_first_stage():
+    rng = np.random.default_rng(7)
+    for seed, (m, n) in enumerate([(3, 3), (4, 2), (5, 4), (6, 6)]):
+        inst = mixed_instance(m, n, seed, vrep=True)
+        x_hat = 2.0 * rng.random(n)
+        # some objective coefficients h_i - (A x_hat)_i are negative
+        assert (inst.uncertainty.vertices - inst.A @ x_hat).min() < 0
+        assert_exact_vrep_separation(inst, x_hat)
+
+
+def test_vrep_separation_exact_on_worst_case_family():
+    for m, seed in ((4, 0), (9, 1), (16, 2)):
+        inst = gen_worst_case(m, randomized=True, seed=seed)
+        assert_exact_vrep_separation(inst, np.zeros(m))
+
+
+def test_vrep_separation_prunes_vertex_lps(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(adjustable, "solve_lp", counting)
+    inst = gen_iid(10, 10, RandomSpec("uniform"), 0)
+    inst = inst.with_uncertainty(budget_vertices(10))
+    _separate_vrep(inst, np.zeros(10))
+    assert 1 <= len(calls) < len(inst.uncertainty.vertices) == 1016
 
 
 # ---------------------------------------------------------------------------

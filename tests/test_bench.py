@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from adjrobust import bench
 from adjrobust.affine import solve_affine
 from adjrobust.bench import (CSV_HEADER, BenchConfig, _ratio, format_csv,
                              generate_bench_instance, run_benchmark,
@@ -57,7 +58,7 @@ def test_ratio_edge_cases():
 def test_run_benchmark_rows_and_ratios():
     rows, summaries = run_benchmark(small_config(count=4, seed_base=11))
     assert [r.seed for r in rows] == [11, 12, 13, 14]
-    assert all(r.status == "ok" for r in rows)
+    assert all(r.status == "ok" and r.error is None for r in rows)
     for r in rows:
         assert r.ratio >= 1.0 - 1e-6          # affine is never better than AR
         assert r.z_aff >= r.z_ar - 1e-9
@@ -127,3 +128,18 @@ def test_write_csv_file(tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.decode() == format_csv(rows, summaries)
+
+
+def test_error_row_keeps_exception_text(monkeypatch):
+    def boom(inst):
+        raise ZeroDivisionError("pivot on zero")
+    monkeypatch.setattr(bench, "solve_affine", boom)
+    rows, summaries = run_benchmark(small_config(count=2))
+    assert [(r.status, r.error) for r in rows] == [
+        ("error", "ZeroDivisionError: pivot on zero")] * 2
+    assert summaries[0].errors == 2
+    # the CSV keeps its columns; the text is on the row object only
+    text = format_csv(rows, summaries)
+    assert text.split("\n")[0] == CSV_HEADER
+    assert all(ROW_RE.match(ln) for ln in text.split("\n")[1:3])
+    assert "pivot on zero" not in text

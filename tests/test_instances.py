@@ -12,6 +12,7 @@ from adjrobust.instances import (
     RandomSpec,
     UncertaintySet,
     budget_set,
+    budget_vertices,
     enumerate_vertices,
     gen_iid,
     gen_worst_case,
@@ -45,6 +46,20 @@ def test_budget_vertex_counts():
         1 for v in V if np.all((np.abs(v) < 1e-9) | (np.abs(v - 1) < 1e-9))
     )
     assert integral == 176 and len(V) - integral == 840
+
+
+def test_closed_form_budget_vertices_match_enumeration():
+    for m in range(1, 11):
+        closed = budget_vertices(m).vertices
+        enumerated = enumerate_vertices(budget_set(m)).vertices
+        assert closed.shape == enumerated.shape, m
+        assert np.max(np.abs(closed - enumerated)) <= 1e-9, m
+    # past the enumeration cap: 378 integral vertices plus 286 * 10
+    V = budget_vertices(13).vertices
+    assert len(V) == 3238
+    assert np.all(V.sum(axis=1) <= math.sqrt(13) + 1e-12)
+    with pytest.raises(InstanceError):
+        budget_vertices(0)
 
 
 def test_enumerate_rejects_vrep_and_big_m():
