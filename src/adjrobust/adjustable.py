@@ -393,11 +393,9 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
     h0 = (np.zeros(inst.m) if inst.uncertainty.is_hrep
           else inst.uncertainty.vertices[0].copy())
     cuts.add(h0, np.zeros(inst.m), 0.0)
-    warm = separate(inst, np.zeros(inst.n), -math.inf, dig,
-                    mip_tol=mip_tol, node_limit=node_limit,
-                    binary_budget=binary_budget)
-    if warm is not None:
-        cuts.add(*warm)
+    cuts.add(*separate(inst, np.zeros(inst.n), -math.inf, dig,
+                       mip_tol=mip_tol, node_limit=node_limit,
+                       binary_budget=binary_budget))
 
     # separation undershoots the true bilinear max by at most this much
     sep_slack = (dig.eps_total + mip_tol) if dig is not None else 1e-7
@@ -438,8 +436,6 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
            if inst.uncertainty.is_hrep else None)
     hit = separate(inst, np.zeros(inst.n), -math.inf, dig, mip_tol=mip_tol,
                    node_limit=node_limit, binary_budget=binary_budget)
-    if hit is None:  # U = {0}: nothing beats even -inf except value 0
-        return 0.0
     return hit[2]
 
 

@@ -4,11 +4,12 @@ The HRep path builds one compact LP: every robust constraint
 "affine(h) >= 0 for all h in U" is replaced by its LP dual over
 U = {h >= 0 : R h <= r}, which adds a nonnegative multiplier block per
 constraint group.  The VRep path imposes the constraints at the hull's
-vertices directly (exact, since both sides are affine in h).  When the
-vertex list contains the origin and every coordinate unit vector, the
-policy is re-expressed through its values at those m+1 anchor points,
-which turns all anchor nonnegativity rows into plain variable bounds
-and shrinks the LP considerably.
+vertices directly (exact, since both sides are affine in h).  It writes
+the policy through its values at a maximal affinely independent subset
+of the vertices (0 and the e_i when they are vertices): an affine map is
+fixed by its values at the corners of a simplex, every vertex is an
+affine combination of these anchors, and their nonnegativity rows become
+plain variable bounds.
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ def build_affine_lp(inst: Instance) -> tuple[LinearProgram, AffineLayout]:
 
     lay = AffineLayout(n=n, m=m, L=L)
     nv = lay.num_vars
-    ox, oz = 0, n
-    oP, oq, ov = n + 1, n + 1 + n * m, n + 1 + n * m + n
-    oV, oU = ov + L, ov + L + L * m
+    oP, oq, oV, oU = lay.P.start, lay.q.start, lay.V.start, lay.U.start
 
     nrows = 1 + m + m + m * m + n + n * m
     G = np.zeros((nrows, nv))
@@ -114,20 +113,20 @@ def build_affine_lp(inst: Instance) -> tuple[LinearProgram, AffineLayout]:
     row = 0
 
     # worst-case objective: z - d.q >= r.v with R^T v >= P^T d
-    G[row, oz] = 1.0
-    G[row, oq:oq + n] = -d
-    G[row, ov:ov + L] = -r
+    G[row, lay.z] = 1.0
+    G[row, lay.q] = -d
+    G[row, lay.v] = -r
     row += 1
     for i in range(m):
-        G[row, ov:ov + L] = R[:, i]
+        G[row, lay.v] = R[:, i]
         for j in range(n):
             G[row, oP + j * m + i] = -d[j]
         row += 1
 
     # covering rows: (Ax + Bq)_i >= price of h_i - (BPh)_i over U
     for i in range(m):
-        G[row, ox:ox + n] = A[i]
-        G[row, oq:oq + n] = B[i]
+        G[row, lay.x] = A[i]
+        G[row, lay.q] = B[i]
         G[row, oV + np.arange(L) * m + i] = -r
         row += 1
     for i in range(m):
@@ -151,13 +150,13 @@ def build_affine_lp(inst: Instance) -> tuple[LinearProgram, AffineLayout]:
     assert row == nrows
 
     obj = np.zeros(nv)
-    obj[ox:ox + n] = inst.c
-    obj[oz] = 1.0
+    obj[lay.x] = inst.c
+    obj[lay.z] = 1.0
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
-    lower[oz] = -np.inf
-    lower[oP:oP + n * m] = -np.inf
-    lower[oq:oq + n] = -np.inf
+    lower[lay.z] = -np.inf
+    lower[lay.P] = -np.inf
+    lower[lay.q] = -np.inf
 
     lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs,
                                    lower=lower, upper=upper)
@@ -173,131 +172,81 @@ def _solve_hrep(inst: Instance, tol: float) -> AffineResult:
     return AffineResult("optimal", sol.objective, x, P, q, sol.iterations)
 
 
-def _has_anchors(V: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether 0, e_1, ..., e_m are all among the vertices."""
+def _pick_anchors(V: np.ndarray) -> np.ndarray:
+    """Rows of a maximal affinely independent subset of the vertices.
+
+    Greedy over the vertices, sparsest first; ties go to the larger
+    vertex in lexicographic order, so a vertex list holding 0 and every
+    e_i yields exactly 0, e_1, ..., e_m.
+    """
     m = V.shape[1]
-    targets = np.vstack([np.zeros((1, m)), np.eye(m)])
-    return all(np.any(np.max(np.abs(V - t), axis=1) <= tol) for t in targets)
+    order = np.lexsort(np.vstack([-V.T[::-1], np.count_nonzero(V, axis=1)]))
+    tol = 1e-9 * max(1.0, float(np.abs(V).max()))
+    picked = [order[0]]
+    for i in order[1:]:
+        if len(picked) == m + 1:
+            break
+        D = V[picked[1:] + [i]] - V[picked[0]]
+        if np.linalg.matrix_rank(D, tol) == len(picked):
+            picked.append(i)
+    return V[picked]
 
 
-def _solve_vrep_anchored(inst: Instance, tol: float) -> AffineResult:
-    # variables: x, z, then u_0..u_m with u_k = y at anchor k (all >= 0);
-    # y(h) = (1 - sum h) u_0 + sum_k h_k u_k recovers P = [u_k - u_0], q = u_0
-    Vx = inst.uncertainty.vertices
-    m, n = inst.m, inst.n
+def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with M X = rhs: exact for square M, least squares otherwise."""
+    if M.shape[0] == M.shape[1]:
+        return np.linalg.solve(M, rhs)
+    return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
+def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
+    # An affine y is fixed by its values u_k = y(a_k) >= 0 at affinely
+    # independent anchor vertices a_0..a_K: every vertex is h = sum lam_k a_k
+    # with sum lam_k = 1, so y(h) = sum lam_k u_k.  Variables: x, z, u_0..u_K.
+    V = inst.uncertainty.vertices
+    n = inst.n
     A, B, d = inst.A, inst.B, inst.d
-    nu = (m + 1) * n
-    nv = n + 1 + nu
-    oz, ou = n, n + 1
+    anchors = _pick_anchors(V)
+    a0, D = anchors[0], anchors[1:] - anchors[0]
+    lam = np.empty((len(V), len(anchors)))
+    lam[:, 1:] = _solve_rows(D.T, (V - a0).T).T
+    lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
 
-    def ycoef(h):
-        # weight on u_0..u_m for y(h); returns length m+1
-        w = np.empty(m + 1)
-        w[0] = 1.0 - h.sum()
-        w[1:] = h
-        return w
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for h in Vx:
-        w = ycoef(h)
+    blocks: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
+    for h, w in zip(V, lam):
         # objective epigraph: z >= d . y(h)
-        g = np.zeros(nv)
-        g[oz] = 1.0
-        for k in range(m + 1):
-            if w[k] != 0.0:
-                g[ou + k * n:ou + (k + 1) * n] -= w[k] * d
-        rows.append(g)
-        rhs.append(0.0)
+        blocks.append(np.concatenate([np.zeros(n), [1.0], -np.kron(w, d)]))
+        rhs.append(np.zeros(1))
         # covering rows with positive right side only: others follow from
         # A, B >= 0, x >= 0 and the policy rows below
-        for i in range(m):
-            if h[i] <= 1e-12:
-                continue
-            g = np.zeros(nv)
-            g[:n] = A[i]
-            for k in range(m + 1):
-                if w[k] != 0.0:
-                    g[ou + k * n:ou + (k + 1) * n] += w[k] * B[i]
-            rows.append(g)
-            rhs.append(float(h[i]))
+        cov = np.flatnonzero(h > 1e-12)
+        blocks.append(np.hstack([A[cov], np.zeros((cov.size, 1)),
+                                 np.kron(w, B[cov])]))
+        rhs.append(h[cov])
         # y(h) >= 0, unless y(h) is a conic combination of the u_k
-        if w[0] < -1e-12:
-            for j in range(n):
-                g = np.zeros(nv)
-                for k in range(m + 1):
-                    g[ou + k * n + j] = w[k]
-                rows.append(g)
-                rhs.append(0.0)
+        if w.min() < -1e-12:
+            blocks.append(np.hstack([np.zeros((n, n + 1)),
+                                     np.kron(w, np.eye(n))]))
+            rhs.append(np.zeros(n))
 
-    G = np.asarray(rows)
-    obj = np.zeros(nv)
+    G = np.vstack(blocks)
+    obj = np.zeros(G.shape[1])
     obj[:n] = inst.c
-    obj[oz] = 1.0
-    lower = np.zeros(nv)
-    lower[oz] = -np.inf
-    lp = LinearProgram.from_arrays("min", obj, G, [">="] * len(rows),
-                                   np.asarray(rhs), lower=lower)
+    obj[n] = 1.0
+    lower = np.zeros(G.shape[1])
+    lower[n] = -np.inf
+    lp = LinearProgram.from_arrays("min", obj, G, [">="] * len(G),
+                                   np.concatenate(rhs), lower=lower)
     sol = solve_lp(lp, tol=tol)
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
-    x = sol.x[:n].copy()
-    U = sol.x[ou:].reshape(m + 1, n)
-    q = U[0].copy()
-    P = (U[1:] - q).T
-    return AffineResult("optimal", sol.objective, x, P, q, sol.iterations)
-
-
-def _solve_vrep_generic(inst: Instance, tol: float) -> AffineResult:
-    Vx = inst.uncertainty.vertices
-    m, n = inst.m, inst.n
-    A, B, d = inst.A, inst.B, inst.d
-    oz, oP, oq = n, n + 1, n + 1 + n * m
-    nv = n + 1 + n * m + n
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for h in Vx:
-        g = np.zeros(nv)
-        g[oz] = 1.0
-        for j in range(n):
-            g[oP + j * m:oP + (j + 1) * m] -= d[j] * h
-        g[oq:oq + n] -= d
-        rows.append(g)
-        rhs.append(0.0)
-        for i in range(m):
-            if h[i] <= 1e-12:
-                continue  # implied by A, B >= 0 plus the policy rows
-            g = np.zeros(nv)
-            g[:n] = A[i]
-            for j in range(n):
-                g[oP + j * m:oP + (j + 1) * m] += B[i, j] * h
-            g[oq:oq + n] += B[i]
-            rows.append(g)
-            rhs.append(float(h[i]))
-        for j in range(n):
-            g = np.zeros(nv)
-            g[oP + j * m:oP + (j + 1) * m] = h
-            g[oq + j] = 1.0
-            rows.append(g)
-            rhs.append(0.0)
-
-    obj = np.zeros(nv)
-    obj[:n] = inst.c
-    obj[oz] = 1.0
-    lower = np.zeros(nv)
-    lower[oz] = -np.inf
-    lower[oP:] = -np.inf
-    lp = LinearProgram.from_arrays("min", obj, np.asarray(rows),
-                                   [">="] * len(rows), np.asarray(rhs),
-                                   lower=lower)
-    sol = solve_lp(lp, tol=tol)
-    if sol.status != "optimal":
-        return AffineResult(sol.status, None, None, None, None, sol.iterations)
-    x = sol.x[:n].copy()
-    P = sol.x[oP:oP + n * m].reshape(n, m).copy()
-    q = sol.x[oq:oq + n].copy()
-    return AffineResult("optimal", sol.objective, x, P, q, sol.iterations)
+    U = sol.x[n + 1:].reshape(len(anchors), n)
+    # P (a_k - a_0) = u_k - u_0 for every anchor, q = u_0 - P a_0
+    P = _solve_rows(D, U[1:] - U[0]).T
+    q = U[0] - P @ a0
+    return AffineResult("optimal", sol.objective, sol.x[:n].copy(), P, q,
+                        sol.iterations)
 
 
 def solve_affine(inst: Instance, tol: float = 1e-8) -> AffineResult:
@@ -305,9 +254,7 @@ def solve_affine(inst: Instance, tol: float = 1e-8) -> AffineResult:
     inst.validate()
     if inst.uncertainty.is_hrep:
         return _solve_hrep(inst, tol)
-    if _has_anchors(inst.uncertainty.vertices):
-        return _solve_vrep_anchored(inst, tol)
-    return _solve_vrep_generic(inst, tol)
+    return _solve_vrep(inst, tol)
 
 
 def solve_affine_dualized(inst: Instance, tol: float = 1e-8) -> AffineResult:

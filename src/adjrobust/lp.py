@@ -69,9 +69,9 @@ class LinearProgram:
                       else np.asarray(upper, dtype=float).copy())
         if self.lower.size != nv or self.upper.size != nv:
             raise ValueError("bounds length mismatch with objective")
-        self._A = np.zeros((0, nv))
-        self._rel = np.zeros(0, dtype=np.int8)
-        self._b = np.zeros(0)
+        self.A = np.zeros((0, nv))
+        self.rel = np.zeros(0, dtype=np.int8)
+        self.b = np.zeros(0)
 
     @classmethod
     def from_arrays(cls, sense, obj, A, rel, b, lower=None, upper=None):
@@ -81,25 +81,13 @@ class LinearProgram:
             A = A.reshape(0, lp.num_vars)
         if A.ndim != 2 or A.shape[1] != lp.num_vars:
             raise ValueError("row matrix shape mismatch")
-        lp._A = A
-        lp._rel = np.asarray([_REL_CODE[r] if isinstance(r, str) else int(r)
-                              for r in rel], dtype=np.int8)
-        lp._b = np.asarray(b, dtype=float).ravel()
-        if lp._rel.size != A.shape[0] or lp._b.size != A.shape[0]:
+        lp.A = A
+        lp.rel = np.asarray([_REL_CODE[r] if isinstance(r, str) else int(r)
+                             for r in rel], dtype=np.int8)
+        lp.b = np.asarray(b, dtype=float).ravel()
+        if lp.rel.size != A.shape[0] or lp.b.size != A.shape[0]:
             raise ValueError("relation/rhs length mismatch")
         return lp
-
-    @property
-    def A(self) -> np.ndarray:
-        return self._A
-
-    @property
-    def rel(self) -> np.ndarray:
-        return self._rel
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._b
 
     @property
     def num_vars(self) -> int:
@@ -107,12 +95,12 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return self._A.shape[0]
+        return self.A.shape[0]
 
     def with_bounds(self, lower, upper) -> "LinearProgram":
         """Same rows and objective, new bounds; row data is shared."""
         lp = LinearProgram(self.sense, self.obj, lower, upper)
-        lp._A, lp._rel, lp._b = self._A, self._rel, self._b
+        lp.A, lp.rel, lp.b = self.A, self.rel, self.b
         return lp
 
 

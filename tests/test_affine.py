@@ -98,19 +98,60 @@ def test_hrep_and_vrep_agree():
 
 
 def test_vrep_generic_no_anchor():
-    # vertex set without 0 and the unit vectors takes the generic path
-    V = np.array([[0.5, 0.5], [0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
+    # a square without 0 and the unit vectors: three corners anchor the
+    # policy, and the fourth has a negative anchor weight, so it gets
+    # explicit sign rows; lifted to h_3 = 0.5 its four corners are
+    # coplanar, so the policy has three anchors in R^3
+    square = np.array([[0.5, 0.5], [0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
     rng = np.random.default_rng(7)
-    inst = Instance(m=2, n=2, c=rng.random(2), A=0.3 * rng.random((2, 2)),
-                    B=0.2 + rng.random((2, 2)), d_bar=1.0,
-                    uncertainty=UncertaintySet.vrep(V), seed=7)
-    res = solve_affine(inst)
-    assert res.status == "optimal"
-    # policy must cover every vertex of the box
-    for h in V:
-        y = evaluate_policy(res.P, res.q, h)
-        assert (y >= -1e-8).all()
-        assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
+    for V in (square, np.hstack([square, np.full((4, 1), 0.5)])):
+        m = V.shape[1]
+        inst = Instance(m=m, n=2, c=rng.random(2), A=0.3 * rng.random((m, 2)),
+                        B=0.2 + rng.random((m, 2)), d_bar=1.0,
+                        uncertainty=UncertaintySet.vrep(V), seed=7)
+        res = solve_affine(inst)
+        assert res.status == "optimal"
+        # policy must cover every vertex of the square
+        for h in V:
+            y = evaluate_policy(res.P, res.q, h)
+            assert (y >= -1e-8).all()
+            assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
+
+
+def test_affine_exact_on_simplices():
+    # an affine policy can take any values at the corners of a simplex, so
+    # z_aff = z_ar; corners avoid 0 and the e_i, and the segment and the
+    # single point leave the hull lower-dimensional
+    rng = np.random.default_rng(11)
+    for m, k in ((2, 3), (3, 4), (4, 5), (3, 2), (4, 3), (3, 1)):
+        V = 0.2 + rng.random((k, m))
+        inst = Instance(m=m, n=2, c=rng.random(2), A=0.3 * rng.random((m, 2)),
+                        B=0.2 + rng.random((m, 2)), d_bar=1.0,
+                        uncertainty=UncertaintySet.vrep(V), seed=0)
+        res = solve_affine(inst)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(
+            solve_adjustable_vertex_oracle(inst), abs=1e-7)
+        for h in V:
+            y = evaluate_policy(res.P, res.q, h)
+            assert (y >= -1e-8).all()
+            assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
+            assert inst.c @ res.x + inst.d @ y <= res.objective + 1e-8
+
+
+def test_hrep_and_vrep_agree_without_unit_vectors():
+    # box [0, 0.5]^m and simplex {sum h <= 0.5}: 0 is a vertex, no e_i is
+    for m in (2, 3, 4):
+        rng = np.random.default_rng(m)
+        for R, r in ((np.eye(m), np.full(m, 0.5)),
+                     (np.ones((1, m)), np.array([0.5]))):
+            hrep = Instance(m=m, n=2, c=rng.random(2),
+                            A=0.3 * rng.random((m, 2)),
+                            B=0.2 + rng.random((m, 2)), d_bar=1.0,
+                            uncertainty=UncertaintySet.hrep(R, r), seed=m)
+            vrep = hrep.with_uncertainty(enumerate_vertices(hrep.uncertainty))
+            assert solve_affine(vrep).objective == pytest.approx(
+                solve_affine(hrep).objective, abs=1e-6)
 
 
 def test_policy_feasible_at_vertices():
