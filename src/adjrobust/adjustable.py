@@ -7,26 +7,27 @@ The adjustable value equals
 
 so a master LP over accumulated cuts z >= (h_k)^T w_k - (A^T w_k).x
 alternates with a separation step that maximizes the bilinear form at
-the current x.  Separation is a MIP for HRep sets: each h_i and w_i is
-written in binary with place values 2^{-k}, k in [-Delta, s] (the
-largest place value carries 2^Delta), and the bit products are
-McCormick-linearized.  For VRep sets separation is exact: a best-first
+the current x.  Separation is a MIP for HRep sets: each h_i is written
+in binary with place values 2^{-k}, k in [-Delta_U, s] (the largest
+place value carries 2^Delta_U), w stays continuous, and each product of
+an h bit with w_i is linearized by two McCormick rows (one digitized
+factor per bilinear term is enough; Gupte, Ahmed, Cheon & Dey, SIAM J.
+Optim. 23(2), 2013).  For VRep sets separation is exact: a best-first
 search over the vertices h_v solves the small LP max (h_v - A x)^T w
 over W only where LP duality (the duals of the LPs already solved)
 cannot bound h_v below the best pair found so far.
 
-Digitization accuracy.  Truncating at place 2^{-s} perturbs each
-coordinate by at most 2^{-s}, and rounding down preserves feasibility,
-so the grid optimum sits within
+Digitization accuracy.  Truncating h_i at place 2^{-s} lowers it by
+less than 2^{-s}, and rounding down keeps h in U because R >= 0, so the
+grid optimum sits within
 
-    2^{-s} * m * (2^{Delta_U} + 2^{Delta_W})
+    2^{-s} * sum_i w_i <= 2^{-s} * m * 2^{Delta_W}
 
-below the true bilinear maximum (and never above it).  Choosing
-s = ceil(log2(m (1 + 2^{Delta_U}) / epsilon)) makes that expression at
-most epsilon * (1 + 2^{Delta_W}) because
-2^{Delta_U} + 2^{Delta_W} <= (1 + 2^{Delta_U})(1 + 2^{Delta_W}).
-That product epsilon * (1 + 2^{Delta_W}) is the documented total
-accuracy, exposed as Digitization.eps_total.
+below the true bilinear maximum (and never above it); w is not rounded.
+Choosing s = ceil(log2(m (1 + 2^{Delta_U}) / epsilon)) makes that
+expression at most epsilon * 2^{Delta_W} / (1 + 2^{Delta_U}), below
+the documented total accuracy epsilon * (1 + 2^{Delta_W}), exposed as
+Digitization.eps_total.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ import numpy as np
 from .instances import Instance, InstanceError, UncertaintySet, enumerate_vertices
 from .lp import LinearProgram, max_coordinate, solve_lp
 from .mip import MixedBinaryProgram, solve_mip
+
+# most binaries a separation MIP may carry before epsilon must be relaxed
+BINARY_BUDGET = 256
 
 
 class SeparationError(Exception):
@@ -70,6 +74,11 @@ class DualizedSet:
                 "W is unbounded: some row of B is all zero, so the second "
                 "stage cannot cover that demand coordinate")
         return self
+
+    @property
+    def caps(self) -> np.ndarray:
+        """max w_i over W in closed form: the other coordinates at 0."""
+        return self.d_bar / self.B.max(axis=1)
 
     def uncertainty(self) -> UncertaintySet:
         n = self.B.shape[1]
@@ -109,7 +118,7 @@ class Digitization:
             raise ValueError("epsilon must be positive")
         W = DualizedSet.of(inst).require_bounded()
         du = _exponent(float(_coordinate_caps(inst.uncertainty).max(initial=0.0)))
-        dw = _exponent(float(_coordinate_caps(W.uncertainty()).max(initial=0.0)))
+        dw = _exponent(float(W.caps.max(initial=0.0)))
         s = math.ceil(math.log2(inst.m * (1 + 2.0 ** du) / epsilon) - 1e-12)
         s = max(s, -du)  # keep at least one place value
         return cls(epsilon=epsilon, s=s, delta_u=du, delta_w=dw)
@@ -122,12 +131,8 @@ class Digitization:
     def bits_u(self) -> int:
         return self.delta_u + self.s + 1
 
-    @property
-    def bits_w(self) -> int:
-        return self.delta_w + self.s + 1
-
     def binaries(self, m: int) -> int:
-        return m * (self.bits_u + self.bits_w)
+        return m * self.bits_u
 
 
 @dataclass
@@ -168,97 +173,56 @@ class CutPool:
             fh.write("\n")
 
 
-def build_separation_mip(inst: Instance, x_hat, dig: Digitization,
-                         binary_budget: int = 256) -> MixedBinaryProgram:
+def build_separation_mip(inst: Instance, x_hat,
+                         dig: Digitization) -> MixedBinaryProgram:
     """Maximize (h - A x_hat)^T w over digitized U x W.
 
-    Columns: h (m), w (m), then per coordinate the h bits alpha, the w
-    bits beta, and the McCormick products gamma (continuous, pinned to
-    alpha*beta by gamma <= alpha, gamma <= beta, gamma + 1 >= alpha +
-    beta; the alpha row caps gamma at 1 so no explicit bound is kept).
-    The continuous h, w are tied to their bit expansions by equality
-    rows, and R h <= r, B^T w <= d keep both inside their sets.
+    Columns: h (m), w (m), the h bits alpha (bits_u per coordinate), then
+    the products z_it = alpha_it * w_i (continuous).  Equality rows tie
+    h_i to its bits, R h <= r and B^T w <= d keep h and w in their sets,
+    and each product gets the two upper McCormick rows z_it <= 2^Delta_W
+    alpha_it (w_i <= 2^Delta_W on W) and z_it <= w_i.  The objective
+    sum p_t z_it - (A x_hat).w rewards every product, so the lower
+    envelope would never bind; at binary alpha the two rows give
+    z_it <= alpha_it w_i, so the MIP never overstates the bilinear value
+    of its (h, w).
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("separation MIP needs an HRep uncertainty set")
     inst.validate()
     m, n = inst.m, inst.n
-    if dig.binaries(m) > binary_budget:
+    k = dig.binaries(m)
+    if k > BINARY_BUDGET:
         raise SeparationError(
-            f"digitization needs {dig.binaries(m)} binaries at m={m}, "
-            f"over the budget of {binary_budget}; relax epsilon")
+            f"digitization needs {k} binaries at m={m}, "
+            f"over the budget of {BINARY_BUDGET}; relax epsilon")
     R, r = inst.uncertainty.R, inst.uncertainty.r
     L = R.shape[0]
-    x_hat = np.asarray(x_hat, dtype=float)
-    ax = inst.A @ x_hat
+    ax = inst.A @ np.asarray(x_hat, dtype=float)
 
-    ku, kw = dig.bits_u, dig.bits_w
-    pu = 2.0 ** (dig.delta_u - np.arange(ku))   # place values for h bits
-    pw = 2.0 ** (dig.delta_w - np.arange(kw))
-    oh, ow = 0, m
-    oa = 2 * m
-    ob = oa + m * ku
-    og = ob + m * kw
-    nv = og + m * ku * kw
+    pu = 2.0 ** (dig.delta_u - np.arange(dig.bits_u))   # place values
+    oa, oz = 2 * m, 2 * m + k
+    prods = np.arange(k)
+    G = np.zeros((m + L + n + 2 * k, oz + k))
+    G[:m, :m] = np.eye(m)                           # h_i = sum p_t alpha_it
+    G[:m, oa:oz] = -np.kron(np.eye(m), pu)
+    G[m:m + L, :m] = R
+    G[m + L:m + L + n, m:oa] = inst.B.T
+    cap_rows = m + L + n + prods                    # z_it <= 2^dw alpha_it
+    G[cap_rows, oz + prods] = 1.0
+    G[cap_rows, oa + prods] = -2.0 ** dig.delta_w
+    w_rows = cap_rows + k                           # z_it <= w_i
+    G[w_rows, oz + prods] = 1.0
+    G[w_rows, m + prods // dig.bits_u] = -1.0
+    rhs = np.concatenate([np.zeros(m), r, np.full(n, float(inst.d_bar)),
+                          np.zeros(2 * k)])
+    rel = ["="] * m + ["<="] * (L + n + 2 * k)
 
-    nrows = 2 * m + L + n + 3 * m * ku * kw
-    G = np.zeros((nrows, nv))
-    rhs = np.zeros(nrows)
-    rel = []
-    row = 0
-
-    for i in range(m):  # h_i = sum alpha bits
-        G[row, oh + i] = 1.0
-        G[row, oa + i * ku:oa + (i + 1) * ku] = -pu
-        rel.append("=")
-        row += 1
-    for i in range(m):  # w_i = sum beta bits
-        G[row, ow + i] = 1.0
-        G[row, ob + i * kw:ob + (i + 1) * kw] = -pw
-        rel.append("=")
-        row += 1
-    for l in range(L):
-        G[row, oh:oh + m] = R[l]
-        rhs[row] = r[l]
-        rel.append("<=")
-        row += 1
-    for j in range(n):
-        G[row, ow:ow + m] = inst.B[:, j]
-        rhs[row] = inst.d_bar
-        rel.append("<=")
-        row += 1
-    for i in range(m):
-        for t in range(ku):
-            a_col = oa + i * ku + t
-            for u in range(kw):
-                b_col = ob + i * kw + u
-                g_col = og + (i * ku + t) * kw + u
-                G[row, g_col] = 1.0
-                G[row, a_col] = -1.0
-                rel.append("<=")
-                row += 1
-                G[row, g_col] = 1.0
-                G[row, b_col] = -1.0
-                rel.append("<=")
-                row += 1
-                G[row, g_col] = 1.0
-                G[row, a_col] = -1.0
-                G[row, b_col] = -1.0
-                rhs[row] = -1.0
-                rel.append(">=")
-                row += 1
-    assert row == nrows
-
-    obj = np.zeros(nv)
-    obj[ow:ow + m] = -ax
-    block = np.outer(pu, pw).ravel()
-    for i in range(m):
-        obj[og + i * ku * kw:og + (i + 1) * ku * kw] = block
-
-    upper = np.full(nv, np.inf)
-    upper[oa:og] = 1.0   # bits
+    obj = np.concatenate([np.zeros(m), -ax, np.zeros(k), np.tile(pu, m)])
+    upper = np.full(oz + k, np.inf)
+    upper[oa:oz] = 1.0   # bits
     lp = LinearProgram.from_arrays("max", obj, G, rel, rhs, upper=upper)
-    return MixedBinaryProgram(lp, range(oa, og))
+    return MixedBinaryProgram(lp, range(oa, oz))
 
 
 def _recover_pair(inst: Instance, x_hat, sol_x, m):
@@ -290,7 +254,7 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     C = V - ax
     n = inst.n
     rhs = np.full(n, W.d_bar)
-    ub = np.maximum(C, 0.0) @ (W.d_bar / W.B.max(axis=1))
+    ub = np.maximum(C, 0.0) @ W.caps
     best, best_h, best_w = -np.inf, None, None
     k = int(np.argmax(ub))
     while ub[k] > best:
@@ -313,8 +277,7 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
 
 
 def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
-             mip_tol: float = 1e-6, node_limit: int | None = None,
-             binary_budget: int = 256):
+             mip_tol: float = 1e-6, node_limit: int | None = None):
     """Most violated (h, w) pair, or None when nothing beats z_hat.
 
     The pair's value is recomputed from the returned vectors, so it is
@@ -325,7 +288,7 @@ def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
     if inst.uncertainty.is_hrep:
         if dig is None:
             raise SeparationError("HRep separation needs a Digitization")
-        prob = build_separation_mip(inst, x_hat, dig, binary_budget)
+        prob = build_separation_mip(inst, x_hat, dig)
         sol = solve_mip(prob, mip_tol=mip_tol, node_limit=node_limit)
         if sol.status == "node_limit":
             raise InconclusiveSeparationError(
@@ -371,8 +334,8 @@ def _solve_master(inst: Instance, cuts: CutPool, tol: float):
 
 
 def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
-                     mip_tol: float = 1e-6, node_limit: int | None = None,
-                     binary_budget: int = 256) -> AdjustableResult:
+                     mip_tol: float = 1e-6,
+                     node_limit: int | None = None) -> AdjustableResult:
     """Cutting-plane computation of the adjustable optimum.
 
     The master value never decreases and always bounds z_AR from below;
@@ -394,8 +357,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
           else inst.uncertainty.vertices[0].copy())
     cuts.add(h0, np.zeros(inst.m), 0.0)
     cuts.add(*separate(inst, np.zeros(inst.n), -math.inf, dig,
-                       mip_tol=mip_tol, node_limit=node_limit,
-                       binary_budget=binary_budget))
+                       mip_tol=mip_tol, node_limit=node_limit))
 
     # separation undershoots the true bilinear max by at most this much
     sep_slack = (dig.eps_total + mip_tol) if dig is not None else 1e-7
@@ -408,7 +370,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
                 f"master value regressed from {prev} to {master}")
         prev = max(prev, master)
         hit = separate(inst, x_hat, z_hat, dig, mip_tol=mip_tol,
-                       node_limit=node_limit, binary_budget=binary_budget)
+                       node_limit=node_limit)
         if hit is None:
             return AdjustableResult("optimal", master, x_hat, cuts, it,
                                     (master, master))
@@ -425,8 +387,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
 
 def adjustable_special_case(inst: Instance, eps: float = 1e-3,
                             mip_tol: float = 1e-6,
-                            node_limit: int | None = None,
-                            binary_budget: int = 256) -> float:
+                            node_limit: int | None = None) -> float:
     """z_AR for A = 0, c = 0: one separation at x = 0 already maximizes
     the bilinear form, so no master loop is needed."""
     inst.validate()
@@ -435,7 +396,7 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
     hit = separate(inst, np.zeros(inst.n), -math.inf, dig, mip_tol=mip_tol,
-                   node_limit=node_limit, binary_budget=binary_budget)
+                   node_limit=node_limit)
     return hit[2]
 
 

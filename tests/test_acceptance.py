@@ -250,10 +250,10 @@ def test_criterion_7_sandwich_statistics(capsys):
 # 8: digitized separation MIP vs brute force over vertex pairs
 # ---------------------------------------------------------------------------
 
-# grids coarsen as m grows: every extra place value multiplies the
-# branch-and-bound tree, and the check scales its slack with eps_total
-# anyway.  Seeds were picked for small trees; hard seeds at these sizes
-# run minutes without changing what is being verified.
+# grids coarsen as m grows: every extra place value of h adds m binaries
+# to the branch-and-bound tree, and the check scales its slack with
+# eps_total anyway.  Seeds were picked for small trees; with only h
+# digitized the whole plan takes about a second.
 _SEP_PLAN = [
     (1, 0.02, "mixed", 1000), (1, 0.02, "iid", 1001),
     (1, 0.02, "iid", 1002), (1, 0.02, "mixed", 1003),

@@ -13,7 +13,7 @@ from adjrobust.adjustable import (CutPool, Digitization, DualizedSet,
 from adjrobust.instances import (Instance, InstanceError, RandomSpec,
                                  UncertaintySet, budget_set, budget_vertices,
                                  enumerate_vertices, gen_iid, gen_worst_case)
-from adjrobust.lp import LinearProgram, solve_lp
+from adjrobust.lp import LinearProgram, max_coordinate, solve_lp
 from adjrobust.mip import solve_mip
 
 SQRT2 = float(np.sqrt(2.0))
@@ -52,7 +52,8 @@ def test_digitization_fields():
     assert 2.0 ** (-(dig.s - 1)) * 2 * 2 > 0.01
     assert dig.eps_total == pytest.approx(0.01 * 2)
     assert dig.bits_u == dig.s + 1
-    assert dig.binaries(2) == 2 * (dig.bits_u + dig.bits_w)
+    # only h is digitized
+    assert dig.binaries(2) == 2 * dig.bits_u
 
 
 def test_digitization_rejects_bad_eps():
@@ -77,6 +78,9 @@ def test_dualized_set():
     assert uset.R.shape == (2, 3)          # one row per second-stage column
     np.testing.assert_allclose(uset.R, inst.B.T)
     np.testing.assert_allclose(uset.r, np.ones(2))
+    # closed-form caps agree with one LP per coordinate
+    np.testing.assert_allclose(
+        W.caps, [max_coordinate(uset, i) for i in range(3)], rtol=1e-9)
     bad = DualizedSet(np.array([[1.0], [0.0]]), 1.0)
     assert not bad.is_bounded
 
@@ -137,9 +141,43 @@ def test_separation_no_violation():
 
 def test_separation_budget_guard():
     inst = identity_instance(3)
-    dig = Digitization.from_instance(inst, 1e-6)
+    dig = Digitization.from_instance(inst, 1e-30)
+    assert dig.binaries(3) > adjustable.BINARY_BUDGET
     with pytest.raises(SeparationError, match="relax epsilon"):
-        build_separation_mip(inst, np.zeros(3), dig, binary_budget=64)
+        build_separation_mip(inst, np.zeros(3), dig)
+
+
+def test_separation_mip_one_sided_bound_and_size():
+    # per m: the digitization epsilon; mip_tol is a quarter of it
+    plan = {2: 0.1, 3: 0.25, 4: 0.5}
+    rng = np.random.default_rng(5)
+    for m, eps in plan.items():
+        for seed in range(10):
+            if seed % 2:
+                inst = gen_iid(m, m, RandomSpec("uniform"), 2000 + seed)
+                x_hat = np.zeros(m)
+            else:
+                inst = mixed_instance(m, m, seed)
+                x_hat = 0.3 * rng.random(m)
+            dig = Digitization.from_instance(inst, eps)
+            prob = build_separation_mip(inst, x_hat, dig)
+            # h bits only, one continuous product per bit, two rows each
+            k = m * dig.bits_u
+            assert len(prob.binary_vars) == dig.binaries(m) == k
+            assert prob.lp.num_vars == 2 * m + 2 * k
+            prods = prob.lp.A[:, 2 * m + k:]
+            assert ((prods != 0).sum(axis=0) == 2).all()
+
+            tol = eps / 4
+            sol = solve_mip(prob, mip_tol=tol)
+            assert sol.status == "optimal"
+            UV = enumerate_vertices(inst.uncertainty).vertices
+            W = DualizedSet.of(inst).uncertainty()
+            WV = enumerate_vertices(W).vertices
+            true = float(((UV - inst.A @ x_hat) @ WV.T).max())
+            under = m * 2.0 ** (dig.delta_w - dig.s)
+            assert true - (under + tol) - 1e-9 <= sol.objective
+            assert sol.objective <= true + tol + 1e-9
 
 
 def test_separation_needs_hrep():
