@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affine import vertex_lp
 from .instances import Instance, InstanceError, UncertaintySet, enumerate_vertices
 from .lp import LinearProgram, max_coordinate, solve_lp
 from .mip import MixedBinaryProgram, solve_mip
@@ -338,11 +339,13 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
                      node_limit: int | None = None) -> AdjustableResult:
     """Cutting-plane computation of the adjustable optimum.
 
-    The master value never decreases and always bounds z_AR from below;
-    on normal termination it is within separation accuracy (eps_total
-    plus sep_tol for MIP separation, LP tolerance for VRep separation)
-    of z_AR.  A stalled or iteration-capped run reports the bracket
-    [master, master + last unresolved violation] instead.
+    The master value never decreases and always bounds z_AR from below.
+    Separation returns nothing once the best pair is worth at most
+    z_hat + sep_tol (sep_tol = 10*mip_tol), so on normal termination the
+    master is within sep_tol of z_AR for exact VRep separation and within
+    eps_total + mip_tol + sep_tol for MIP separation.  A stalled or
+    iteration-capped run reports the bracket [master, master + last
+    unresolved violation] instead.
     """
     inst.validate()
     if max_iters < 1:
@@ -402,37 +405,14 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
 
 def solve_adjustable_vertex_oracle(inst: Instance, cap: int = 12,
                                    tol: float = 1e-8) -> float:
-    """Exact z_AR as one LP with a recourse copy per vertex of U."""
+    """Exact z_AR as one LP with a recourse copy per vertex of U: the
+    vertex LP of the affine policy with each vertex its own anchor."""
     inst.validate()
     uset = inst.uncertainty
     if uset.is_hrep:
         uset = enumerate_vertices(uset, cap=cap)
     Vx = uset.vertices
-    K = len(Vx)
-    m, n = inst.m, inst.n
-    # columns: x (n), z, then y_v (n each)
-    nv = n + 1 + K * n
-    nrows = K * (1 + m)
-    G = np.zeros((nrows, nv))
-    rhs = np.zeros(nrows)
-    row = 0
-    for v, h in enumerate(Vx):
-        oy = n + 1 + v * n
-        G[row, n] = 1.0
-        G[row, oy:oy + n] = -inst.d
-        row += 1
-        for i in range(m):
-            G[row, :n] = inst.A[i]
-            G[row, oy:oy + n] = inst.B[i]
-            rhs[row] = h[i]
-            row += 1
-    obj = np.zeros(nv)
-    obj[:n] = inst.c
-    obj[n] = 1.0
-    lower = np.zeros(nv)
-    lower[n] = -np.inf
-    lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs,
-                                   lower=lower)
+    lp = vertex_lp(inst, Vx, np.eye(len(Vx)))
     sol = solve_lp(lp, tol=tol)
     if sol.status != "optimal":
         raise SeparationError(f"vertex oracle LP came back {sol.status}")

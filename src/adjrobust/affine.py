@@ -9,7 +9,9 @@ the policy through its values at a maximal affinely independent subset
 of the vertices (0 and the e_i when they are vertices): an affine map is
 fixed by its values at the corners of a simplex, every vertex is an
 affine combination of these anchors, and their nonnegativity rows become
-plain variable bounds.
+plain variable bounds.  The same vertex LP with one anchor per vertex
+(`vertex_lp(inst, V, I)`) has its own recourse copy at every vertex and
+gives the adjustable value z_AR.
 """
 
 from __future__ import annotations
@@ -199,19 +201,13 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
-    # An affine y is fixed by its values u_k = y(a_k) >= 0 at affinely
-    # independent anchor vertices a_0..a_K: every vertex is h = sum lam_k a_k
-    # with sum lam_k = 1, so y(h) = sum lam_k u_k.  Variables: x, z, u_0..u_K.
-    V = inst.uncertainty.vertices
+def vertex_lp(inst: Instance, V: np.ndarray, lam: np.ndarray) -> LinearProgram:
+    """min c.x + z over x >= 0, z and blocks u_k >= 0, one per column of
+    `lam`, with the recourse y(h) = sum_k lam[v, k] u_k imposed at every
+    vertex h = V[v].  With lam = I each u_v is the recourse copy at its
+    own vertex, and the LP's value is z_AR."""
     n = inst.n
     A, B, d = inst.A, inst.B, inst.d
-    anchors = _pick_anchors(V)
-    a0, D = anchors[0], anchors[1:] - anchors[0]
-    lam = np.empty((len(V), len(anchors)))
-    lam[:, 1:] = _solve_rows(D.T, (V - a0).T).T
-    lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
-
     blocks: list[np.ndarray] = []
     rhs: list[np.ndarray] = []
     for h, w in zip(V, lam):
@@ -236,9 +232,23 @@ def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
     obj[n] = 1.0
     lower = np.zeros(G.shape[1])
     lower[n] = -np.inf
-    lp = LinearProgram.from_arrays("min", obj, G, [">="] * len(G),
-                                   np.concatenate(rhs), lower=lower)
-    sol = solve_lp(lp, tol=tol)
+    return LinearProgram.from_arrays("min", obj, G, [">="] * len(G),
+                                     np.concatenate(rhs), lower=lower)
+
+
+def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
+    # An affine y is fixed by its values u_k = y(a_k) >= 0 at affinely
+    # independent anchor vertices a_0..a_K: every vertex is h = sum lam_k a_k
+    # with sum lam_k = 1, so y(h) = sum lam_k u_k.  Variables: x, z, u_0..u_K.
+    V = inst.uncertainty.vertices
+    n = inst.n
+    anchors = _pick_anchors(V)
+    a0, D = anchors[0], anchors[1:] - anchors[0]
+    lam = np.empty((len(V), len(anchors)))
+    lam[:, 1:] = _solve_rows(D.T, (V - a0).T).T
+    lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
+
+    sol = solve_lp(vertex_lp(inst, V, lam), tol=tol)
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
     U = sol.x[n + 1:].reshape(len(anchors), n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjustable import adjustable_special_case, solve_adjustable
+from .adjustable import adjustable_special_case
 from .affine import solve_affine
 from .instances import (Instance, RandomSpec, UncertaintySet,
                         budget_vertices, gen_iid, gen_worst_case)
@@ -126,10 +126,7 @@ def solve_bench_row(config: BenchConfig, m: int, n: int, seed: int,
         if inst.uncertainty.is_hrep:
             inst = inst.with_uncertainty(vertices)
         t0 = time.perf_counter()
-        if not inst.A.any() and not inst.c.any():
-            z_ar = float(adjustable_special_case(inst, eps=config.eps))
-        else:
-            z_ar = float(solve_adjustable(inst, eps=config.eps).z_ar)
+        z_ar = float(adjustable_special_case(inst, eps=config.eps))
         t_ar = time.perf_counter() - t0
         if limit is not None and t_ar > limit:
             return BenchRow(m, n, seed, z_aff, None, None, t_aff, t_ar,

@@ -1,10 +1,11 @@
 """Branch and bound for LPs with binary variables.
 
-Search order is a depth-first dive until the first incumbent, then
-best-bound.  Branching picks the most fractional binary (lowest index
-on ties) and explores the child matching the rounded relaxation value
-first.  A rounding heuristic (fix every binary to its rounded value,
-re-solve the LP) runs while no incumbent exists.  Everything is
+Search order is best-bound from the root.  Branching picks the most
+fractional binary (lowest index on ties), and of two open nodes with
+the same bound the older goes first, so the child matching the rounded
+relaxation value precedes its sibling.  A rounding heuristic (fix every
+binary to its rounded value, re-solve the LP) runs while no incumbent
+exists.  Everything is
 deterministic; the reported bound is monotone in the incumbent's
 favor and stays honest when the node limit cuts the search short.
 """
@@ -82,9 +83,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     best_bound = np.inf           # in sgn-units, monotone nonincreasing
     root_relax: LpSolution | None = None
 
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(lower, upper)]
-    heap: list = []               # (-bound, tiebreak, lo, up)
-    tie = 0
+    heap: list = [(-np.inf, 0, lower, upper)]   # (-bound, tiebreak, lo, up)
+    tie = 1
 
     def current_bound(processing: float | None = None) -> float:
         vals = []
@@ -93,8 +93,6 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         if processing is not None:
             vals.append(processing)
         vals.extend(-h[0] for h in heap)
-        if stack:
-            vals.append(best_bound)  # dive nodes inherit the running bound
         return max(vals) if vals else -np.inf
 
     def finish(status: str, processing: float | None = None) -> MipSolution:
@@ -115,20 +113,10 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             xr[binaries] = np.round(xr[binaries])
             incumbent_x, incumbent_val = xr, val
 
-    while stack or heap:
-        if incumbent_val is None and stack:
-            lo, up = stack.pop()
-        elif stack:
-            # first incumbent just landed: migrate dive leftovers
-            for lo, up in stack:
-                heapq.heappush(heap, (-best_bound, tie, lo, up))
-                tie += 1
-            stack.clear()
+    while heap:
+        negb, _, lo, up = heapq.heappop(heap)
+        if incumbent_val is not None and -negb <= incumbent_val + mip_tol:
             continue
-        else:
-            negb, _, lo, up = heapq.heappop(heap)
-            if incumbent_val is not None and -negb <= incumbent_val + mip_tol:
-                continue
 
         if node_limit is not None and nodes >= node_limit:
             return finish("node_limit")
@@ -160,19 +148,11 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         j_local = int(np.argmax(frac))
         j = int(binaries[j_local])
         pref = float(np.round(sol.x[j]))
-        children = []
         for value in (pref, 1.0 - pref):
             clo, cup = lo.copy(), up.copy()
             clo[j] = cup[j] = value
-            children.append((clo, cup))
-        if incumbent_val is None:
-            # LIFO: push the preferred child last so it pops first
-            stack.append(children[1])
-            stack.append(children[0])
-        else:
-            for child in children:
-                heapq.heappush(heap, (-val, tie, child[0], child[1]))
-                tie += 1
+            heapq.heappush(heap, (-val, tie, clo, cup))
+            tie += 1
 
     # exhausted: every feasible leaf produced an incumbent
     return finish("optimal" if incumbent_val is not None else "infeasible")

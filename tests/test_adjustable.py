@@ -369,6 +369,68 @@ def test_oracle_worst_case_family():
             1.0, abs=1e-8)
 
 
+def extensive_oracle_value(inst, cap=12):
+    """z_AR from the extensive form written out in full: x, z and a
+    recourse copy y_v per vertex, with every covering row of every vertex."""
+    uset = inst.uncertainty
+    if uset.is_hrep:
+        uset = enumerate_vertices(uset, cap=cap)
+    V = uset.vertices
+    K, m, n = len(V), inst.m, inst.n
+    G = np.zeros((K * (1 + m), n + 1 + K * n))
+    rhs = np.zeros(K * (1 + m))
+    for v, h in enumerate(V):
+        row, oy = v * (1 + m), n + 1 + v * n
+        G[row, n] = 1.0                       # z >= d.y_v
+        G[row, oy:oy + n] = -inst.d
+        G[row + 1:row + 1 + m, :n] = inst.A   # A x + B y_v >= h
+        G[row + 1:row + 1 + m, oy:oy + n] = inst.B
+        rhs[row + 1:row + 1 + m] = h
+    obj = np.zeros(G.shape[1])
+    obj[:n] = inst.c
+    obj[n] = 1.0
+    lower = np.zeros(G.shape[1])
+    lower[n] = -np.inf
+    sol = solve_lp(LinearProgram.from_arrays("min", obj, G, [">="] * len(G),
+                                             rhs, lower=lower))
+    assert sol.status == "optimal"
+    return float(sol.objective)
+
+
+def _oracle_cases():
+    for m in range(2, 10):
+        yield f"worst-case m={m}", gen_worst_case(m)
+        yield (f"worst-case m={m} randomized",
+               gen_worst_case(m, randomized=True, seed=m))
+    for seed, (m, n) in enumerate([(2, 3), (3, 3), (3, 4), (4, 2), (5, 3)]):
+        yield f"mixed vrep seed={seed}", mixed_instance(m, n, seed, vrep=True)
+        yield f"mixed hrep seed={seed}", mixed_instance(m, n, 10 + seed)
+    for m in (3, 5, 6):
+        b = gen_iid(m, m, RandomSpec("uniform"), 30 + m)
+        yield f"iid m={m}", b.with_uncertainty(budget_vertices(m))
+
+
+def test_oracle_matches_extensive_form(monkeypatch):
+    seen = []
+
+    def record(lp, **kw):
+        seen.append(lp)
+        return solve_lp(lp, **kw)
+
+    monkeypatch.setattr(adjustable, "solve_lp", record)
+    for name, inst in _oracle_cases():
+        seen.clear()
+        z = solve_adjustable_vertex_oracle(inst)
+        want = extensive_oracle_value(inst)
+        assert abs(z - want) <= 1e-9 * max(1.0, abs(want)), name
+        # one epigraph row per vertex plus its positive covering rows only
+        (lp,) = seen
+        uset = inst.uncertainty
+        V = (enumerate_vertices(uset) if uset.is_hrep else uset).vertices
+        assert lp.A.shape == (len(V) + np.count_nonzero(V > 1e-12),
+                              inst.n + 1 + len(V) * inst.n), name
+
+
 def test_oracle_accepts_hrep():
     inst = mixed_instance(3, 2, seed=5)
     a = solve_adjustable_vertex_oracle(inst)

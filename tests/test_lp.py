@@ -258,7 +258,7 @@ def _dense_pivot(self, p, q):
 
 
 def _oracle_lp(monkeypatch):
-    # the extensive-form LP: each recourse block touches only its own rows
+    # the vertex oracle LP: each recourse copy touches only its own rows
     seen = []
 
     def record(lp, **kw):
