@@ -5,9 +5,9 @@ fractional binary (lowest index on ties), and of two open nodes with
 the same bound the older goes first, so the child matching the rounded
 relaxation value precedes its sibling.  A rounding heuristic (fix every
 binary to its rounded value, re-solve the LP) runs while no incumbent
-exists.  Everything is
-deterministic; the reported bound is monotone in the incumbent's
-favor and stays honest when the node limit cuts the search short.
+exists.  Everything is deterministic; the reported bound is monotone in
+the incumbent's favor and stays honest when the node limit cuts the
+search short.
 """
 
 from __future__ import annotations
