@@ -2,11 +2,20 @@
 
 Two-phase primal simplex on a dense tableau.  Pricing is Dantzig
 (most negative reduced cost) and switches to Bland's rule after
-5*(columns+rows) iterations so cycling cannot occur; ratio-test ties go
-to the smallest basic variable index, which keeps runs deterministic
-and is the tie-break Bland's termination argument needs.  A pivot
-rewrites only the rows where the entering column is nonzero, so its
-cost follows that column's nonzeros rather than the tableau's size.
+5*(columns+rows) iterations so cycling cannot occur.  Under Dantzig the
+ratio test is Harris's two-pass test: among the rows whose ratio is
+within a feasibility tolerance of the smallest, it takes the largest
+pivot, and right-hand sides that the step leaves within that tolerance
+below zero are clipped to zero.  Under Bland it is the exact min-ratio
+test with ties to the smallest basic variable index, the tie-break
+Bland's termination argument needs.
+
+A pivot does not rewrite the tableau: it appends one rank-one factor,
+and a column or row is read through the pending factors.  The
+right-hand side and the reduced-cost rows are updated on every pivot.
+Every 128 pivots the tableau is rebuilt through one inverse of the
+basis matrix and the factors are dropped; a tableau with fewer than 128
+rows folds its factors into the tableau each time it holds one per row.
 
 Conventions
 -----------
@@ -38,8 +47,9 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
-# tableau cells below which a pivot always takes the dense update
-_SPARSE_PIVOT_CELLS = 8192
+# Harris ratio-test tolerance; right-hand sides above -_FEAS_TOL are
+# clipped to zero, which removes the overshoot the Harris step allows
+_FEAS_TOL = 1e-9
 
 
 class LpError(Exception):
@@ -211,6 +221,15 @@ class _BoundInfeasible(Exception):
 # ---------------------------------------------------------------------------
 
 class _Tableau:
+    """Tableau of  min c.y, G y <= g, y >= 0  in deferred product form.
+
+    The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last
+    rebuilt (or materialized) at some basis, and each pivot since has
+    appended one rank-one factor instead of rewriting ``T``.  The
+    right-hand side ``rhs`` and the reduced-cost rows ``z1``, ``z2``
+    (last entry minus the objective) are kept current on every pivot.
+    """
+
     def __init__(self, c: np.ndarray, G: np.ndarray, g: np.ndarray,
                  bland_after: int, max_iters: int):
         nr, nc = G.shape
@@ -218,85 +237,104 @@ class _Tableau:
         narts = int(neg.sum())
         self.nc, self.nr0, self.narts = nc, nr, narts
         self.art_start = nc + nr
-        width = nc + nr + narts + 1
+        ncols = nc + nr + narts
 
-        T = np.zeros((nr, width))
-        T[:, :nc] = np.where(neg[:, None], -G, G)
-        T[np.arange(nr), nc + np.arange(nr)] = np.where(neg, -1.0, 1.0)
-        art_cols = self.art_start + np.arange(narts)
-        T[np.flatnonzero(neg), art_cols] = 1.0
-        T[:, -1] = np.where(neg, -g, g)
-        self.T = T
-        self.buf = np.empty_like(T)
         # pristine copies so the tableau can be rebuilt through any basis
-        self.M0 = T[:, :-1].copy()
-        self.g0 = T[:, -1].copy()
+        M0 = np.zeros((nr, ncols))
+        M0[:, :nc] = np.where(neg[:, None], -G, G)
+        self.slack_sign = np.where(neg, -1.0, 1.0)
+        M0[np.arange(nr), nc + np.arange(nr)] = self.slack_sign
+        self.art_rows = np.flatnonzero(neg)
+        art_cols = self.art_start + np.arange(narts)
+        M0[self.art_rows, art_cols] = 1.0
+        self.M0 = M0
+        self.g0 = np.abs(g)
+        self.T = M0.copy()
+        self.rhs = self.g0.copy()
+
+        # pending rank-one factors, one per pivot since T was last current.
+        # Past nr factors, reading one row costs more than an eager
+        # update of the whole tableau, so a full block is folded into T.
+        self.refresh_every = 128
+        block = min(self.refresh_every, nr)
+        self.U = np.empty((nr, block))
+        self.V = np.empty((block, ncols))
+        self.k = 0
 
         basis = nc + np.arange(nr)
         basis[neg] = art_cols
         self.basis = basis
 
         # phase-2 costs (zero on slacks and artificials), reduced row
-        self.z2 = np.zeros(width)
+        self.z2 = np.zeros(ncols + 1)
         self.z2[:nc] = c
         self.c2_full = self.z2[:-1].copy()
         # phase-1 costs: one on artificials, reduced against initial basis
-        self.z1 = np.zeros(width)
+        self.z1 = np.zeros(ncols + 1)
         self.z1[self.art_start:-1] = 1.0
         self.c1_full = self.z1[:-1].copy()
         if narts:
-            self.z1 -= T[neg].sum(axis=0)
+            self.z1[:-1] -= M0[neg].sum(axis=0)
+            self.z1[-1] -= self.g0[neg].sum()
 
         self.iterations = 0
         self.bland_after = bland_after
         self.max_iters = max_iters
-        self.refresh_every = 128
         self.alive = np.ones(nr, dtype=bool)  # rows kept after phase 1
 
-    def pivot(self, p: int, q: int) -> None:
-        T = self.T
-        piv = T[p, q]
+    def column(self, q: int) -> np.ndarray:
+        k = self.k
+        if k == 0:
+            return self.T[:, q].copy()
+        return self.T[:, q] - self.U[:, :k] @ self.V[:k, q]
+
+    def row(self, p: int) -> np.ndarray:
+        k = self.k
+        if k == 0:
+            return self.T[p].copy()
+        return self.T[p] - self.U[p, :k] @ self.V[:k]
+
+    def materialize(self) -> None:
+        """Fold the pending factors into T."""
+        k = self.k
+        if k:
+            self.T -= self.U[:, :k] @ self.V[:k]
+            self.k = 0
+
+    def pivot(self, p: int, q: int, col: np.ndarray | None = None) -> None:
+        """Pivot on (p, q); ``col`` is column q of the current tableau."""
+        if col is None:
+            col = self.column(q)
+        piv = col[p]
         if abs(piv) <= PIVOT_TOL:
             raise LpBreakdownError("pivot element below threshold")
-        pr = T[p] / piv
-        colq = T[:, q].copy()
-        colq[p] = 0.0
-        # a row with colq == 0 would only receive x - 0*y, so skipping it
-        # changes no value.  Gathering and scattering the other rows costs
-        # more than one buffered dense update on small tableaux and when
-        # at least half the rows are nonzero.
-        rows = (np.flatnonzero(colq) if T.size >= _SPARSE_PIVOT_CELLS
-                else None)
-        if rows is not None and 2 * rows.size < colq.size:
-            # fewer than half the rows: both halves of buf fit, so no
-            # temporary of the update's size is allocated
-            k = rows.size
-            prod, part = self.buf[:k], self.buf[k:2 * k]
-            np.multiply(colq[rows, None], pr, out=prod)
-            # rows are in range; any mode but "raise" writes part directly
-            np.take(T, rows, axis=0, out=part, mode="clip")
-            part -= prod
-            T[rows] = part
-        else:
-            np.multiply(colq[:, None], pr[None, :], out=self.buf)
-            T -= self.buf
-        T[p] = pr
-        T[:, q] = 0.0
-        T[p, q] = 1.0
-        if self.z1[q] != 0.0:
-            self.z1 -= self.z1[q] * pr
-            self.z1[q] = 0.0
-        if self.z2[q] != 0.0:
-            self.z2 -= self.z2[q] * pr
-            self.z2[q] = 0.0
+        if self.k == self.V.shape[0]:
+            self.materialize()
+        k = self.k
+        # T - u v^T turns column q into e_p and scales row p by 1/piv
+        v = self.V[k]
+        np.divide(self.row(p), piv, out=v)
+        v[q] = 1.0
+        u = self.U[:, k]
+        u[:] = col
+        u[p] -= 1.0
+        self.k = k + 1
+        rhs = self.rhs
+        t = rhs[p] / piv
+        rhs -= t * col
+        rhs[p] = t
+        for z in (self.z1, self.z2):
+            zq = z[q]
+            if zq != 0.0:
+                z[:-1] -= zq * v
+                z[-1] -= zq * t
+                z[q] = 0.0
         self.basis[p] = q
         # keep right-hand sides from drifting slightly negative
-        rhs = T[:, -1]
-        np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -1e-11))
+        np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -_FEAS_TOL))
 
     def run(self, z: np.ndarray, allowed: np.ndarray) -> str:
         """Pivot until optimal ('optimal') or unbounded ('unbounded')."""
-        T = self.T
         while True:
             if self.iterations >= self.max_iters:
                 raise LpBreakdownError(
@@ -304,7 +342,8 @@ class _Tableau:
             if self.iterations and self.iterations % self.refresh_every == 0:
                 self.refresh()
             rc = z[:-1]
-            if self.iterations < self.bland_after:
+            dantzig = self.iterations < self.bland_after
+            if dantzig:
                 priced = np.where(allowed, rc, np.inf)
                 q = int(np.argmin(priced))
                 if priced[q] >= -_RC_TOL:
@@ -314,65 +353,85 @@ class _Tableau:
                 if neg_idx.size == 0:
                     return OPTIMAL
                 q = int(neg_idx[0])
-            col = T[:, q]
-            elig = col > PIVOT_TOL
-            if not elig.any():
+            col = self.column(q)
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
                 self._entering = q
                 return UNBOUNDED
-            ratios = np.where(elig, T[:, -1] / np.where(elig, col, 1.0),
-                              np.inf)
-            rmin = ratios.min()
-            cand = np.flatnonzero(ratios == rmin)
-            p = int(cand[np.argmin(self.basis[cand])])
-            self.pivot(p, q)
+            a = col[rows]
+            b = self.rhs[rows]
+            ratios = b / a
+            if dantzig:
+                # Harris: the largest pivot among the rows whose ratio is
+                # within the feasibility tolerance of the smallest one
+                near = (ratios <= ((b + _FEAS_TOL) / a).min()).nonzero()[0]
+                p = int(rows[near[a[near].argmax()]])
+            else:
+                # exact min ratio, ties to the smallest basic index
+                cand = rows[ratios == ratios.min()]
+                p = int(cand[self.basis[cand].argmin()])
+            self.pivot(p, q, col)
             self.iterations += 1
+
+    def _basis_inverse(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Inverse of the basis matrix and the basic values it gives, or
+        None when the basis is singular or cannot reproduce the
+        right-hand side."""
+        MB = self.M0[:, self.basis]
+        try:
+            Binv = np.linalg.inv(MB)
+        except np.linalg.LinAlgError:
+            return None
+        xb = Binv @ self.g0
+        scale = 1.0 + float(np.abs(self.g0).max(initial=0.0))
+        if float(np.abs(MB @ xb - self.g0).max(initial=0.0)) > 1e-7 * scale:
+            return None
+        return Binv, xb
 
     def refresh(self) -> None:
         """Rebuild the whole tableau from the pristine data through the
-        current basis.  Dense rank-one updates drift; left unchecked the
-        drift can steer the ratio test into a basis that is infeasible in
-        exact arithmetic.  Rebuilding as soon as a basic column stops
-        looking like a unit vector keeps every later pivot decision honest.
-        A basis too ill-conditioned to reproduce the right-hand side is
-        left alone so the certificates judge the raw tableau instead."""
-        MB = self.M0[:, self.basis]
-        try:
-            sol = np.linalg.solve(MB, np.column_stack([self.M0, self.g0]))
-        except np.linalg.LinAlgError:
+        current basis and drop the pending factors.  Rank-one updates
+        drift; left unchecked the drift can steer the ratio test into a
+        basis that is infeasible in exact arithmetic.  A basis too
+        ill-conditioned to reproduce the right-hand side is left alone
+        (its factors folded into T) so the certificates judge the raw
+        tableau instead."""
+        inv = self._basis_inverse()
+        if inv is None:
+            self.materialize()
             return
-        xb = sol[:, -1]
+        Binv, xb = inv
         scale = 1.0 + float(np.abs(self.g0).max(initial=0.0))
-        if float(np.abs(MB @ xb - self.g0).max(initial=0.0)) > 1e-7 * scale:
-            return
         if float(xb.min(initial=0.0)) < -1e-7 * scale:
             raise LpBreakdownError("basis lost primal feasibility")
-        self.T[:, :-1] = sol[:, :-1]
-        self.T[:, -1] = np.where(xb < 0.0, 0.0, xb)
+        # the slack and artificial blocks of M0 are signed unit columns
+        nc, T = self.nc, self.T
+        T[:, :nc] = Binv @ self.M0[:, :nc]
+        T[:, nc:] = 0.0
+        alive = np.flatnonzero(self.alive)
+        T[:, nc + alive] = Binv * self.slack_sign[alive]
+        if T.shape[1] > self.art_start:
+            T[:, self.art_start:] = Binv[:, self.art_rows]
+        self.k = 0
+        self.rhs = np.where(xb < 0.0, 0.0, xb)
         for z, cf in ((self.z1, self.c1_full), (self.z2, self.c2_full)):
-            try:
-                w = np.linalg.solve(MB.T, cf[self.basis])
-            except np.linalg.LinAlgError:
-                continue
-            z[:-1] = cf - self.M0.T @ w
-            z[-1] = -float(cf[self.basis] @ xb)
+            cb = cf[self.basis]
+            z[:-1] = cf - (cb @ Binv) @ self.M0
+            z[-1] = -float(cb @ xb)
 
     def refine_optimal(self) -> None:
         """Re-derive basic values, reduced costs, and the objective from
-        the pristine data through the final basis.  Hundreds of dense
-        pivot updates accumulate enough roundoff to trip the optimality
-        certificates; one exact solve against the basis removes it."""
-        MB = self.M0[:, self.basis]
-        try:
-            xb = np.linalg.solve(MB, self.g0)
-            w = np.linalg.solve(MB.T, self.c2_full[self.basis])
-        except np.linalg.LinAlgError:
+        the pristine data through the final basis.  Hundreds of pivot
+        updates accumulate enough roundoff to trip the optimality
+        certificates; one exact inverse of the basis removes it."""
+        inv = self._basis_inverse()
+        if inv is None:
             return
-        scale = 1.0 + float(np.abs(self.g0).max(initial=0.0))
-        if float(np.abs(MB @ xb - self.g0).max(initial=0.0)) > 1e-7 * scale:
-            return
-        self.T[:, -1] = xb
-        self.z2[:-1] = self.c2_full - self.M0.T @ w
-        self.z2[-1] = -float(self.c2_full[self.basis] @ xb)
+        Binv, xb = inv
+        cb = self.c2_full[self.basis]
+        self.rhs = xb
+        self.z2[:-1] = self.c2_full - (cb @ Binv) @ self.M0
+        self.z2[-1] = -float(cb @ xb)
 
     def purge_artificials(self, drop_tol: float = 1e-7) -> None:
         """Drive basic artificials out; drop rows proven redundant."""
@@ -380,25 +439,26 @@ class _Tableau:
             return
         dead: list[int] = []
         for p in np.flatnonzero(self.basis >= self.art_start):
-            row = self.T[p, :self.art_start]
+            row = self.row(p)[:self.art_start]
             cands = np.flatnonzero(np.abs(row) > drop_tol)
             if cands.size:
                 self.pivot(int(p), int(cands[0]))
             else:
                 dead.append(int(p))
+        self.materialize()
         if dead:
             keep = np.ones(self.T.shape[0], dtype=bool)
             keep[dead] = False
             self.alive = keep
-            self.T = np.ascontiguousarray(self.T[keep])
-            self.buf = np.empty_like(self.T)
+            self.T = self.T[keep]
             self.basis = self.basis[keep]
-            self.M0 = np.ascontiguousarray(self.M0[keep])
+            self.M0 = self.M0[keep]
             self.g0 = self.g0[keep]
+            self.rhs = self.rhs[keep]
         # artificial columns are never priced again; chop them off
-        self.T = np.ascontiguousarray(
-            np.hstack([self.T[:, :self.art_start], self.T[:, -1:]]))
-        self.buf = np.empty_like(self.T)
+        self.T = np.ascontiguousarray(self.T[:, :self.art_start])
+        self.U = np.empty((self.T.shape[0], self.V.shape[0]))
+        self.V = np.empty((self.V.shape[0], self.art_start))
         self.z1 = np.concatenate([self.z1[:self.art_start], self.z1[-1:]])
         self.z2 = np.concatenate([self.z2[:self.art_start], self.z2[-1:]])
         self.M0 = np.ascontiguousarray(self.M0[:, :self.art_start])
@@ -414,7 +474,7 @@ def _simplex(c, G, g, max_iters=None):
     tb = _Tableau(c, G, g, bland_after, max_iters)
 
     if tb.narts:
-        allowed = np.ones(tb.T.shape[1] - 1, dtype=bool)
+        allowed = np.ones(tb.T.shape[1], dtype=bool)
         allowed[tb.art_start:] = False  # artificials never re-enter
         status = tb.run(tb.z1, allowed)
         if status != OPTIMAL:  # phase 1 is bounded below by zero
@@ -424,7 +484,7 @@ def _simplex(c, G, g, max_iters=None):
             farkas = tb.z1[nc:nc + nr].copy()
             return INFEASIBLE, tb, farkas
         tb.purge_artificials()
-    allowed = np.ones(tb.T.shape[1] - 1, dtype=bool)
+    allowed = np.ones(tb.T.shape[1], dtype=bool)
     status = tb.run(tb.z2, allowed)
     return status, tb, None
 
@@ -458,14 +518,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
 
     # internal primal point
     y = np.zeros(nc + nr)
-    y[tb.basis] = tb.T[:, -1]
+    y[tb.basis] = tb.rhs
     x = st.shift.copy()
     np.add.at(x, st.col_orig, st.col_sign * y[:nc])
 
     if status == UNBOUNDED:
         d = np.zeros(nc + nr)
         d[tb._entering] = 1.0
-        d[tb.basis] = -tb.T[:, tb._entering]
+        d[tb.basis] = -tb.column(tb._entering)
         ray = np.zeros(lp.num_vars)
         np.add.at(ray, st.col_orig, st.col_sign * d[:nc])
         _validate_ray(lp, st, ray, d[:nc], tol)

@@ -7,6 +7,8 @@ from adjrobust.affine import (AffineLayout, build_affine_lp, evaluate_policy,
 from adjrobust.instances import (Instance, InstanceError, UncertaintySet,
                                  budget_set, enumerate_vertices, gen_worst_case)
 from adjrobust.adjustable import solve_adjustable_vertex_oracle
+from adjrobust.bench import generate_bench_instance
+from adjrobust.lp import GE
 
 
 def make_instance(m, n, seed, hrep=True):
@@ -192,3 +194,28 @@ def test_affine_upper_bounds_adjustable():
         z_aff = solve_affine(inst).objective
         z_ar = solve_adjustable_vertex_oracle(inst)
         assert z_aff >= z_ar - 1e-7
+
+
+# m=10 ratio-table seeds (uniform B, budget set) whose HRep affine LP
+# breaks down (LpBreakdownError) with an exact min-ratio test: the first
+# five with eager rank-one pivots, the rest with deferred ones (17) or
+# with the deferred update rounded another way (8)
+_FRAGILE_M10_SEEDS = [50, 139, 249, 254, 604, 56, 94, 108, 164, 203, 224,
+                      283, 289, 325, 330, 388, 408, 511, 561, 720, 917, 936,
+                      169, 229, 245, 473, 816, 874, 937, 965]
+
+
+@pytest.mark.parametrize("seed", _FRAGILE_M10_SEEDS)
+def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    inst = generate_bench_instance("uniform", 10, 10, seed)
+    res = solve_affine(inst)
+    assert res.status == "optimal"
+    lp, _ = build_affine_lp(inst)
+    assert (lp.rel == GE).all()
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(up) else up)
+              for lo, up in zip(lp.lower, lp.upper)]
+    ref = linprog(lp.obj, A_ub=-lp.A, b_ub=-lp.b, bounds=bounds,
+                  method="highs")
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)

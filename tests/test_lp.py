@@ -6,11 +6,10 @@ import pytest
 from adjrobust import adjustable
 from adjrobust.instances import budget_set, gen_worst_case
 from adjrobust.lp import (
-    PIVOT_TOL,
+    _FEAS_TOL,
     LinearProgram,
-    LpBreakdownError,
     UnboundedSetError,
-    _SPARSE_PIVOT_CELLS,
+    _standardize,
     _Tableau,
     max_coordinate,
     solve_lp,
@@ -138,6 +137,29 @@ def test_degenerate_lp_terminates():
     np.testing.assert_allclose(sol.objective, 1.5, atol=1e-8)
 
 
+def test_beale_cycling_lp_terminates():
+    # Beale's example: Dantzig pricing with an exact min-ratio test whose
+    # ties go to the smallest basic index cycles here forever
+    lp = LinearProgram.from_arrays(
+        "min",
+        [-0.75, 20.0, -0.5, 6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        ["<="] * 3,
+        [0.0, 0.0, 1.0],
+    )
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.objective, -1.25, atol=1e-12)
+    np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    # the Harris test alone, and a switch to Bland's rule after any
+    # number of its pivots, ends at the same optimum
+    st = _standardize(lp)
+    for bland_after in [*range(8), 10**6]:
+        tb = _Tableau(st.c, st.G, st.g, bland_after, 200)
+        assert tb.run(tb.z2, np.ones(tb.T.shape[1], dtype=bool)) == "optimal"
+        np.testing.assert_allclose(-tb.z2[-1], -1.25, atol=1e-12)
+
+
 def test_deterministic_iteration_count():
     a = solve_lp(small_lp())
     b = solve_lp(small_lp())
@@ -232,29 +254,18 @@ def test_nonfinite_data_rejected():
         )
 
 
-def _dense_pivot(self, p, q):
-    """Reference pivot: one buffered rank-one update of every row."""
-    T = self.T
-    piv = T[p, q]
-    if abs(piv) <= PIVOT_TOL:
-        raise LpBreakdownError("pivot element below threshold")
-    pr = T[p] / piv
+def _dense_pivot(T, p, q):
+    """Reference pivot: one eager rank-one update of every row of the
+    dense tableau [T | rhs], with the kernel's right-hand-side clip."""
+    pr = T[p] / T[p, q]
     colq = T[:, q].copy()
     colq[p] = 0.0
-    np.multiply(colq[:, None], pr[None, :], out=self.buf)
-    T -= self.buf
+    T -= np.outer(colq, pr)
     T[p] = pr
     T[:, q] = 0.0
     T[p, q] = 1.0
-    if self.z1[q] != 0.0:
-        self.z1 -= self.z1[q] * pr
-        self.z1[q] = 0.0
-    if self.z2[q] != 0.0:
-        self.z2 -= self.z2[q] * pr
-        self.z2[q] = 0.0
-    self.basis[p] = q
     rhs = T[:, -1]
-    np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -1e-11))
+    np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -_FEAS_TOL))
 
 
 def _oracle_lp(monkeypatch):
@@ -288,52 +299,40 @@ def _large_dense_lp(monkeypatch):
     return _dense_lp(monkeypatch, n=80, rows=60)
 
 
-def _update_kind(tb, q):
-    colq = tb.T[:, q]
-    if tb.T.size < _SPARSE_PIVOT_CELLS:
-        return "small"
-    nonzero = np.count_nonzero(colq) - 1  # the pivot row is not updated
-    return "dense" if 2 * nonzero >= colq.size else "rows"
-
-
-@pytest.mark.parametrize("make_lp,kind", [(_oracle_lp, "rows"),
-                                          (_large_dense_lp, "dense"),
-                                          (_dense_lp, "small")])
-def test_row_skipping_pivot_matches_dense_update(make_lp, kind,
-                                                 monkeypatch):
-    lp = make_lp(monkeypatch)
-    kinds = []
+@pytest.mark.parametrize("make_lp,block", [(_oracle_lp, 4),
+                                           (_large_dense_lp, 4),
+                                           (_dense_lp, 1)])
+def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
+    st = _standardize(make_lp(monkeypatch))
+    tb = _Tableau(st.c, st.G, st.g, 10**6, 10**6)
+    assert tb.narts
+    # a small factor block, so that pivots also fold full blocks into T;
+    # without refreshes only those folds and the purge make T current
+    tb.U, tb.V = tb.U[:, :block], tb.V[:block]
+    monkeypatch.setattr(_Tableau, "refresh", lambda self: None)
+    ref = np.column_stack([tb.T, tb.rhs])
     pivot = _Tableau.pivot
+    folds = []
 
-    def spy(self, p, q):
-        kinds.append(_update_kind(self, q))
-        pivot(self, p, q)
+    def spy(self, p, q, col=None):
+        np.testing.assert_allclose(self.column(q), ref[:, q], atol=1e-12)
+        np.testing.assert_allclose(self.row(p), ref[p, :-1], atol=1e-12)
+        folds.append(self.k == block)
+        pivot(self, p, q, col)
+        _dense_pivot(ref, p, q)
+        np.testing.assert_allclose(self.rhs, ref[:, -1], atol=1e-12)
 
     monkeypatch.setattr(_Tableau, "pivot", spy)
-    new = solve_lp(lp)
-    monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
-    old = solve_lp(lp)
-    # each LP mostly runs the branch of the pivot it is meant to cover
-    assert max(set(kinds), key=kinds.count) == kind
-    assert new.status == old.status == "optimal"
-    assert new.iterations == old.iterations
-    np.testing.assert_array_equal(new.x, old.x)
-    np.testing.assert_array_equal(new.duals, old.duals)
-    assert new.objective == old.objective
-
-
-def test_pivot_leaves_rows_off_the_entering_column_untouched():
-    rng = SplitMix64(11)
-    G = np.array([[rng.next_float() for _ in range(50)] for _ in range(100)])
-    G[np.arange(100) % 7 != 3, 0] = 0.0  # column 0 is nonzero in 14 rows
-    c = -np.ones(50)
-    tb = _Tableau(c, G, np.ones(100), 1000, 1000)
-    ref = _Tableau(c, G, np.ones(100), 1000, 1000)
-    assert _update_kind(tb, 0) == "rows"
-    before = tb.T.copy()
-    tb.pivot(3, 0)
-    _dense_pivot(ref, 3, 0)
-    off = np.flatnonzero(G[:, 0] == 0.0)
-    np.testing.assert_array_equal(tb.T[off], before[off])
-    np.testing.assert_array_equal(tb.T, ref.T)
-    np.testing.assert_array_equal(tb.z2, ref.z2)
+    allowed = np.ones(tb.T.shape[1], dtype=bool)
+    allowed[tb.art_start:] = False
+    assert tb.run(tb.z1, allowed) == "optimal"
+    tb.purge_artificials()
+    assert tb.alive.all() and tb.k == 0
+    ref = np.column_stack([ref[:, :tb.art_start], ref[:, -1]])
+    np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
+    assert tb.run(tb.z2, np.ones(tb.art_start, dtype=bool)) == "optimal"
+    assert any(folds)
+    tb.materialize()
+    assert tb.k == 0
+    np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
+    np.testing.assert_allclose(tb.rhs, ref[:, -1], atol=1e-12)
