@@ -40,7 +40,7 @@ import numpy as np
 
 from .affine import vertex_lp
 from .instances import Instance, InstanceError, UncertaintySet, enumerate_vertices
-from .lp import LinearProgram, max_coordinate, solve_lp
+from .lp import LinearProgram, solve_lp
 from .mip import MixedBinaryProgram, solve_mip
 
 # most binaries a separation MIP may carry before epsilon must be relaxed
@@ -64,9 +64,8 @@ class DualizedSet:
 
     @property
     def is_bounded(self) -> bool:
-        # w_i is capped iff it has a positive coefficient somewhere,
-        # i.e. row i of B is nonzero (B is nonnegative)
-        return bool(np.all(self.B.max(axis=1) > 0))
+        # w_i is capped iff row i of B is nonzero (B is nonnegative)
+        return bool(np.isfinite(self.caps).all())
 
     def require_bounded(self) -> "DualizedSet":
         """Return self, or raise SeparationError when W is unbounded."""
@@ -78,8 +77,8 @@ class DualizedSet:
 
     @property
     def caps(self) -> np.ndarray:
-        """max w_i over W in closed form: the other coordinates at 0."""
-        return self.d_bar / self.B.max(axis=1)
+        """max w_i over W, d_bar / max_j B_ij (inf on a zero row of B)."""
+        return self.uncertainty().caps
 
     def uncertainty(self) -> UncertaintySet:
         n = self.B.shape[1]
@@ -89,12 +88,6 @@ class DualizedSet:
     @classmethod
     def of(cls, inst: Instance) -> "DualizedSet":
         return cls(B=inst.B, d_bar=inst.d_bar)
-
-
-def _coordinate_caps(uset: UncertaintySet) -> np.ndarray:
-    if uset.is_hrep:
-        return np.array([max_coordinate(uset, i) for i in range(uset.dim)])
-    return uset.vertices.max(axis=0)
 
 
 def _exponent(cap: float) -> int:
@@ -118,7 +111,7 @@ class Digitization:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         W = DualizedSet.of(inst).require_bounded()
-        du = _exponent(float(_coordinate_caps(inst.uncertainty).max(initial=0.0)))
+        du = _exponent(float(inst.uncertainty.caps.max(initial=0.0)))
         dw = _exponent(float(W.caps.max(initial=0.0)))
         s = math.ceil(math.log2(inst.m * (1 + 2.0 ** du) / epsilon) - 1e-12)
         s = max(s, -du)  # keep at least one place value
@@ -352,7 +345,6 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
         raise ValueError("max_iters must be at least 1")
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
-    DualizedSet.of(inst).require_bounded()
 
     cuts = CutPool()
     # w = 0 is always in W and bounds the master below by min c.x >= 0

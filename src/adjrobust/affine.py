@@ -1,15 +1,27 @@
 """Affine recourse policies y(h) = P h + q.
 
-The HRep path builds one compact LP: every robust constraint
-"affine(h) >= 0 for all h in U" is replaced by its LP dual over
-U = {h >= 0 : R h <= r}, which adds a nonnegative multiplier block per
-constraint group.  The VRep path imposes the constraints at the hull's
-vertices directly (exact, since both sides are affine in h).  It writes
-the policy through its values at a maximal affinely independent subset
-of the vertices (0 and the e_i when they are vertices): an affine map is
-fixed by its values at the corners of a simplex, every vertex is an
-affine combination of these anchors, and their nonnegativity rows become
-plain variable bounds.  The same vertex LP with one anchor per vertex
+The HRep path builds one compact LP, the affinely adjustable robust
+counterpart (Ben-Tal, Goryashko, Guslitzer & Nemirovski, Math. Prog.
+99, 2004).  Each constraint family C y(h) + D x + e z >= E h must hold
+for every h in U = {h >= 0 : R h <= r}:
+
+    family               C          D    e    E
+    objective epigraph   -d^T       0    1    0
+    covering             B          A    0    I_m
+    policy sign          I_n        0    0    0
+
+With y(h) = P h + q, row j of a family reads (E - C P)_j h <=
+D_j x + e z + C_j q, and its left side's maximum over U is replaced by
+the LP dual min {r . Pi_j : Pi_j >= 0, R^T Pi_j >= (E - C P)_j}, one
+multiplier vector Pi_j per row.
+
+The VRep path imposes the constraints at the hull's vertices directly
+(exact, since both sides are affine in h).  It writes the policy
+through its values at a maximal affinely independent subset of the
+vertices (0 and the e_i when they are vertices): an affine map is fixed
+by its values at the corners of a simplex, every vertex is an affine
+combination of these anchors, and their nonnegativity rows become plain
+variable bounds.  The same vertex LP with one anchor per vertex
 (`vertex_lp(inst, V, I)`) has its own recourse copy at every vertex and
 gives the adjustable value z_AR.
 """
@@ -22,58 +34,6 @@ import numpy as np
 
 from .instances import Instance, InstanceError
 from .lp import LinearProgram, solve_lp
-
-
-@dataclass(frozen=True)
-class AffineLayout:
-    """Column slices of the compact HRep LP, in declaration order."""
-
-    n: int
-    m: int
-    L: int
-
-    @property
-    def x(self):
-        return slice(0, self.n)
-
-    @property
-    def z(self):
-        return self.n
-
-    @property
-    def P(self):
-        o = self.n + 1
-        return slice(o, o + self.n * self.m)
-
-    @property
-    def q(self):
-        o = self.n + 1 + self.n * self.m
-        return slice(o, o + self.n)
-
-    @property
-    def v(self):
-        o = self.n + 1 + self.n * self.m + self.n
-        return slice(o, o + self.L)
-
-    @property
-    def V(self):
-        o = self.n + 1 + self.n * self.m + self.n + self.L
-        return slice(o, o + self.L * self.m)
-
-    @property
-    def U(self):
-        o = self.n + 1 + self.n * self.m + self.n + self.L * (self.m + 1)
-        return slice(o, o + self.L * self.n)
-
-    @property
-    def num_vars(self):
-        n, m, L = self.n, self.m, self.L
-        return n + 1 + n * m + n + L + L * m + L * n
-
-    def unpack(self, xfull: np.ndarray):
-        n, m = self.n, self.m
-        return (xfull[self.x].copy(), float(xfull[self.z]),
-                xfull[self.P].reshape(n, m).copy(), xfull[self.q].copy())
 
 
 @dataclass
@@ -90,12 +50,13 @@ def evaluate_policy(P: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     return P @ np.asarray(h, dtype=float) + q
 
 
-def build_affine_lp(inst: Instance) -> tuple[LinearProgram, AffineLayout]:
+def build_affine_lp(inst: Instance) -> LinearProgram:
     """Compact LP whose optimum is the best affine-policy value (HRep sets).
 
-    Columns in order x, z, P (row-major), q, v, V (row-major), U
-    (row-major); v prices the worst-case objective, column i of V the
-    i-th covering row, column j of U the j-th policy-sign row.
+    Columns in order x, z, P (row-major), q, then one multiplier block
+    per constraint family (see the module docstring): v (L), V (L x m)
+    and U (L x n), each row-major.  Rows are each family's alpha-rows,
+    then its beta-rows in (row, coordinate) order.
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("compact affine LP needs an HRep uncertainty set")
@@ -103,75 +64,54 @@ def build_affine_lp(inst: Instance) -> tuple[LinearProgram, AffineLayout]:
     m, n = inst.m, inst.n
     R, r = inst.uncertainty.R, inst.uncertainty.r
     L = R.shape[0]
-    A, B, d = inst.A, inst.B, inst.d
+    oP, oq, o = n + 1, n + 1 + n * m, 2 * n + 1 + n * m
+    ncols = o + L * (1 + m + n)
 
-    lay = AffineLayout(n=n, m=m, L=L)
-    nv = lay.num_vars
-    oP, oq, oV, oU = lay.P.start, lay.q.start, lay.V.start, lay.U.start
-
-    nrows = 1 + m + m + m * m + n + n * m
-    G = np.zeros((nrows, nv))
-    rhs = np.zeros(nrows)
+    # (C, D, e, E): C y(h) + D x + e z >= E h for all h in U
+    families = ((-inst.d[None, :], np.zeros((1, n)), 1.0, np.zeros((1, m))),
+                (inst.B, inst.A, 0.0, np.eye(m)),
+                (np.eye(n), np.zeros((n, n)), 0.0, np.zeros((n, m))))
+    G = np.zeros(((1 + m + n) * (1 + m), ncols))   # k (1 + m) rows per family
+    rhs = np.zeros(len(G))
     row = 0
+    for C, D, e, E in families:
+        k = len(C)
+        # Pi (L x k, row-major) puts row j's multipliers at the columns
+        # o + j + l k, and P (row-major) puts column i at oP + i + a m.
+        # alpha-rows: D x + e z + C q - r . Pi_j >= 0
+        alpha = G[row:row + k]
+        alpha[:, :n] = D
+        alpha[:, n] = e
+        alpha[:, oq:oq + n] = C
+        # beta-rows (j, i): (C P)_ji + (R^T Pi_j)_i >= E_ji
+        beta = G[row + k:row + k + k * m].reshape(k, m, ncols)
+        for j in range(k):
+            alpha[j, o + j:o + L * k:k] = -r
+            beta[j, :, o + j:o + L * k:k] = R.T
+        for i in range(m):
+            beta[:, i, oP + i:oq:m] = C
+        rhs[row + k:row + k + k * m] = E.ravel()
+        row += k * (1 + m)
+        o += L * k
 
-    # worst-case objective: z - d.q >= r.v with R^T v >= P^T d
-    G[row, lay.z] = 1.0
-    G[row, lay.q] = -d
-    G[row, lay.v] = -r
-    row += 1
-    for i in range(m):
-        G[row, lay.v] = R[:, i]
-        for j in range(n):
-            G[row, oP + j * m + i] = -d[j]
-        row += 1
-
-    # covering rows: (Ax + Bq)_i >= price of h_i - (BPh)_i over U
-    for i in range(m):
-        G[row, lay.x] = A[i]
-        G[row, lay.q] = B[i]
-        G[row, oV + np.arange(L) * m + i] = -r
-        row += 1
-    for i in range(m):
-        for k in range(m):
-            G[row, oV + np.arange(L) * m + i] = R[:, k]
-            for j in range(n):
-                G[row, oP + j * m + k] += B[i, j]
-            rhs[row] = 1.0 if i == k else 0.0
-            row += 1
-
-    # policy sign: q_j >= price of (-Ph)_j over U
-    for j in range(n):
-        G[row, oq + j] = 1.0
-        G[row, oU + np.arange(L) * n + j] = -r
-        row += 1
-    for j in range(n):
-        for k in range(m):
-            G[row, oU + np.arange(L) * n + j] = R[:, k]
-            G[row, oP + j * m + k] = 1.0
-            row += 1
-    assert row == nrows
-
-    obj = np.zeros(nv)
-    obj[lay.x] = inst.c
-    obj[lay.z] = 1.0
-    lower = np.zeros(nv)
-    upper = np.full(nv, np.inf)
-    lower[lay.z] = -np.inf
-    lower[lay.P] = -np.inf
-    lower[lay.q] = -np.inf
-
-    lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs,
-                                   lower=lower, upper=upper)
-    return lp, lay
+    obj = np.zeros(ncols)
+    obj[:n] = inst.c
+    obj[n] = 1.0
+    lower = np.zeros(ncols)
+    lower[n:oq + n] = -np.inf   # z, P and q are free
+    return LinearProgram.from_arrays("min", obj, G, [">="] * len(G), rhs,
+                                     lower=lower)
 
 
 def _solve_hrep(inst: Instance, tol: float) -> AffineResult:
-    lp, lay = build_affine_lp(inst)
-    sol = solve_lp(lp, tol=tol)
+    sol = solve_lp(build_affine_lp(inst), tol=tol)
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
-    x, _, P, q = lay.unpack(sol.x)
-    return AffineResult("optimal", sol.objective, x, P, q, sol.iterations)
+    n, m, x = inst.n, inst.m, sol.x
+    oq = n + 1 + n * m
+    return AffineResult("optimal", sol.objective, x[:n].copy(),
+                        x[n + 1:oq].reshape(n, m).copy(), x[oq:oq + n].copy(),
+                        sol.iterations)
 
 
 def _pick_anchors(V: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as _rng
-from . import lp as _lp
+from .lp import UnboundedSetError
 
 
 class InstanceError(ValueError):
@@ -90,12 +90,27 @@ class UncertaintySet:
             if V.min() < 0:
                 raise InstanceError("uncertainty vertices must be nonnegative")
 
-    def check_bounded(self, tol: float = 1e-8) -> None:
-        """HRep boundedness, verified one coordinate LP at a time."""
+    @property
+    def caps(self) -> np.ndarray:
+        """max h_i over the set, inf where h_i is unbounded.
+
+        On HRep sets R, r >= 0 and h >= 0, so raising the other
+        coordinates only tightens the rows: the cap is the smallest
+        r_k / R_ki over the rows with R_ki > 0.
+        """
         if not self.is_hrep:
-            return
-        for i in range(self.dim):
-            _lp.max_coordinate(self, i, tol)  # raises UnboundedSetError
+            return self.vertices.max(axis=0)
+        ratios = np.divide(self.r[:, None], self.R, where=self.R > 0,
+                           out=np.full(self.R.shape, np.inf))
+        return ratios.min(axis=0, initial=np.inf)
+
+    def check_bounded(self) -> None:
+        """Raise UnboundedSetError when some coordinate has no cap (an
+        all-zero column of R)."""
+        unbounded = np.flatnonzero(np.isinf(self.caps))
+        if unbounded.size:
+            raise UnboundedSetError(
+                f"coordinate {unbounded[0]} unbounded on the set")
 
 
 def budget_set(m: int) -> UncertaintySet:
@@ -380,7 +395,7 @@ def write_instance(inst: Instance, path) -> None:
 
 def read_instance(path) -> Instance:
     """Parse and validate an instance document; HRep sets are also
-    checked for boundedness (one LP per coordinate)."""
+    checked for boundedness (every coordinate capped by a row of R)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -610,23 +610,3 @@ def _validate_ray(lp, st, ray, d_struct, tol) -> None:
     drop = st.sense_mult * float(lp.obj @ ray)
     if drop > -1e-9 * scale:
         raise LpBreakdownError("ray fails to improve the objective")
-
-
-# ---------------------------------------------------------------------------
-# helpers on uncertainty sets
-# ---------------------------------------------------------------------------
-
-def max_coordinate(uset, i: int, tol: float = 1e-8) -> float:
-    """max h_i over the HRep set {h >= 0 : R h <= r}."""
-    R = np.asarray(uset.R, dtype=float)
-    r = np.asarray(uset.r, dtype=float)
-    m = R.shape[1]
-    obj = np.zeros(m)
-    obj[i] = 1.0
-    lp = LinearProgram.from_arrays("max", obj, R, [LE] * R.shape[0], r)
-    sol = solve_lp(lp, tol)
-    if sol.status == UNBOUNDED:
-        raise UnboundedSetError(f"coordinate {i} unbounded on the set")
-    if sol.status != OPTIMAL:
-        raise LpError(f"coordinate LP ended with status {sol.status}")
-    return float(sol.objective)

@@ -5,19 +5,23 @@ fractional binary (lowest index on ties), and of two open nodes with
 the same bound the older goes first, so the child matching the rounded
 relaxation value precedes its sibling.  A rounding heuristic (fix every
 binary to its rounded value, re-solve the LP) runs while no incumbent
-exists.  Everything is deterministic; the reported bound is monotone in
-the incumbent's favor and stays honest when the node limit cuts the
-search short.
+exists.  Everything is deterministic.
+
+The reported bound never lies below the optimum (up to mip_tol, the
+slack at which nodes are pruned).  An exhausted search reports the
+incumbent.  A search cut short by the node limit reports the largest of
+the incumbent, the bound of the node just popped and the top of the
+heap, which between them bound every node left open.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, solve_lp
 
 INT_TOL = 1e-6
 
@@ -50,7 +54,6 @@ class MipSolution:
     bound: float
     gap: float
     nodes: int
-    relaxation: LpSolution | None = field(default=None, repr=False)
 
 
 def _fractionality(x, binaries):
@@ -80,30 +83,15 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     nodes = 0
     incumbent_x = None
     incumbent_val = None          # in sgn-units (larger is better)
-    best_bound = np.inf           # in sgn-units, monotone nonincreasing
-    root_relax: LpSolution | None = None
 
     heap: list = [(-np.inf, 0, lower, upper)]   # (-bound, tiebreak, lo, up)
     tie = 1
 
-    def current_bound(processing: float | None = None) -> float:
-        vals = []
-        if incumbent_val is not None:
-            vals.append(incumbent_val)
-        if processing is not None:
-            vals.append(processing)
-        vals.extend(-h[0] for h in heap)
-        return max(vals) if vals else -np.inf
-
-    def finish(status: str, processing: float | None = None) -> MipSolution:
-        bound = min(best_bound, current_bound(processing))
-        if incumbent_val is not None:
-            bound = max(bound, incumbent_val)  # never report bound < incumbent
-            gap = bound - incumbent_val
-            return MipSolution(status, incumbent_x, sgn * incumbent_val,
-                               sgn * bound, gap, nodes, root_relax)
-        return MipSolution(status, None, None, sgn * bound, np.inf, nodes,
-                           root_relax)
+    def finish(status: str, bound: float) -> MipSolution:
+        if incumbent_val is None:
+            return MipSolution(status, None, None, sgn * bound, np.inf, nodes)
+        return MipSolution(status, incumbent_x, sgn * incumbent_val,
+                           sgn * bound, bound - incumbent_val, nodes)
 
     def accept(x: np.ndarray, objective: float) -> None:
         nonlocal incumbent_x, incumbent_val
@@ -119,19 +107,18 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             continue
 
         if node_limit is not None and nodes >= node_limit:
-            return finish("node_limit")
+            # the popped node and the heap hold every unexplored bound
+            bound = max(-negb, -heap[0][0] if heap else -np.inf,
+                        -np.inf if incumbent_val is None else incumbent_val)
+            return finish("node_limit", bound)
         nodes += 1
         sol = solve_lp(lp.with_bounds(lo, up))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
             return MipSolution("unbounded", None, None, sgn * np.inf, np.inf,
-                               nodes, root_relax)
+                               nodes)
         val = sgn * sol.objective
-        if root_relax is None:
-            root_relax = sol
-            best_bound = val
-        best_bound = min(best_bound, current_bound(val))
 
         if incumbent_val is not None and val <= incumbent_val + mip_tol:
             continue
@@ -154,8 +141,10 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             heapq.heappush(heap, (-val, tie, clo, cup))
             tie += 1
 
-    # exhausted: every feasible leaf produced an incumbent
-    return finish("optimal" if incumbent_val is not None else "infeasible")
+    # exhausted: every open node was solved or pruned against the incumbent
+    if incumbent_val is None:
+        return finish("infeasible", -np.inf)
+    return finish("optimal", incumbent_val)
 
 
 def _try_rounding(lp, lo, up, binaries, x, accept):

@@ -13,7 +13,7 @@ from adjrobust.adjustable import (CutPool, Digitization, DualizedSet,
 from adjrobust.instances import (Instance, InstanceError, RandomSpec,
                                  UncertaintySet, budget_set, budget_vertices,
                                  enumerate_vertices, gen_iid, gen_worst_case)
-from adjrobust.lp import LinearProgram, max_coordinate, solve_lp
+from adjrobust.lp import LinearProgram, solve_lp
 from adjrobust.mip import solve_mip
 
 SQRT2 = float(np.sqrt(2.0))
@@ -79,8 +79,10 @@ def test_dualized_set():
     np.testing.assert_allclose(uset.R, inst.B.T)
     np.testing.assert_allclose(uset.r, np.ones(2))
     # closed-form caps agree with one LP per coordinate
-    np.testing.assert_allclose(
-        W.caps, [max_coordinate(uset, i) for i in range(3)], rtol=1e-9)
+    ref = [solve_lp(LinearProgram.from_arrays("max", np.eye(3)[i], uset.R,
+                                              ["<="] * 2, uset.r)).objective
+           for i in range(3)]
+    np.testing.assert_allclose(W.caps, ref, rtol=1e-9)
     bad = DualizedSet(np.array([[1.0], [0.0]]), 1.0)
     assert not bad.is_bounded
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adjrobust.affine import (AffineLayout, build_affine_lp, evaluate_policy,
-                              solve_affine, solve_affine_dualized,
+from adjrobust.affine import (build_affine_lp, evaluate_policy, solve_affine,
+                              solve_affine_dualized,
                               solve_affine_symmetric_worstcase)
 from adjrobust.instances import (Instance, InstanceError, UncertaintySet,
                                  budget_set, enumerate_vertices, gen_worst_case)
@@ -19,22 +19,13 @@ def make_instance(m, n, seed, hrep=True):
                     uncertainty=uset, seed=seed)
 
 
-def test_layout_counts_and_slices():
-    lay = AffineLayout(n=3, m=4, L=5)
-    assert lay.num_vars == 3 + 1 + 12 + 3 + 5 + 20 + 15
-    # slices tile the whole vector without gaps or overlap
-    hit = np.zeros(lay.num_vars, dtype=int)
-    for s in (lay.x, lay.P, lay.q, lay.v, lay.V, lay.U):
-        hit[s] += 1
-    hit[lay.z] += 1
-    assert (hit == 1).all()
-
-
 def test_build_affine_lp_dimensions():
-    inst = make_instance(3, 2, seed=0)
-    lp, lay = build_affine_lp(inst)
-    assert lp.num_vars == lay.num_vars
-    assert lay.m == 3 and lay.n == 2 and lay.L == 4  # budget: m+1 rows
+    m, n, L = 3, 2, 4                      # budget set: m + 1 rows
+    lp = build_affine_lp(make_instance(m, n, seed=0))
+    # x, z, P, q, then one multiplier block per family: L (1 + m + n)
+    assert lp.num_vars == n + 1 + n * m + n + L * (1 + m + n)
+    # alpha- and beta-rows of the objective, covering and sign families
+    assert lp.num_rows == 1 + 2 * m + m * m + n + n * m
 
 
 def test_evaluate_policy():
@@ -211,7 +202,7 @@ def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
     inst = generate_bench_instance("uniform", 10, 10, seed)
     res = solve_affine(inst)
     assert res.status == "optimal"
-    lp, _ = build_affine_lp(inst)
+    lp = build_affine_lp(inst)
     assert (lp.rel == GE).all()
     bounds = [(None if np.isinf(lo) else lo, None if np.isinf(up) else up)
               for lo, up in zip(lp.lower, lp.upper)]

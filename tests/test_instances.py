@@ -20,7 +20,7 @@ from adjrobust.instances import (
     read_instance,
     write_instance,
 )
-from adjrobust.lp import UnboundedSetError
+from adjrobust.lp import LinearProgram, UnboundedSetError, solve_lp
 from adjrobust.rng import folded_normal, substream
 
 
@@ -73,6 +73,42 @@ def test_enumerate_checks_boundedness():
     loose = UncertaintySet.hrep([[1.0, 0.0]], [1.0])
     with pytest.raises(UnboundedSetError):
         enumerate_vertices(loose)
+
+
+def _lp_cap(uset, i):
+    """max h_i over the HRep set by one LP, the reference for caps."""
+    m = uset.dim
+    lp = LinearProgram.from_arrays("max", np.eye(m)[i], uset.R,
+                                   ["<="] * len(uset.r), uset.r)
+    sol = solve_lp(lp)
+    return np.inf if sol.status == "unbounded" else sol.objective
+
+
+def test_caps_on_budget_set():
+    np.testing.assert_allclose(budget_set(3).caps, np.ones(3), atol=1e-12)
+    V = enumerate_vertices(budget_set(3))
+    np.testing.assert_allclose(V.caps, np.ones(3), atol=1e-12)
+
+
+def test_check_bounded_raises_on_zero_column():
+    loose = UncertaintySet.hrep([[1.0, 0.0]], [1.0])
+    np.testing.assert_array_equal(loose.caps, [1.0, np.inf])
+    with pytest.raises(UnboundedSetError, match="coordinate 1"):
+        loose.check_bounded()
+    budget_set(2).check_bounded()
+    UncertaintySet.vrep([[0.0, 2.0]]).check_bounded()
+
+
+def test_caps_match_coordinate_lps_on_random_hrep_sets():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        m, L = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        # sparse nonnegative rows, with zero right sides now and then
+        R = rng.random((L, m)) * (rng.random((L, m)) < 0.5)
+        r = rng.random(L) * (rng.random(L) < 0.9)
+        uset = UncertaintySet.hrep(R, r)
+        ref = [_lp_cap(uset, i) for i in range(m)]
+        np.testing.assert_allclose(uset.caps, ref, rtol=1e-9, atol=1e-12)
 
 
 def test_gen_iid_deterministic_and_substream_addressed():

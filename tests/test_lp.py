@@ -8,10 +8,8 @@ from adjrobust.instances import budget_set, gen_worst_case
 from adjrobust.lp import (
     _FEAS_TOL,
     LinearProgram,
-    UnboundedSetError,
     _standardize,
     _Tableau,
-    max_coordinate,
     solve_lp,
 )
 from adjrobust.rng import SplitMix64
@@ -230,21 +228,6 @@ def test_fuzz_against_vertex_enumeration():
         np.testing.assert_allclose(sol.objective, ref, atol=1e-6,
                                    err_msg=f"trial {trial}")
         assert abs(sol.objective - sol.dual_objective) <= 1e-6
-
-
-def test_max_coordinate_on_budget_set():
-    u = budget_set(3)
-    for i in range(3):
-        assert max_coordinate(u, i) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_max_coordinate_unbounded_raises():
-    class Loose:
-        R = np.array([[1.0, 0.0]])
-        r = np.array([1.0])
-
-    with pytest.raises(UnboundedSetError):
-        max_coordinate(Loose(), 1)
 
 
 def test_nonfinite_data_rejected():

@@ -166,3 +166,29 @@ def test_fuzz_against_exhaustive_enumeration():
         assert sol.status == "optimal", f"trial {trial}"
         assert sol.objective == pytest.approx(ref, abs=2e-6), f"trial {trial}"
     assert solved >= 15  # the generator should mostly produce feasible MIPs
+
+
+def _random_knapsack(seed):
+    """max p.x over 4-8 binaries with 1-3 knapsack rows at 40% capacity."""
+    rng = SplitMix64(seed)
+    k = 4 + int(rng.next_float() * 5)
+    rows = 1 + int(rng.next_float() * 3)
+    p = np.array([1 + rng.next_float() * 9 for _ in range(k)])
+    W = np.array([[1 + rng.next_float() * 9 for _ in range(k)]
+                  for _ in range(rows)])
+    lp = LinearProgram.from_arrays("max", p, W, ["<="] * rows,
+                                   0.4 * W.sum(axis=1))
+    return MixedBinaryProgram(lp, range(k))
+
+
+def test_node_limited_bound_never_below_optimum():
+    runs = 0
+    for seed in range(30):
+        prob = _random_knapsack(seed)
+        full = solve_mip(prob)
+        assert full.status == "optimal"
+        for limit in range(full.nodes):
+            cut = solve_mip(prob, node_limit=limit)
+            runs += 1
+            assert cut.bound >= full.objective - 1e-7, (seed, limit)
+    assert runs > 100
