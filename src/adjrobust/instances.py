@@ -21,11 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as _rng
-from .lp import UnboundedSetError
 
 
 class InstanceError(ValueError):
     """An instance invariant does not hold; message names the invariant."""
+
+
+class UnboundedSetError(InstanceError):
+    """A set expected to be bounded has an unbounded coordinate."""
 
 
 class InstanceFormatError(ValueError):

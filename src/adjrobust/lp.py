@@ -13,9 +13,20 @@ Bland's termination argument needs.
 A pivot does not rewrite the tableau: it appends one rank-one factor,
 and a column or row is read through the pending factors.  The
 right-hand side and the reduced-cost rows are updated on every pivot.
-Every 128 pivots the tableau is rebuilt through one inverse of the
-basis matrix and the factors are dropped; a tableau with fewer than 128
-rows folds its factors into the tableau each time it holds one per row.
+Every 128 pivots the tableau is rebuilt from the pristine data through
+the inverse of the basis matrix and the factors are dropped; a tableau
+with fewer than 128 rows folds its factors into the tableau each time
+it holds one per row.  The same inverse re-derives the optimal basic
+values and reduced costs once per solve.
+
+The inverse is taken block-wise.  Slack and artificial columns are
+signed unit columns, so a basis with s structural columns is, up to a
+permutation, block lower triangular with a signed identity in the
+corner: only the s x s block of the structural columns on the rows no
+basic unit column covers is inverted, and the rest of the inverse
+follows from it with one product.  On slack-heavy bases this is much
+cheaper than a dense inverse: the VRep affine LPs of the worst-case
+family at m=16 have a median of 68 structural basic columns among 545.
 
 Conventions
 -----------
@@ -58,10 +69,6 @@ class LpError(Exception):
 
 class LpBreakdownError(LpError):
     """Numerical breakdown: basis beyond repair or certificates failed."""
-
-
-class UnboundedSetError(LpError):
-    """A set expected to be bounded has an unbounded coordinate."""
 
 
 class LinearProgram:
@@ -242,12 +249,16 @@ class _Tableau:
         # pristine copies so the tableau can be rebuilt through any basis
         M0 = np.zeros((nr, ncols))
         M0[:, :nc] = np.where(neg[:, None], -G, G)
-        self.slack_sign = np.where(neg, -1.0, 1.0)
-        M0[np.arange(nr), nc + np.arange(nr)] = self.slack_sign
-        self.art_rows = np.flatnonzero(neg)
+        slack_sign = np.where(neg, -1.0, 1.0)
+        M0[np.arange(nr), nc + np.arange(nr)] = slack_sign
+        art_rows = np.flatnonzero(neg)
         art_cols = self.art_start + np.arange(narts)
-        M0[self.art_rows, art_cols] = 1.0
+        M0[art_rows, art_cols] = 1.0
         self.M0 = M0
+        # the slack and artificial columns M0[:, nc:] are signed unit
+        # columns: the row and sign of each
+        self.unit_row = np.concatenate([np.arange(nr), art_rows])
+        self.unit_sign = np.concatenate([slack_sign, np.ones(narts)])
         self.g0 = np.abs(g)
         self.T = M0.copy()
         self.rhs = self.g0.copy()
@@ -373,20 +384,55 @@ class _Tableau:
             self.pivot(p, q, col)
             self.iterations += 1
 
-    def _basis_inverse(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _basis_inverse(self):
         """Inverse of the basis matrix and the basic values it gives, or
         None when the basis is singular or cannot reproduce the
-        right-hand side."""
-        MB = self.M0[:, self.basis]
+        right-hand side.
+
+        The basic slack and artificial columns are signed unit columns.
+        With S the basic structural columns, K the basic unit columns
+        and N the rows that no basic unit column covers, the basis
+        permuted to (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], D]]``
+        with D a signed identity, so only the s x s block ``M0[N, S]``
+        is inverted.  ``Binv`` (rows: basis positions, columns: rows of
+        M0) is its inverse on (S, N), D on (K, K) and
+        ``-D M0[K, S] inv(M0[N, S])`` on (K, N).  Returns ``Binv``, the
+        basic values, N, and the basis positions, rows and signs of K.
+        """
+        nc, basis, g0 = self.nc, self.basis, self.g0
+        nr = basis.size
+        unit = basis >= nc
+        S = (~unit).nonzero()[0]
+        K = unit.nonzero()[0]
+        ucols = basis[K] - nc
+        rows = self.unit_row[ucols]
+        # free[nr] is the row of the slacks of dropped rows
+        free = np.ones(nr + 1, dtype=bool)
+        free[rows] = False
+        N = free[:nr].nonzero()[0]
+        # a slack of a dropped row, or two unit columns on one row: singular
+        if not free[nr] or N.size != S.size:
+            return None
+        MS = self.M0[:, basis[S]]
         try:
-            Binv = np.linalg.inv(MB)
+            Ainv = np.linalg.inv(MS[N])
         except np.linalg.LinAlgError:
             return None
-        xb = Binv @ self.g0
-        scale = 1.0 + float(np.abs(self.g0).max(initial=0.0))
-        if float(np.abs(MB @ xb - self.g0).max(initial=0.0)) > 1e-7 * scale:
+        sign = self.unit_sign[ucols]
+        BN = np.empty((nr, S.size))  # Binv[:, N]
+        BN[S] = Ainv
+        BN[K] = (MS[rows] * -sign[:, None]) @ Ainv
+        Binv = np.zeros((nr, nr))
+        Binv[:, N] = BN
+        Binv[K, rows] = sign
+        xb = Binv @ g0
+        # MB @ xb - g0 for the basis matrix MB = M0[:, basis]
+        resid = MS @ xb[S] - g0
+        resid[rows] += sign * xb[K]
+        scale = 1.0 + float(g0.max(initial=0.0))
+        if float(np.abs(resid).max(initial=0.0)) > 1e-7 * scale:
             return None
-        return Binv, xb
+        return Binv, xb, N, K, rows, sign
 
     def refresh(self) -> None:
         """Rebuild the whole tableau from the pristine data through the
@@ -395,39 +441,44 @@ class _Tableau:
         basis that is infeasible in exact arithmetic.  A basis too
         ill-conditioned to reproduce the right-hand side is left alone
         (its factors folded into T) so the certificates judge the raw
-        tableau instead."""
+        tableau instead.
+
+        The structural block ``Binv @ M0[:, :nc]`` is
+        ``Binv[:, N] @ M0[N, :nc]`` plus, in the rows of the basic unit
+        columns, their own rows of M0 times D: an nr x s x nc product
+        instead of an nr x nr x nc one.  The slack and artificial
+        columns of the tableau are signed columns of ``Binv``."""
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
             return
-        Binv, xb = inv
-        scale = 1.0 + float(np.abs(self.g0).max(initial=0.0))
+        Binv, xb, N, K, rows, sign = inv
+        scale = 1.0 + float(self.g0.max(initial=0.0))
         if float(xb.min(initial=0.0)) < -1e-7 * scale:
             raise LpBreakdownError("basis lost primal feasibility")
-        # the slack and artificial blocks of M0 are signed unit columns
-        nc, T = self.nc, self.T
-        T[:, :nc] = Binv @ self.M0[:, :nc]
+        nc, T, M0 = self.nc, self.T, self.M0
+        T[:, :nc] = Binv[:, N] @ M0[N, :nc]
+        T[K, :nc] += sign[:, None] * M0[rows, :nc]
+        live = np.flatnonzero(self.unit_row < T.shape[0])
         T[:, nc:] = 0.0
-        alive = np.flatnonzero(self.alive)
-        T[:, nc + alive] = Binv * self.slack_sign[alive]
-        if T.shape[1] > self.art_start:
-            T[:, self.art_start:] = Binv[:, self.art_rows]
+        T[:, nc + live] = Binv[:, self.unit_row[live]] * self.unit_sign[live]
         self.k = 0
         self.rhs = np.where(xb < 0.0, 0.0, xb)
         for z, cf in ((self.z1, self.c1_full), (self.z2, self.c2_full)):
             cb = cf[self.basis]
-            z[:-1] = cf - (cb @ Binv) @ self.M0
+            z[:-1] = cf - (cb @ Binv) @ M0
             z[-1] = -float(cb @ xb)
 
     def refine_optimal(self) -> None:
         """Re-derive basic values, reduced costs, and the objective from
         the pristine data through the final basis.  Hundreds of pivot
         updates accumulate enough roundoff to trip the optimality
-        certificates; one exact inverse of the basis removes it."""
+        certificates; one block inverse of the basis (see
+        ``_basis_inverse``) removes it."""
         inv = self._basis_inverse()
         if inv is None:
             return
-        Binv, xb = inv
+        Binv, xb = inv[:2]
         cb = self.c2_full[self.basis]
         self.rhs = xb
         self.z2[:-1] = self.c2_full - (cb @ Binv) @ self.M0
@@ -455,6 +506,10 @@ class _Tableau:
             self.M0 = self.M0[keep]
             self.g0 = self.g0[keep]
             self.rhs = self.rhs[keep]
+            # renumber the live rows; the slack of a dropped row gets
+            # the row one past the last, which no basis can cover
+            renum = np.where(keep, np.cumsum(keep) - 1, keep.sum())
+            self.unit_row = renum[self.unit_row]
         # artificial columns are never priced again; chop them off
         self.T = np.ascontiguousarray(self.T[:, :self.art_start])
         self.U = np.empty((self.T.shape[0], self.V.shape[0]))
@@ -464,6 +519,8 @@ class _Tableau:
         self.M0 = np.ascontiguousarray(self.M0[:, :self.art_start])
         self.c1_full = self.c1_full[:self.art_start]
         self.c2_full = self.c2_full[:self.art_start]
+        self.unit_row = self.unit_row[:self.nr0]
+        self.unit_sign = self.unit_sign[:self.nr0]
 
 
 def _simplex(c, G, g, max_iters=None):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adjrobust import adjustable, affine
 from adjrobust.affine import (build_affine_lp, evaluate_policy, solve_affine,
                               solve_affine_dualized,
                               solve_affine_symmetric_worstcase)
@@ -8,7 +9,7 @@ from adjrobust.instances import (Instance, InstanceError, UncertaintySet,
                                  budget_set, enumerate_vertices, gen_worst_case)
 from adjrobust.adjustable import solve_adjustable_vertex_oracle
 from adjrobust.bench import generate_bench_instance
-from adjrobust.lp import GE
+from adjrobust.lp import GE, solve_lp
 
 
 def make_instance(m, n, seed, hrep=True):
@@ -196,17 +197,42 @@ _FRAGILE_M10_SEEDS = [50, 139, 249, 254, 604, 56, 94, 108, 164, 203, 224,
                       169, 229, 245, 473, 816, 874, 937, 965]
 
 
-@pytest.mark.parametrize("seed", _FRAGILE_M10_SEEDS)
-def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
+def _highs_value(lp):
+    """Value of a min LP with >= rows by HiGHS, an independent solver."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    inst = generate_bench_instance("uniform", 10, 10, seed)
-    res = solve_affine(inst)
-    assert res.status == "optimal"
-    lp = build_affine_lp(inst)
-    assert (lp.rel == GE).all()
+    assert lp.sense == "min" and (lp.rel == GE).all()
     bounds = [(None if np.isinf(lo) else lo, None if np.isinf(up) else up)
               for lo, up in zip(lp.lower, lp.upper)]
     ref = linprog(lp.obj, A_ub=-lp.A, b_ub=-lp.b, bounds=bounds,
                   method="highs")
     assert ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+    return ref.fun
+
+
+@pytest.mark.parametrize("seed", _FRAGILE_M10_SEEDS)
+def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
+    inst = generate_bench_instance("uniform", 10, 10, seed)
+    res = solve_affine(inst)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(_highs_value(build_affine_lp(inst)),
+                                          rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vertex_lps_match_highs_at_benchmark_size(seed, monkeypatch):
+    # the VRep affine LP and the vertex-oracle LP of the worst-case
+    # family at the size of the worstcase-m16 benchmark workload
+    inst = gen_worst_case(16, randomized=True, seed=seed)
+    seen = []
+
+    def record(lp, **kw):
+        seen.append(lp)
+        return solve_lp(lp, **kw)
+
+    monkeypatch.setattr(affine, "solve_lp", record)
+    monkeypatch.setattr(adjustable, "solve_lp", record)
+    z_aff = solve_affine(inst).objective
+    z_ar = solve_adjustable_vertex_oracle(inst)
+    lp_aff, lp_ar = seen
+    assert z_aff == pytest.approx(_highs_value(lp_aff), rel=1e-7)
+    assert z_ar == pytest.approx(_highs_value(lp_ar), rel=1e-7)

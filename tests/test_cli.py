@@ -201,6 +201,19 @@ def test_missing_and_malformed_files_exit_1(capsys, tmp_path):
     assert run(capsys, "solve-affine", str(bad))[0] == 1
 
 
+def test_unbounded_set_exits_1(capsys, tmp_path):
+    # h_2 has no cap on {h >= 0 : h_1 <= 1}: an input error
+    uset = UncertaintySet.hrep([[1.0, 0.0]], [1.0])
+    inst = Instance(m=2, n=2, c=np.zeros(2), A=np.zeros((2, 2)),
+                    B=np.eye(2), d_bar=1.0, uncertainty=uset, seed=0)
+    path = tmp_path / "unb.json"
+    write_instance(inst, path)
+    code, _, err = run(capsys, "solve-affine", str(path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "coordinate 1 unbounded" in err
+
+
 def test_solver_failure_exits_2(capsys, tmp_path):
     # a zero row in B leaves one demand coordinate uncoverable (W unbounded)
     uset = UncertaintySet.hrep(np.eye(2), np.ones(2))

@@ -10,6 +10,7 @@ from adjrobust.instances import (
     InstanceError,
     InstanceFormatError,
     RandomSpec,
+    UnboundedSetError,
     UncertaintySet,
     budget_set,
     budget_vertices,
@@ -20,7 +21,7 @@ from adjrobust.instances import (
     read_instance,
     write_instance,
 )
-from adjrobust.lp import LinearProgram, UnboundedSetError, solve_lp
+from adjrobust.lp import LinearProgram, solve_lp
 from adjrobust.rng import folded_normal, substream
 
 

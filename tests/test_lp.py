@@ -8,6 +8,7 @@ from adjrobust.instances import budget_set, gen_worst_case
 from adjrobust.lp import (
     _FEAS_TOL,
     LinearProgram,
+    LpBreakdownError,
     _standardize,
     _Tableau,
     solve_lp,
@@ -251,7 +252,7 @@ def _dense_pivot(T, p, q):
     np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -_FEAS_TOL))
 
 
-def _oracle_lp(monkeypatch):
+def _oracle_lp(monkeypatch, m=6):
     # the vertex oracle LP: each recourse copy touches only its own rows
     seen = []
 
@@ -262,7 +263,7 @@ def _oracle_lp(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(adjustable, "solve_lp", record)
         adjustable.solve_adjustable_vertex_oracle(
-            gen_worst_case(6, randomized=True, seed=0))
+            gen_worst_case(m, randomized=True, seed=0))
     (lp,) = seen
     return lp
 
@@ -319,3 +320,77 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     assert tb.k == 0
     np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
     np.testing.assert_allclose(tb.rhs, ref[:, -1], atol=1e-12)
+
+
+def _tableau(lp):
+    st = _standardize(lp)
+    return _Tableau(st.c, st.G, st.g, 10**6, 10**6)
+
+
+def _pivot_up_to(tb, z, allowed, pivots):
+    """Run the simplex for exactly ``pivots`` more pivots."""
+    tb.max_iters = tb.iterations + pivots
+    with pytest.raises(LpBreakdownError, match="iteration limit"):
+        tb.run(z, allowed)
+
+
+def _phase1_allowed(tb):
+    allowed = np.ones(tb.T.shape[1], dtype=bool)
+    allowed[tb.art_start:] = False
+    return allowed
+
+
+def _assert_dense_inverse(tb):
+    ref = np.linalg.inv(tb.M0[:, tb.basis])
+    Binv, xb = tb._basis_inverse()[:2]
+    np.testing.assert_allclose(Binv, ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(xb, ref @ tb.g0, rtol=0, atol=1e-10)
+
+
+def test_block_inverse_with_basic_artificials(monkeypatch):
+    tb = _tableau(_dense_lp(monkeypatch))
+    _pivot_up_to(tb, tb.z1, _phase1_allowed(tb), 1)
+    assert (tb.basis >= tb.art_start).any() and (tb.basis < tb.nc).any()
+    _assert_dense_inverse(tb)
+    # the slack of a row whose artificial is basic: two unit columns on
+    # one row make the basis singular
+    p = int(np.flatnonzero(tb.basis >= tb.art_start)[0])
+    q = int(np.flatnonzero(tb.basis < tb.nc)[0])
+    art_row = tb.unit_row[tb.basis[p] - tb.nc]
+    tb.basis[q] = tb.nc + art_row
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(tb.M0[:, tb.basis])
+    assert tb._basis_inverse() is None
+
+
+def test_block_inverse_mid_phase2_oracle(monkeypatch):
+    tb = _tableau(_oracle_lp(monkeypatch, m=16))
+    assert tb.run(tb.z1, _phase1_allowed(tb)) == "optimal"
+    tb.purge_artificials()
+    _pivot_up_to(tb, tb.z2, np.ones(tb.art_start, dtype=bool), 10)
+    assert 0 < (tb.basis < tb.nc).sum() < tb.basis.size
+    _assert_dense_inverse(tb)
+
+
+def test_block_inverse_after_dropped_row():
+    # max y1 + y2/2 s.t. y1 + y2 >= 1, 2 y1 + 2 y2 <= 2, y1 <= 0.7: phase 1
+    # ends with the artificial of row 0 basic at zero.  Every row has its
+    # own slack, which holds -1 in that tableau row, so only a drop
+    # tolerance above 1 drops the row.
+    lp = LinearProgram.from_arrays(
+        "max", [1.0, 0.5], [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]],
+        [">=", "<=", "<="], [1.0, 2.0, 0.7])
+    tb = _tableau(lp)
+    assert tb.run(tb.z1, _phase1_allowed(tb)) == "optimal"
+    assert tb.basis[0] >= tb.art_start
+    tb.purge_artificials(drop_tol=1.5)
+    assert tb.alive.tolist() == [False, True, True]
+    _assert_dense_inverse(tb)
+    # the slack of the dropped row 0 covers no live row
+    dead_slack = tb.nc
+    assert not tb.M0[:, dead_slack].any()
+    for p in range(tb.basis.size):
+        basis = tb.basis.copy()
+        tb.basis[p] = dead_slack
+        assert tb._basis_inverse() is None
+        tb.basis = basis
