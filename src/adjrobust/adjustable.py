@@ -238,9 +238,13 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     UB_h <= t d_bar sum(y_k).  Every LP point w_k is also tried against
     all vertices, and the best pair (h, w_k) so far is the incumbent.
     The next LP goes to the unsolved vertex of highest UB_h; the search
-    stops once that bound does not exceed the incumbent, so every vertex
-    left unsolved has a dual certificate and the result equals the
-    maximum over all vertex LPs up to float rounding.
+    stops once that bound is at most best + 1e-9 (1 + |best|) for the
+    incumbent value best, so every vertex left unsolved has a dual
+    certificate that its LP beats the incumbent by at most that much,
+    and the result is the maximum over all vertex LPs to within
+    1e-9 (1 + |best|) plus float rounding.  The tolerance keeps near
+    ties, which the last bits of the duals decide, from changing which
+    LPs are solved.
     """
     W = DualizedSet.of(inst).require_bounded()
     ax = inst.A @ np.asarray(x_hat, dtype=float)
@@ -251,7 +255,7 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     ub = np.maximum(C, 0.0) @ W.caps
     best, best_h, best_w = -np.inf, None, None
     k = int(np.argmax(ub))
-    while ub[k] > best:
+    while True:
         lp = LinearProgram.from_arrays("max", C[k], W.B.T, ["<="] * n, rhs)
         sol = solve_lp(lp, tol=tol)
         if sol.status != "optimal":
@@ -266,6 +270,8 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
             np.minimum(ub, t * (W.d_bar * y.sum()), out=ub, where=t < np.inf)
         ub[k] = -np.inf    # solved
         k = int(np.argmax(ub))
+        if ub[k] <= best + 1e-9 * (1.0 + abs(best)):
+            break
     h = V[best_h].copy()
     return h, best_w, float((h - ax) @ best_w)
 

@@ -1,8 +1,9 @@
 """Dense linear-programming kernel.
 
-Two-phase primal simplex on a dense tableau.  Pricing is Dantzig
-(most negative reduced cost) and switches to Bland's rule after
-5*(columns+rows) iterations so cycling cannot occur.  Under Dantzig the
+Two-phase primal simplex on a dense tableau, with a dual simplex phase
+for warm starts.  Pricing is Dantzig (most negative reduced cost) and
+switches to Bland's rule after 5*(columns+rows) iterations so cycling
+cannot occur.  Under Dantzig the
 ratio test is Harris's two-pass test: among the rows whose ratio is
 within a feasibility tolerance of the smallest, it takes the largest
 pivot, and right-hand sides that the step leaves within that tolerance
@@ -27,6 +28,24 @@ basic unit column covers is inverted, and the rest of the inverse
 follows from it with one product.  On slack-heavy bases this is much
 cheaper than a dense inverse: the VRep affine LPs of the worst-case
 family at m=16 have a median of 68 structural basic columns among 545.
+A basis of slack columns alone is its own signed inverse.
+
+Warm start
+----------
+``solve_lp(lp, start=basis)`` starts from a basis that an earlier solve
+returned (``LpSolution.basis``), typically of an LP with the same rows
+and objective whose bounds moved.  The tableau is then built on
+``[G | I]`` through that basis, with no row flips and no artificials.
+A dual simplex phase restores primal feasibility: the leaving row has
+the most negative right-hand side, the entering column minimises
+``|z_j / a_pj|`` over ``a_pj < 0``, and past the Bland threshold both
+choices go to the smallest index.  A row with a negative right-hand
+side and no negative entry proves infeasibility, and its slack block
+(that row of the basis inverse) is the Farkas vector.  The primal phase
+then removes any dual infeasibility left at tolerance level.  A start
+that is singular, or neither primal nor dual feasible, is solved cold
+from the slack basis.  Warm or cold, a solve ends in the same
+certificates.
 
 Conventions
 -----------
@@ -34,7 +53,13 @@ Conventions
   Internally every problem becomes  min c.y  s.t.  G y <= g, y >= 0:
   finite lower bounds are shifted out, free variables split into a
   difference of two nonnegatives, finite upper bounds become extra rows,
-  and equality rows split into a <=/>= pair.
+  and equality rows split into a <=/>= pair.  A fixed variable (finite
+  lower == upper) keeps its column, with an upper-bound row whose
+  right-hand side is 0, so the columns and rows of the standard form
+  depend only on which bounds are finite; the bound values move only
+  ``g`` and the shift.  A fixed column is never priced: it could enter
+  only by a degenerate step, and a Farkas vector covers it through its
+  bound row.
 - ``duals[i]`` is the marginal d(objective)/d(rhs_i) of original row i.
 - A solution claiming Optimal is certified before it is returned
   (primal feasibility, complementary slackness, duality gap); Infeasible
@@ -51,6 +76,7 @@ import numpy as np
 
 LE, GE, EQ = 0, 1, 2
 _REL_CODE = {"<=": LE, ">=": GE, "=": EQ, "==": EQ}
+_ROW_SIGN = np.array([1.0, -1.0, 1.0])  # by relation code
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -131,6 +157,8 @@ class LpSolution:
     dual_objective: float | None = None
     ray: np.ndarray | None = None
     farkas: np.ndarray | None = field(default=None, repr=False)
+    # final basis: one standard-form column index per standard-form row
+    basis: np.ndarray | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -139,83 +167,52 @@ class LpSolution:
 
 class _Standard:
     __slots__ = ("c", "G", "g", "const", "col_orig", "col_sign", "shift",
-                 "row_of", "row_sign", "n_orig_rows", "sense_mult")
+                 "row_of", "row_sign", "n_orig_rows", "sense_mult",
+                 "fixed_cols", "fixed_rows")
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
     A, rel, b = lp.A, lp.rel, lp.b
-    nv = lp.num_vars
+    lo, up = lp.lower, lp.upper
+    if (lo > up).any():
+        raise _BoundInfeasible
     sense_mult = 1.0 if lp.sense == "min" else -1.0
     c0 = sense_mult * lp.obj
 
-    col_orig: list[int] = []
-    col_sign: list[float] = []
-    shift = np.zeros(nv)
-    upper_rows: list[tuple[int, float]] = []  # (new col, ub on that col)
-    for j in range(nv):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo > up:
-            raise _BoundInfeasible
-        if np.isfinite(lo) and lo == up:
-            shift[j] = lo  # fixed variable, eliminated
-        elif np.isfinite(lo):
-            shift[j] = lo
-            col_orig.append(j)
-            col_sign.append(1.0)
-            if np.isfinite(up):
-                upper_rows.append((len(col_orig) - 1, up - lo))
-        elif np.isfinite(up):
-            shift[j] = up  # mirrored: x_j = up - y
-            col_orig.append(j)
-            col_sign.append(-1.0)
-        else:
-            col_orig.append(j)
-            col_sign.append(1.0)
-            col_orig.append(j)
-            col_sign.append(-1.0)
-
-    co = np.asarray(col_orig, dtype=np.intp)
-    cs = np.asarray(col_sign)
-    struct = A[:, co] * cs if A.size else np.zeros((A.shape[0], co.size))
-    rhs_adj = b - A @ shift if A.size else b.copy()
+    # one column per variable, two (y+ then y-) for a free one
+    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+    free = ~(has_lo | has_up)
+    width = free + 1
+    co = np.arange(lp.num_vars).repeat(width)
+    first = width.cumsum() - width
+    cs = np.ones(co.size)
+    cs[first[~has_lo & has_up]] = -1.0   # mirrored: x_j = up - y
+    cs[first[free] + 1] = -1.0
+    shift = np.where(has_lo, lo, np.where(has_up, up, 0.0))
+    # y <= up - lo on every column with both bounds; 0 for a fixed one
+    boxed = (has_lo & has_up).nonzero()[0]
+    fixed = (lo[boxed] == up[boxed]).nonzero()[0]
 
     # row expansion: >= negated, = split into a <=/>= pair
-    srcs: list[int] = []
-    signs: list[float] = []
-    for i in range(A.shape[0]):
-        if rel[i] == LE:
-            srcs.append(i)
-            signs.append(1.0)
-        elif rel[i] == GE:
-            srcs.append(i)
-            signs.append(-1.0)
-        else:
-            srcs.append(i)
-            signs.append(1.0)
-            srcs.append(i)
-            signs.append(-1.0)
-    src = np.asarray(srcs, dtype=np.intp)
-    sgn = np.asarray(signs)
-    G = struct[src] * sgn[:, None]
-    g = rhs_adj[src] * sgn
-
-    if upper_rows:
-        ub_block = np.zeros((len(upper_rows), co.size))
-        ub_rhs = np.zeros(len(upper_rows))
-        for k, (cidx, ub) in enumerate(upper_rows):
-            ub_block[k, cidx] = 1.0
-            ub_rhs[k] = ub
-        G = np.vstack([G, ub_block])
-        g = np.concatenate([g, ub_rhs])
+    src = np.arange(A.shape[0]).repeat((rel == EQ) + 1)
+    sgn = _ROW_SIGN[rel[src]]
+    sgn[1:][src[1:] == src[:-1]] = -1.0   # the >= half of an = row
+    nrow = src.size
+    G = np.zeros((nrow + boxed.size, co.size))
+    G[:nrow] = A[src][:, co] * cs * sgn[:, None]
+    G[nrow + np.arange(boxed.size), first[boxed]] = 1.0
+    g = np.concatenate(((b - A @ shift)[src] * sgn, (up - lo)[boxed]))
 
     st = _Standard()
     st.c = c0[co] * cs
-    st.G, st.g = np.ascontiguousarray(G), g
+    st.G, st.g = G, g
     st.const = float(c0 @ shift)
     st.col_orig, st.col_sign, st.shift = co, cs, shift
     st.row_of, st.row_sign = src, sgn
     st.n_orig_rows = A.shape[0]
     st.sense_mult = sense_mult
+    # fixed columns and their bound rows
+    st.fixed_cols, st.fixed_rows = first[boxed[fixed]], nrow + fixed
     return st
 
 
@@ -233,33 +230,41 @@ class _Tableau:
     The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last
     rebuilt (or materialized) at some basis, and each pivot since has
     appended one rank-one factor instead of rewriting ``T``.  The
-    right-hand side ``rhs`` and the reduced-cost rows ``z1``, ``z2``
-    (last entry minus the objective) are kept current on every pivot.
+    right-hand side ``rhs`` and the reduced-cost rows in ``costs``
+    (``z2``, and ``z1`` during phase 1; last entry minus the objective)
+    are kept current on every pivot.
     """
 
     def __init__(self, c: np.ndarray, G: np.ndarray, g: np.ndarray,
-                 bland_after: int, max_iters: int):
+                 bland_after: int, max_iters: int,
+                 start: np.ndarray | None = None):
         nr, nc = G.shape
-        neg = g < 0
-        narts = int(neg.sum())
+        # a cold start flips the rows with a negative right-hand side and
+        # gives each an artificial; a warm one keeps M0 = [G | I]
+        art_rows = ((g < 0).nonzero()[0] if start is None
+                    else np.zeros(0, dtype=np.intp))
+        narts = art_rows.size
         self.nc, self.nr0, self.narts = nc, nr, narts
         self.art_start = nc + nr
         ncols = nc + nr + narts
 
         # pristine copies so the tableau can be rebuilt through any basis
         M0 = np.zeros((nr, ncols))
-        M0[:, :nc] = np.where(neg[:, None], -G, G)
-        slack_sign = np.where(neg, -1.0, 1.0)
-        M0[np.arange(nr), nc + np.arange(nr)] = slack_sign
-        art_rows = np.flatnonzero(neg)
+        M0[:, :nc] = G
+        slack_sign = np.ones(nr)
         art_cols = self.art_start + np.arange(narts)
-        M0[art_rows, art_cols] = 1.0
+        if narts:
+            M0[art_rows, :nc] *= -1.0
+            slack_sign[art_rows] = -1.0
+            M0[art_rows, art_cols] = 1.0
+        M0[np.arange(nr), nc + np.arange(nr)] = slack_sign
         self.M0 = M0
         # the slack and artificial columns M0[:, nc:] are signed unit
         # columns: the row and sign of each
         self.unit_row = np.concatenate([np.arange(nr), art_rows])
         self.unit_sign = np.concatenate([slack_sign, np.ones(narts)])
-        self.g0 = np.abs(g)
+        self.g0 = np.abs(g) if start is None else g.copy()
+        self.scale = 1.0 + float(np.abs(g).max(initial=0.0))
         self.T = M0.copy()
         self.rhs = self.g0.copy()
 
@@ -272,26 +277,33 @@ class _Tableau:
         self.V = np.empty((block, ncols))
         self.k = 0
 
-        basis = nc + np.arange(nr)
-        basis[neg] = art_cols
+        if start is None:
+            basis = nc + np.arange(nr)
+            basis[art_rows] = art_cols
+        else:
+            basis = start.copy()
         self.basis = basis
 
         # phase-2 costs (zero on slacks and artificials), reduced row
         self.z2 = np.zeros(ncols + 1)
         self.z2[:nc] = c
         self.c2_full = self.z2[:-1].copy()
-        # phase-1 costs: one on artificials, reduced against initial basis
-        self.z1 = np.zeros(ncols + 1)
-        self.z1[self.art_start:-1] = 1.0
-        self.c1_full = self.z1[:-1].copy()
+        # the reduced-cost rows that pivots and refreshes keep current,
+        # each with its costs
+        self.costs = [(self.z2, self.c2_full)]
         if narts:
-            self.z1[:-1] -= M0[neg].sum(axis=0)
-            self.z1[-1] -= self.g0[neg].sum()
+            # phase-1 costs: one on artificials, reduced against the
+            # initial basis
+            self.z1 = np.zeros(ncols + 1)
+            self.z1[self.art_start:-1] = 1.0
+            self.c1_full = self.z1[:-1].copy()
+            self.z1[:-1] -= M0[art_rows].sum(axis=0)
+            self.z1[-1] -= self.g0[art_rows].sum()
+            self.costs.append((self.z1, self.c1_full))
 
         self.iterations = 0
         self.bland_after = bland_after
         self.max_iters = max_iters
-        self.alive = np.ones(nr, dtype=bool)  # rows kept after phase 1
 
     def column(self, q: int) -> np.ndarray:
         k = self.k
@@ -312,8 +324,10 @@ class _Tableau:
             self.T -= self.U[:, :k] @ self.V[:k]
             self.k = 0
 
-    def pivot(self, p: int, q: int, col: np.ndarray | None = None) -> None:
-        """Pivot on (p, q); ``col`` is column q of the current tableau."""
+    def pivot(self, p: int, q: int, col: np.ndarray | None = None,
+              row: np.ndarray | None = None) -> None:
+        """Pivot on (p, q); ``col`` is column q and ``row`` row p of the
+        current tableau."""
         if col is None:
             col = self.column(q)
         piv = col[p]
@@ -324,7 +338,7 @@ class _Tableau:
         k = self.k
         # T - u v^T turns column q into e_p and scales row p by 1/piv
         v = self.V[k]
-        np.divide(self.row(p), piv, out=v)
+        np.divide(self.row(p) if row is None else row, piv, out=v)
         v[q] = 1.0
         u = self.U[:, k]
         u[:] = col
@@ -334,7 +348,7 @@ class _Tableau:
         t = rhs[p] / piv
         rhs -= t * col
         rhs[p] = t
-        for z in (self.z1, self.z2):
+        for z, _ in self.costs:
             zq = z[q]
             if zq != 0.0:
                 z[:-1] -= zq * v
@@ -384,6 +398,43 @@ class _Tableau:
             self.pivot(p, q, col)
             self.iterations += 1
 
+    def run_dual(self, priced: np.ndarray) -> str:
+        """Dual simplex until the basis is primal feasible ('optimal') or
+        a row proves the LP infeasible ('infeasible'; the row is left in
+        ``_leaving``).  The leaving row has the most negative right-hand
+        side; the entering column minimises ``|z_j / a_pj|`` over the
+        ``priced`` columns with ``a_pj < 0``, which keeps their reduced
+        costs nonnegative.  Past ``bland_after`` pivots both choices fall
+        back to the smallest index: the infeasible row of the smallest
+        basic index and, among the columns of smallest ratio, the
+        smallest one."""
+        z = self.z2[:-1]
+        while True:
+            if self.iterations >= self.max_iters:
+                raise LpBreakdownError(
+                    f"iteration limit {self.max_iters} exceeded")
+            if self.iterations and self.iterations % self.refresh_every == 0:
+                self.refresh(primal=False)
+            rhs = self.rhs
+            if self.iterations < self.bland_after:
+                p = int(rhs.argmin())
+                if rhs[p] >= -_FEAS_TOL:
+                    return OPTIMAL
+            else:
+                rows = np.flatnonzero(rhs < -_FEAS_TOL)
+                if rows.size == 0:
+                    return OPTIMAL
+                p = int(rows[self.basis[rows].argmin()])
+            row = self.row(p)
+            cols = ((row < -PIVOT_TOL) & priced).nonzero()[0]
+            if cols.size == 0:
+                self._leaving = p
+                return INFEASIBLE
+            # argmin takes the smallest column among equal ratios
+            q = int(cols[np.abs(z[cols] / row[cols]).argmin()])
+            self.pivot(p, q, row=row)
+            self.iterations += 1
+
     def _basis_inverse(self):
         """Inverse of the basis matrix and the basic values it gives, or
         None when the basis is singular or cannot reproduce the
@@ -398,6 +449,7 @@ class _Tableau:
         M0) is its inverse on (S, N), D on (K, K) and
         ``-D M0[K, S] inv(M0[N, S])`` on (K, N).  Returns ``Binv``, the
         basic values, N, and the basis positions, rows and signs of K.
+        With no structural column basic (s = 0), ``Binv`` is D itself.
         """
         nc, basis, g0 = self.nc, self.basis, self.g0
         nr = basis.size
@@ -406,42 +458,44 @@ class _Tableau:
         K = unit.nonzero()[0]
         ucols = basis[K] - nc
         rows = self.unit_row[ucols]
-        # free[nr] is the row of the slacks of dropped rows
-        free = np.ones(nr + 1, dtype=bool)
+        free = np.ones(nr, dtype=bool)
         free[rows] = False
-        N = free[:nr].nonzero()[0]
-        # a slack of a dropped row, or two unit columns on one row: singular
-        if not free[nr] or N.size != S.size:
+        N = free.nonzero()[0]
+        # two unit columns on one row: singular
+        if N.size != S.size:
             return None
+        sign = self.unit_sign[ucols]
+        Binv = np.zeros((nr, nr))
+        Binv[K, rows] = sign
+        if S.size == 0:
+            return Binv, sign * g0[rows], N, K, rows, sign
         MS = self.M0[:, basis[S]]
         try:
             Ainv = np.linalg.inv(MS[N])
         except np.linalg.LinAlgError:
             return None
-        sign = self.unit_sign[ucols]
         BN = np.empty((nr, S.size))  # Binv[:, N]
         BN[S] = Ainv
         BN[K] = (MS[rows] * -sign[:, None]) @ Ainv
-        Binv = np.zeros((nr, nr))
         Binv[:, N] = BN
-        Binv[K, rows] = sign
         xb = Binv @ g0
         # MB @ xb - g0 for the basis matrix MB = M0[:, basis]
         resid = MS @ xb[S] - g0
         resid[rows] += sign * xb[K]
-        scale = 1.0 + float(g0.max(initial=0.0))
-        if float(np.abs(resid).max(initial=0.0)) > 1e-7 * scale:
+        if float(np.abs(resid).max(initial=0.0)) > 1e-7 * self.scale:
             return None
         return Binv, xb, N, K, rows, sign
 
-    def refresh(self) -> None:
+    def refresh(self, primal: bool = True) -> None:
         """Rebuild the whole tableau from the pristine data through the
         current basis and drop the pending factors.  Rank-one updates
         drift; left unchecked the drift can steer the ratio test into a
         basis that is infeasible in exact arithmetic.  A basis too
         ill-conditioned to reproduce the right-hand side is left alone
         (its factors folded into T) so the certificates judge the raw
-        tableau instead.
+        tableau instead.  In the primal phases (``primal``) a basis
+        whose values are clearly negative is a breakdown; the dual phase
+        expects them.
 
         The structural block ``Binv @ M0[:, :nc]`` is
         ``Binv[:, N] @ M0[N, :nc]`` plus, in the rows of the basic unit
@@ -452,19 +506,36 @@ class _Tableau:
         if inv is None:
             self.materialize()
             return
-        Binv, xb, N, K, rows, sign = inv
-        scale = 1.0 + float(self.g0.max(initial=0.0))
-        if float(xb.min(initial=0.0)) < -1e-7 * scale:
-            raise LpBreakdownError("basis lost primal feasibility")
+        if primal:
+            xb = inv[1]
+            if float(xb.min(initial=0.0)) < -1e-7 * self.scale:
+                raise LpBreakdownError("basis lost primal feasibility")
+            np.copyto(xb, 0.0, where=xb < 0.0)
+        self._rebuild(*inv)
+
+    def start_warm(self, priced: np.ndarray) -> bool:
+        """Rebuild the tableau at the start basis.  False when the basis
+        is singular, or neither primal feasible nor dual feasible on the
+        ``priced`` columns (up to the slack that the certified optimum of
+        a related LP leaves)."""
+        inv = self._basis_inverse()
+        if inv is None:
+            return False
+        self._rebuild(*inv)
+        if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
+            return True
+        slack = 1e-7 * (1.0 + float(np.abs(self.c2_full).max(initial=0.0)))
+        return float(self.z2[:-1][priced].min(initial=0.0)) >= -slack
+
+    def _rebuild(self, Binv, xb, N, K, rows, sign) -> None:
         nc, T, M0 = self.nc, self.T, self.M0
         T[:, :nc] = Binv[:, N] @ M0[N, :nc]
         T[K, :nc] += sign[:, None] * M0[rows, :nc]
-        live = np.flatnonzero(self.unit_row < T.shape[0])
-        T[:, nc:] = 0.0
-        T[:, nc + live] = Binv[:, self.unit_row[live]] * self.unit_sign[live]
+        T[:, nc:] = Binv[:, self.unit_row] * self.unit_sign
         self.k = 0
-        self.rhs = np.where(xb < 0.0, 0.0, xb)
-        for z, cf in ((self.z1, self.c1_full), (self.z2, self.c2_full)):
+        np.copyto(xb, 0.0, where=(xb < 0) & (xb > -_FEAS_TOL))
+        self.rhs = xb
+        for z, cf in self.costs:
             cb = cf[self.basis]
             z[:-1] = cf - (cb @ Binv) @ M0
             z[-1] = -float(cb @ xb)
@@ -484,55 +555,61 @@ class _Tableau:
         self.z2[:-1] = self.c2_full - (cb @ Binv) @ self.M0
         self.z2[-1] = -float(cb @ xb)
 
-    def purge_artificials(self, drop_tol: float = 1e-7) -> None:
-        """Drive basic artificials out; drop rows proven redundant."""
+    def purge_artificials(self) -> None:
+        """Drive the basic artificials out of the basis.  The slack and
+        the artificial of a row are parallel unit columns, so the
+        tableau row of a basic artificial holds +-1 in its row's slack
+        column: a candidate always exists, and its absence is a
+        breakdown.  Afterwards the basis holds one standard-form column
+        per row and no artificial."""
         if self.narts == 0:
             return
-        dead: list[int] = []
         for p in np.flatnonzero(self.basis >= self.art_start):
             row = self.row(p)[:self.art_start]
-            cands = np.flatnonzero(np.abs(row) > drop_tol)
-            if cands.size:
-                self.pivot(int(p), int(cands[0]))
-            else:
-                dead.append(int(p))
+            cands = np.flatnonzero(np.abs(row) > 1e-7)
+            if cands.size == 0:
+                raise LpBreakdownError("basic artificial cannot be driven out")
+            self.pivot(int(p), int(cands[0]))
         self.materialize()
-        if dead:
-            keep = np.ones(self.T.shape[0], dtype=bool)
-            keep[dead] = False
-            self.alive = keep
-            self.T = self.T[keep]
-            self.basis = self.basis[keep]
-            self.M0 = self.M0[keep]
-            self.g0 = self.g0[keep]
-            self.rhs = self.rhs[keep]
-            # renumber the live rows; the slack of a dropped row gets
-            # the row one past the last, which no basis can cover
-            renum = np.where(keep, np.cumsum(keep) - 1, keep.sum())
-            self.unit_row = renum[self.unit_row]
         # artificial columns are never priced again; chop them off
         self.T = np.ascontiguousarray(self.T[:, :self.art_start])
         self.U = np.empty((self.T.shape[0], self.V.shape[0]))
         self.V = np.empty((self.V.shape[0], self.art_start))
-        self.z1 = np.concatenate([self.z1[:self.art_start], self.z1[-1:]])
         self.z2 = np.concatenate([self.z2[:self.art_start], self.z2[-1:]])
         self.M0 = np.ascontiguousarray(self.M0[:, :self.art_start])
-        self.c1_full = self.c1_full[:self.art_start]
         self.c2_full = self.c2_full[:self.art_start]
+        # phase 1 is over: only the phase-2 row is kept current
+        del self.z1, self.c1_full
+        self.costs = [(self.z2, self.c2_full)]
         self.unit_row = self.unit_row[:self.nr0]
         self.unit_sign = self.unit_sign[:self.nr0]
 
 
-def _simplex(c, G, g, max_iters=None):
+def _simplex(c, G, g, fixed, max_iters=None, start=None):
+    """Simplex on  min c.y, G y <= g, y >= 0.  The ``fixed`` columns
+    (held at zero by a bound row with right-hand side 0) are never
+    priced: entering, they could only take a degenerate step, and their
+    reduced costs have no sign to keep."""
     nr, nc = G.shape
     bland_after = 5 * (nc + nr)
     if max_iters is None:
         max_iters = max(200 * (nc + nr), 20000)
+    priced = np.ones(nc + nr, dtype=bool)
+    priced[fixed] = False
+    if start is not None:
+        tb = _Tableau(c, G, g, bland_after, max_iters, start)
+        if tb.start_warm(priced):
+            if tb.run_dual(priced) == INFEASIBLE:
+                # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with
+                # no negative coefficient: Binv[p] is a Farkas vector
+                farkas = tb.row(tb._leaving)[nc:nc + nr]
+                return INFEASIBLE, tb, farkas
+            return tb.run(tb.z2, priced), tb, None
     tb = _Tableau(c, G, g, bland_after, max_iters)
 
     if tb.narts:
-        allowed = np.ones(tb.T.shape[1], dtype=bool)
-        allowed[tb.art_start:] = False  # artificials never re-enter
+        allowed = np.zeros(tb.T.shape[1], dtype=bool)
+        allowed[:tb.art_start] = priced  # artificials never re-enter
         status = tb.run(tb.z1, allowed)
         if status != OPTIMAL:  # phase 1 is bounded below by zero
             raise LpBreakdownError("phase 1 reported unbounded")
@@ -541,18 +618,22 @@ def _simplex(c, G, g, max_iters=None):
             farkas = tb.z1[nc:nc + nr].copy()
             return INFEASIBLE, tb, farkas
         tb.purge_artificials()
-    allowed = np.ones(tb.T.shape[1], dtype=bool)
-    status = tb.run(tb.z2, allowed)
-    return status, tb, None
+    return tb.run(tb.z2, priced), tb, None
 
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-8,
-             max_iters: int | None = None) -> LpSolution:
+             max_iters: int | None = None,
+             start: np.ndarray | None = None) -> LpSolution:
     """Solve lp; statuses 'optimal', 'infeasible', 'unbounded'.
 
     Optimal solutions come with duals (marginals per original row) and
     are certified: primal residuals, complementary slackness, and the
     primal/dual objective gap are all checked before returning.
+
+    ``start`` is a basis to start from, as ``LpSolution.basis`` returns
+    it for an LP whose bounds are finite in the same places (one
+    standard-form column per standard-form row).  A start that is
+    singular, or neither primal nor dual feasible, is ignored.
     """
     if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
             and np.all(np.isfinite(lp.obj))):
@@ -562,11 +643,21 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     except _BoundInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
-    status, tb, farkas = _simplex(st.c, st.G, st.g, max_iters)
-    nc = st.G.shape[1]
-    nr = st.G.shape[0]
+    nr, nc = st.G.shape
+    if start is not None:
+        start = np.asarray(start, dtype=np.intp)
+        if (start.shape != (nr,) or start.min(initial=0) < 0
+                or start.max(initial=-1) >= nc + nr):
+            raise ValueError(f"start must hold {nr} column indices "
+                             f"below {nc + nr}")
+    status, tb, farkas = _simplex(st.c, st.G, st.g, st.fixed_cols,
+                                  max_iters, start)
 
     if status == INFEASIBLE:
+        # a fixed column was never priced, so the combination may weigh
+        # it negatively; its bound row (rhs 0) makes up the difference
+        short = farkas @ st.G[:, st.fixed_cols]
+        farkas[st.fixed_rows] += np.maximum(-short, 0.0)
         _validate_farkas(st, farkas, tol)
         return LpSolution(INFEASIBLE, None, None, None, tb.iterations,
                           farkas=farkas)
@@ -587,13 +678,11 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
         np.add.at(ray, st.col_orig, st.col_sign * d[:nc])
         _validate_ray(lp, st, ray, d[:nc], tol)
         return LpSolution(UNBOUNDED, None, None, None, tb.iterations,
-                          ray=ray)
+                          ray=ray, basis=tb.basis.copy())
 
     obj_min = -tb.z2[-1] + st.const
-    # duals: rc of slack columns give -d(obj)/d(g_i) for surviving rows
-    y_int = np.zeros(nr)
-    alive_idx = np.flatnonzero(tb.alive)
-    y_int[alive_idx] = -tb.z2[nc + alive_idx]
+    # duals: rc of slack columns give -d(obj)/d(g_i)
+    y_int = -tb.z2[nc:nc + nr]
     dual_min = float(y_int @ st.g) + st.const
 
     duals = np.zeros(st.n_orig_rows)
@@ -602,7 +691,8 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
 
     sol = LpSolution(OPTIMAL, x, duals, float(st.sense_mult * obj_min),
                      tb.iterations,
-                     dual_objective=float(st.sense_mult * dual_min))
+                     dual_objective=float(st.sense_mult * dual_min),
+                     basis=tb.basis.copy())
     _validate_optimal(lp, st, sol, y, y_int, obj_min, dual_min, tol)
     return sol
 

@@ -7,6 +7,15 @@ relaxation value precedes its sibling.  A rounding heuristic (fix every
 binary to its rounded value, re-solve the LP) runs while no incumbent
 exists.  Everything is deterministic.
 
+The root LP is solved cold.  Every child, and every rounding LP,
+starts from its parent's optimal basis (``solve_lp(..., start=basis)``):
+it differs from the parent only in bounds, which keeps that basis dual
+feasible, so the LP kernel's dual simplex phase re-solves it in a few
+pivots.  Where the parent's LP has alternative optima, a warm re-solve
+can end at a different one than a cold solve would, so the node count
+can differ from that of a cold search; values agree to the tolerances.
+``MipSolution.pivots`` counts the LP pivots of the whole search.
+
 The reported bound never lies below the optimum (up to mip_tol, the
 slack at which nodes are pruned).  An exhausted search reports the
 incumbent.  A search cut short by the node limit reports the largest of
@@ -54,6 +63,7 @@ class MipSolution:
     bound: float
     gap: float
     nodes: int
+    pivots: int                      # LP pivots, root and rounding included
 
 
 def _fractionality(x, binaries):
@@ -80,18 +90,26 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     lower[binaries] = np.maximum(lower[binaries], 0.0)
     upper[binaries] = np.minimum(upper[binaries], 1.0)
 
-    nodes = 0
+    nodes = pivots = 0
     incumbent_x = None
     incumbent_val = None          # in sgn-units (larger is better)
 
-    heap: list = [(-np.inf, 0, lower, upper)]   # (-bound, tiebreak, lo, up)
+    # (-bound, tiebreak, lo, up, parent's basis)
+    heap: list = [(-np.inf, 0, lower, upper, None)]
     tie = 1
+
+    def relax(lo, up, start):
+        nonlocal pivots
+        sol = solve_lp(lp.with_bounds(lo, up), start=start)
+        pivots += sol.iterations
+        return sol
 
     def finish(status: str, bound: float) -> MipSolution:
         if incumbent_val is None:
-            return MipSolution(status, None, None, sgn * bound, np.inf, nodes)
+            return MipSolution(status, None, None, sgn * bound, np.inf, nodes,
+                               pivots)
         return MipSolution(status, incumbent_x, sgn * incumbent_val,
-                           sgn * bound, bound - incumbent_val, nodes)
+                           sgn * bound, bound - incumbent_val, nodes, pivots)
 
     def accept(x: np.ndarray, objective: float) -> None:
         nonlocal incumbent_x, incumbent_val
@@ -102,7 +120,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             incumbent_x, incumbent_val = xr, val
 
     while heap:
-        negb, _, lo, up = heapq.heappop(heap)
+        negb, _, lo, up, start = heapq.heappop(heap)
         if incumbent_val is not None and -negb <= incumbent_val + mip_tol:
             continue
 
@@ -112,12 +130,12 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
                         -np.inf if incumbent_val is None else incumbent_val)
             return finish("node_limit", bound)
         nodes += 1
-        sol = solve_lp(lp.with_bounds(lo, up))
+        sol = relax(lo, up, start)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
             return MipSolution("unbounded", None, None, sgn * np.inf, np.inf,
-                               nodes)
+                               nodes, pivots)
         val = sgn * sol.objective
 
         if incumbent_val is not None and val <= incumbent_val + mip_tol:
@@ -129,7 +147,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             continue
 
         if incumbent_val is None:
-            _try_rounding(lp, lo, up, binaries, sol.x, accept)
+            _try_rounding(relax, lo, up, binaries, sol, accept)
 
         # most fractional binary, lowest index on ties
         j_local = int(np.argmax(frac))
@@ -138,7 +156,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         for value in (pref, 1.0 - pref):
             clo, cup = lo.copy(), up.copy()
             clo[j] = cup[j] = value
-            heapq.heappush(heap, (-val, tie, clo, cup))
+            heapq.heappush(heap, (-val, tie, clo, cup, sol.basis))
             tie += 1
 
     # exhausted: every open node was solved or pruned against the incumbent
@@ -147,10 +165,10 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     return finish("optimal", incumbent_val)
 
 
-def _try_rounding(lp, lo, up, binaries, x, accept):
+def _try_rounding(relax, lo, up, binaries, parent, accept):
     clo, cup = lo.copy(), up.copy()
-    rounded = np.round(x[binaries])
+    rounded = np.round(parent.x[binaries])
     clo[binaries] = cup[binaries] = rounded
-    sol = solve_lp(lp.with_bounds(clo, cup))
+    sol = relax(clo, cup, parent.basis)
     if sol.status == "optimal":
         accept(sol.x, sol.objective)

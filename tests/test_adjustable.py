@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +264,27 @@ def test_vrep_separation_prunes_vertex_lps(monkeypatch):
     inst = inst.with_uncertainty(budget_vertices(10))
     _separate_vrep(inst, np.zeros(10))
     assert 1 <= len(calls) < len(inst.uncertainty.vertices) == 1016
+
+
+def test_vrep_separation_lp_count_is_stable(monkeypatch):
+    # a table-m10 instance with A = I, so that x_hat moves the vertex
+    # objectives h - x_hat; a stop rule without a tolerance solved 25 LPs
+    # at x_hat = 0 and 18 at x_hat = -1e-13
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(adjustable, "solve_lp", counting)
+    inst = gen_iid(10, 10, RandomSpec("uniform"), 0)
+    inst = replace(inst.with_uncertainty(budget_vertices(10)), A=np.eye(10))
+    counts = []
+    for x_hat in (np.zeros(10), np.full(10, 1e-13), np.full(10, -1e-13)):
+        calls.clear()
+        _separate_vrep(inst, x_hat)
+        counts.append(len(calls))
+    assert counts == [18, 18, 18]
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_free_and_bounded_variables():
 
 
 def test_fixed_variable_substitution():
-    # l == u eliminates the column; rhs shifts accordingly
+    # l == u keeps the column, pinned by an upper-bound row with rhs 0
     lp = LinearProgram.from_arrays(
         "min",
         [1.0, 5.0],
@@ -89,6 +89,46 @@ def test_fixed_variable_substitution():
     sol = solve_lp(lp)
     np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-9)
     np.testing.assert_allclose(sol.objective, 12.0, atol=1e-9)
+
+
+def test_standard_form_layout():
+    # one variable of each bound kind (free, lower only, upper only, both,
+    # fixed) and one row of each relation
+    lp = LinearProgram.from_arrays(
+        "min",
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [[1.0, 2.0, 3.0, 4.0, 5.0],
+         [6.0, 7.0, 8.0, 9.0, 10.0],
+         [11.0, 12.0, 13.0, 14.0, 15.0]],
+        ["<=", ">=", "="],
+        [10.0, 20.0, 30.0],
+        lower=[-np.inf, 1.0, -np.inf, -1.0, 2.0],
+        upper=[np.inf, np.inf, 2.0, 3.0, 2.0],
+    )
+    st = _standardize(lp)
+    # the free variable splits into y+ and y-, the upper-only one is
+    # mirrored, and the boxed and fixed ones keep a column each
+    np.testing.assert_array_equal(st.col_orig, [0, 0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(st.col_sign, [1, -1, 1, -1, 1, 1])
+    np.testing.assert_array_equal(st.shift, [0, 1, 2, -1, 2])
+    # >= negated, = split into a <=/>= pair, then one upper-bound row per
+    # boxed column; the fixed one's right-hand side is 0
+    np.testing.assert_array_equal(st.row_of, [0, 1, 2, 2])
+    np.testing.assert_array_equal(st.row_sign, [1, -1, 1, -1])
+    np.testing.assert_array_equal(st.G, [
+        [1, -1, 2, -3, 4, 5],
+        [-6, 6, -7, 8, -9, -10],
+        [11, -11, 12, -13, 14, 15],
+        [-11, 11, -12, 13, -14, -15],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+    ])
+    # b - A @ shift with A @ shift = (14, 34, 54); upper - lower = 4, 0
+    np.testing.assert_array_equal(st.g, [-4, 14, -24, 24, 4, 0])
+    np.testing.assert_array_equal(st.c, [1, -1, 2, -3, 4, 5])
+    assert st.const == 14.0
+    np.testing.assert_array_equal(st.fixed_cols, [5])
+    np.testing.assert_array_equal(st.fixed_rows, [5])
 
 
 def test_crossed_bounds_is_infeasible():
@@ -311,7 +351,7 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     allowed[tb.art_start:] = False
     assert tb.run(tb.z1, allowed) == "optimal"
     tb.purge_artificials()
-    assert tb.alive.all() and tb.k == 0
+    assert (tb.basis < tb.art_start).all() and tb.k == 0
     ref = np.column_stack([ref[:, :tb.art_start], ref[:, -1]])
     np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
     assert tb.run(tb.z2, np.ones(tb.art_start, dtype=bool)) == "optimal"
@@ -363,6 +403,15 @@ def test_block_inverse_with_basic_artificials(monkeypatch):
     assert tb._basis_inverse() is None
 
 
+def test_block_inverse_of_permuted_slack_basis(monkeypatch):
+    # no structural column basic (s = 0), slacks out of row order, and the
+    # >= rows' slacks carry sign -1
+    tb = _tableau(_dense_lp(monkeypatch))
+    assert (tb.unit_sign < 0).any()
+    tb.basis = tb.nc + np.arange(tb.basis.size)[::-1]
+    _assert_dense_inverse(tb)
+
+
 def test_block_inverse_mid_phase2_oracle(monkeypatch):
     tb = _tableau(_oracle_lp(monkeypatch, m=16))
     assert tb.run(tb.z1, _phase1_allowed(tb)) == "optimal"
@@ -372,25 +421,62 @@ def test_block_inverse_mid_phase2_oracle(monkeypatch):
     _assert_dense_inverse(tb)
 
 
-def test_block_inverse_after_dropped_row():
-    # max y1 + y2/2 s.t. y1 + y2 >= 1, 2 y1 + 2 y2 <= 2, y1 <= 0.7: phase 1
-    # ends with the artificial of row 0 basic at zero.  Every row has its
-    # own slack, which holds -1 in that tableau row, so only a drop
-    # tolerance above 1 drops the row.
-    lp = LinearProgram.from_arrays(
-        "max", [1.0, 0.5], [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]],
-        [">=", "<=", "<="], [1.0, 2.0, 0.7])
-    tb = _tableau(lp)
-    assert tb.run(tb.z1, _phase1_allowed(tb)) == "optimal"
-    assert tb.basis[0] >= tb.art_start
-    tb.purge_artificials(drop_tol=1.5)
-    assert tb.alive.tolist() == [False, True, True]
-    _assert_dense_inverse(tb)
-    # the slack of the dropped row 0 covers no live row
-    dead_slack = tb.nc
-    assert not tb.M0[:, dead_slack].any()
-    for p in range(tb.basis.size):
-        basis = tb.basis.copy()
-        tb.basis[p] = dead_slack
-        assert tb._basis_inverse() is None
-        tb.basis = basis
+def _bounded_lp():
+    # max x + 2y s.t. x + y >= 1.5, 0 <= x, y <= 1: optimum at (1, 1)
+    return LinearProgram.from_arrays("max", [1.0, 2.0], [[1.0, 1.0]],
+                                     [">="], [1.5], upper=[1.0, 1.0])
+
+
+def test_basis_of_a_solution_restarts_without_pivots():
+    lp = _bounded_lp()
+    sol = solve_lp(lp)
+    assert sol.basis.shape == (_standardize(lp).G.shape[0],)
+    again = solve_lp(lp, start=sol.basis)
+    assert again.status == "optimal" and again.iterations == 0
+    np.testing.assert_array_equal(again.basis, sol.basis)
+    np.testing.assert_allclose(again.x, sol.x, atol=1e-12)
+
+
+def test_warm_start_proves_child_infeasible(monkeypatch):
+    lp = _bounded_lp()
+    parent = solve_lp(lp)
+    # fixing x = 0 leaves x + y <= 1 < 1.5
+    child = lp.with_bounds([0.0, 0.0], [0.0, 1.0])
+    dual = _Tableau.run_dual
+    seen = []
+
+    def spy(self, priced):
+        seen.append(dual(self, priced))
+        return seen[-1]
+
+    monkeypatch.setattr(_Tableau, "run_dual", spy)
+    sol = solve_lp(child, start=parent.basis)
+    assert seen == ["infeasible"]
+    assert sol.status == "infeasible"
+    st = _standardize(child)
+    lam = sol.farkas
+    assert lam.min() >= 0.0
+    assert (lam @ st.G).min() >= -1e-12
+    assert lam @ st.g < -0.1
+
+
+def test_warm_start_of_wrong_length_is_rejected():
+    lp = _bounded_lp()
+    basis = solve_lp(lp).basis
+    with pytest.raises(ValueError):
+        solve_lp(lp, start=basis[:-1])
+    with pytest.raises(ValueError):
+        solve_lp(lp, start=np.append(basis, 0))
+    with pytest.raises(ValueError):
+        solve_lp(lp, start=np.full(basis.size, 99))
+
+
+def test_singular_warm_start_gives_the_cold_answer():
+    lp = _bounded_lp()
+    cold = solve_lp(lp)
+    # one column twice: the basis matrix is singular
+    warm = solve_lp(lp, start=np.zeros(cold.basis.size, dtype=int))
+    assert warm.status == cold.status
+    assert warm.iterations == cold.iterations
+    np.testing.assert_array_equal(warm.x, cold.x)
+    np.testing.assert_array_equal(warm.basis, cold.basis)

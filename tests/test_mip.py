@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from adjrobust.lp import LinearProgram, solve_lp
+from adjrobust import adjustable, mip
+from adjrobust.adjustable import solve_adjustable
+from adjrobust.instances import Instance, budget_set
+from adjrobust.lp import LinearProgram, _Tableau, solve_lp
 from adjrobust.mip import MipError, MixedBinaryProgram, solve_mip
 from adjrobust.rng import SplitMix64
 
@@ -139,9 +142,9 @@ def _exhaustive_best(lp, binaries):
     return None if best is None else sgn * best
 
 
-def test_fuzz_against_exhaustive_enumeration():
+def _fuzz_mips():
+    """25 random MIPs: 3-8 binaries, 0-2 continuous columns, 2-4 rows."""
     rng = SplitMix64(777)
-    solved = 0
     for trial in range(25):
         nb = 3 + int(rng.next_float() * 6)        # 3..8 binaries
         nc = int(rng.next_float() * 3)            # 0..2 continuous
@@ -156,7 +159,13 @@ def test_fuzz_against_exhaustive_enumeration():
         sense = "max" if rng.next_float() < 0.5 else "min"
         lp = LinearProgram.from_arrays(sense, c, G, ["<="] * mrows, g,
                                        upper=upper)
-        prob = MixedBinaryProgram(lp, range(nb))
+        yield trial, nb, MixedBinaryProgram(lp, range(nb))
+
+
+def test_fuzz_against_exhaustive_enumeration():
+    solved = 0
+    for trial, nb, prob in _fuzz_mips():
+        lp = prob.lp
         sol = solve_mip(prob)
         ref = _exhaustive_best(lp, range(nb))
         if ref is None:
@@ -192,3 +201,71 @@ def test_node_limited_bound_never_below_optimum():
             runs += 1
             assert cut.bound >= full.objective - 1e-7, (seed, limit)
     assert runs > 100
+
+
+def test_warm_nodes_match_cold_solves(monkeypatch):
+    warm = []
+
+    def checked(lp, start=None, **kw):
+        sol = solve_lp(lp, start=start, **kw)
+        if start is not None:
+            cold = solve_lp(lp, **kw)
+            assert sol.status == cold.status
+            if cold.status == "optimal":
+                assert sol.objective == pytest.approx(cold.objective,
+                                                      abs=1e-9)
+            warm.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(mip, "solve_lp", checked)
+    for _, _, prob in _fuzz_mips():
+        solve_mip(prob)
+    # children and rounding LPs, some proved infeasible by the dual phase
+    assert len(warm) > 100 and "infeasible" in warm and "optimal" in warm
+
+
+def test_dual_phase_refreshes_keep_the_search(monkeypatch):
+    plain = [solve_mip(prob) for _, _, prob in _fuzz_mips()]
+    # rebuild the tableau every 2 pivots, inside the dual phase too
+    init, refresh = _Tableau.__init__, _Tableau.refresh
+    dual_refreshes = []
+
+    def often(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.refresh_every = 2
+
+    def counted(self, primal=True):
+        dual_refreshes.append(not primal)
+        refresh(self, primal=primal)
+
+    monkeypatch.setattr(_Tableau, "__init__", often)
+    monkeypatch.setattr(_Tableau, "refresh", counted)
+    for (trial, _, prob), ref in zip(_fuzz_mips(), plain):
+        sol = solve_mip(prob)
+        assert sol.status == ref.status, f"trial {trial}"
+        if ref.status == "optimal":
+            assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert any(dual_refreshes)
+
+
+def test_warm_started_search_pivots_per_node(monkeypatch):
+    # the cut loop's separation MIPs on m = n = 2 HRep budget instances,
+    # eps 0.5, mip_tol 0.05
+    sols = []
+
+    def record(prob, **kw):
+        sols.append(solve_mip(prob, **kw))
+        return sols[-1]
+
+    monkeypatch.setattr(adjustable, "solve_mip", record)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        inst = Instance(m=2, n=2, c=0.2 * rng.random(2),
+                        A=0.3 * rng.random((2, 2)),
+                        B=0.1 + rng.random((2, 2)), d_bar=1.0,
+                        uncertainty=budget_set(2), seed=seed)
+        solve_adjustable(inst, eps=0.5, mip_tol=0.05)
+    nodes = sum(s.nodes for s in sols)
+    pivots = sum(s.pivots for s in sols)
+    assert nodes > 100
+    assert pivots <= 8 * nodes
