@@ -37,9 +37,10 @@ returned (``LpSolution.basis``), typically of an LP with the same rows
 and objective whose bounds moved.  The tableau is then built on
 ``[G | I]`` through that basis, with no row flips and no artificials.
 A dual simplex phase restores primal feasibility: the leaving row has
-the most negative right-hand side, the entering column minimises
-``|z_j / a_pj|`` over ``a_pj < 0``, and past the Bland threshold both
-choices go to the smallest index.  A row with a negative right-hand
+the most negative right-hand side, the entering column comes from a
+Harris two-pass test on ``|z_j / a_pj|`` over ``a_pj < 0`` (the largest
+``|a_pj|`` among the near-smallest ratios), and past the Bland threshold
+both choices go to the smallest index.  A row with a negative right-hand
 side and no negative entry proves infeasibility, and its slack block
 (that row of the basis inverse) is the Farkas vector.  The primal phase
 then removes any dual infeasibility left at tolerance level.  A start
@@ -402,12 +403,13 @@ class _Tableau:
         """Dual simplex until the basis is primal feasible ('optimal') or
         a row proves the LP infeasible ('infeasible'; the row is left in
         ``_leaving``).  The leaving row has the most negative right-hand
-        side; the entering column minimises ``|z_j / a_pj|`` over the
-        ``priced`` columns with ``a_pj < 0``, which keeps their reduced
-        costs nonnegative.  Past ``bland_after`` pivots both choices fall
-        back to the smallest index: the infeasible row of the smallest
-        basic index and, among the columns of smallest ratio, the
-        smallest one."""
+        side.  The entering column comes from the ``priced`` columns with
+        ``a_pj < 0`` by a Harris two-pass test on ``|z_j / a_pj|``: the
+        largest ``|a_pj|`` among the ratios within ``_RC_TOL`` of the
+        smallest, so reduced costs stay above ``-_RC_TOL``.  Past
+        ``bland_after`` pivots both choices fall back to the smallest
+        index: the infeasible row of the smallest basic index and, among
+        the columns of exactly smallest ratio, the smallest one."""
         z = self.z2[:-1]
         while True:
             if self.iterations >= self.max_iters:
@@ -416,7 +418,8 @@ class _Tableau:
             if self.iterations and self.iterations % self.refresh_every == 0:
                 self.refresh(primal=False)
             rhs = self.rhs
-            if self.iterations < self.bland_after:
+            dantzig = self.iterations < self.bland_after
+            if dantzig:
                 p = int(rhs.argmin())
                 if rhs[p] >= -_FEAS_TOL:
                     return OPTIMAL
@@ -430,8 +433,16 @@ class _Tableau:
             if cols.size == 0:
                 self._leaving = p
                 return INFEASIBLE
-            # argmin takes the smallest column among equal ratios
-            q = int(cols[np.abs(z[cols] / row[cols]).argmin()])
+            a = -row[cols]
+            zc = np.abs(z[cols])
+            if dantzig:
+                # Harris: the largest |a_pj| among the columns whose ratio
+                # is within the reduced-cost tolerance of the smallest one
+                near = (zc / a <= ((zc + _RC_TOL) / a).min()).nonzero()[0]
+                q = int(cols[near[a[near].argmax()]])
+            else:
+                # exact min ratio; argmin takes the smallest column on ties
+                q = int(cols[(zc / a).argmin()])
             self.pivot(p, q, row=row)
             self.iterations += 1
 
