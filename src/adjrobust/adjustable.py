@@ -322,11 +322,10 @@ def _solve_master(inst: Instance, cuts: CutPool, tol: float):
         G[k, :n] = inst.A.T @ cut.w
         G[k, n] = 1.0
         rhs[k] = float(cut.h @ cut.w)
+    # z >= 0 repeats the w = 0 cut as a bound, so every cost is
+    # nonnegative and the LP kernel starts from the slack basis
     obj = np.concatenate([inst.c, [1.0]])
-    lower = np.zeros(n + 1)
-    lower[n] = -np.inf
-    lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs,
-                                   lower=lower)
+    lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs)
     sol = solve_lp(lp, tol=tol)
     if sol.status != "optimal":
         raise SeparationError(f"master LP came back {sol.status}")

@@ -142,38 +142,46 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def vertex_lp(inst: Instance, V: np.ndarray, lam: np.ndarray) -> LinearProgram:
-    """min c.x + z over x >= 0, z and blocks u_k >= 0, one per column of
-    `lam`, with the recourse y(h) = sum_k lam[v, k] u_k imposed at every
-    vertex h = V[v].  With lam = I each u_v is the recourse copy at its
-    own vertex, and the LP's value is z_AR."""
-    n = inst.n
-    A, B, d = inst.A, inst.B, inst.d
-    blocks: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
-    for h, w in zip(V, lam):
-        # objective epigraph: z >= d . y(h)
-        blocks.append(np.concatenate([np.zeros(n), [1.0], -np.kron(w, d)]))
-        rhs.append(np.zeros(1))
-        # covering rows with positive right side only: others follow from
-        # A, B >= 0, x >= 0 and the policy rows below
-        cov = np.flatnonzero(h > 1e-12)
-        blocks.append(np.hstack([A[cov], np.zeros((cov.size, 1)),
-                                 np.kron(w, B[cov])]))
-        rhs.append(h[cov])
-        # y(h) >= 0, unless y(h) is a conic combination of the u_k
-        if w.min() < -1e-12:
-            blocks.append(np.hstack([np.zeros((n, n + 1)),
-                                     np.kron(w, np.eye(n))]))
-            rhs.append(np.zeros(n))
+    """min c.x + z over x >= 0, z >= 0 and blocks u_k >= 0, one per
+    column of `lam`, with the recourse y(h) = sum_k lam[v, k] u_k imposed
+    at every vertex h = V[v].  With lam = I each u_v is the recourse copy
+    at its own vertex, and the LP's value is z_AR.
 
-    G = np.vstack(blocks)
+    Rows, vertex by vertex: the objective epigraph z >= d . y(h), the
+    covering rows A x + B y(h) >= h of the coordinates with h_i > 0 (the
+    others follow from A, B >= 0, x >= 0 and y(h) >= 0), and the sign
+    rows y(h) >= 0 when some weight is negative (otherwise y(h) is a
+    conic combination of the u_k >= 0).  So every y(h) is nonnegative
+    and, as d = d_bar e > 0, z >= d . y(h) >= 0 is implied: the bound
+    z >= 0 leaves the value unchanged and the costs nonnegative, which
+    lets the LP kernel start from the slack basis.
+    """
+    n, nV, K = inst.n, len(V), lam.shape[1]
+    A, B, d = inst.A, inst.B, inst.d
+    cover = V > 1e-12
+    signs = lam.min(axis=1) < -1e-12
+    # first row of each vertex's block
+    size = 1 + cover.sum(axis=1) + n * signs
+    first = np.cumsum(size) - size
+    G = np.zeros((int(size.sum()), n + 1 + K * n))
+    rhs = np.zeros(len(G))
+    U = G[:, n + 1:]            # u_k at the columns n + 1 + k n + j
+    G[first, n] = 1.0
+    U[first] = -(lam[:, :, None] * d).reshape(nV, K * n)
+    v, i = cover.nonzero()
+    rows = first[v] + np.cumsum(cover, axis=1)[v, i]
+    G[rows, :n] = A[i]
+    U[rows] = (lam[v, :, None] * B[i, None, :]).reshape(len(v), K * n)
+    rhs[rows] = V[v, i]
+    # sign row j of vertex v: sum_k lam[v, k] u_kj >= 0
+    s = signs.nonzero()[0]
+    j, k = np.arange(n)[:, None], np.arange(K)
+    U[(first[s] + 1 + cover[s].sum(axis=1))[:, None, None] + j,
+      k * n + j] = lam[s, None, :]
     obj = np.zeros(G.shape[1])
     obj[:n] = inst.c
     obj[n] = 1.0
-    lower = np.zeros(G.shape[1])
-    lower[n] = -np.inf
-    return LinearProgram.from_arrays("min", obj, G, [">="] * len(G),
-                                     np.concatenate(rhs), lower=lower)
+    return LinearProgram.from_arrays("min", obj, G, [">="] * len(G), rhs)
 
 
 def _solve_vrep(inst: Instance, tol: float) -> AffineResult:

@@ -1,7 +1,8 @@
 """Dense linear-programming kernel.
 
-Two-phase primal simplex on a dense tableau, with a dual simplex phase
-for warm starts.  Pricing is Dantzig (most negative reduced cost) and
+Simplex on a dense tableau: a dual simplex phase for cold starts with
+nonnegative costs and for warm starts, the two-phase primal simplex
+otherwise.  Pricing is Dantzig (most negative reduced cost) and
 switches to Bland's rule after 5*(columns+rows) iterations so cycling
 cannot occur.  Under Dantzig the
 ratio test is Harris's two-pass test: among the rows whose ratio is
@@ -30,6 +31,26 @@ cheaper than a dense inverse: the VRep affine LPs of the worst-case
 family at m=16 have a median of 68 structural basic columns among 545.
 A basis of slack columns alone is its own signed inverse.
 
+Cold start
+----------
+A cold solve whose standard-form costs are nonnegative on every priced
+column starts from the slack basis of ``[G | I]``: with zero basic
+costs its reduced costs are the costs themselves, so the basis is dual
+feasible, and the tableau is current there with no inverse.  The dual
+and primal phases of a warm start (below) solve it from there, so rows
+with a negative right-hand side need no artificial column and there is
+no phase 1 (Koberstein, "The dual simplex method, techniques for a fast
+and stable implementation", PhD thesis, Paderborn 2005).  The primal
+phase cannot end unbounded there: ``c >= 0`` and ``y >= 0`` bound the
+objective below.  This covers the vertex LPs and the cut-loop master.
+Every other cold LP flips its rows with a negative right-hand side and
+runs the artificial phase 1.  Shifting the costs to make them
+nonnegative would put the HRep affine LP on the dual route too, but its
+free columns (z, P, q) are split in two, so many dual pivots only swap
+a column for its mirror, and its larger structural blocks make every
+refresh dearer: a prototype that did so spent 38% more time in the
+affine LPs of the m=10 ratio table.
+
 Warm start
 ----------
 ``solve_lp(lp, start=basis)`` starts from a basis that an earlier solve
@@ -44,8 +65,8 @@ both choices go to the smallest index.  A row with a negative right-hand
 side and no negative entry proves infeasibility, and its slack block
 (that row of the basis inverse) is the Farkas vector.  The primal phase
 then removes any dual infeasibility left at tolerance level.  A start
-that is singular, or neither primal nor dual feasible, is solved cold
-from the slack basis.  Warm or cold, a solve ends in the same
+that is singular, or neither primal nor dual feasible, is solved cold,
+by the rule above.  Warm or cold, a solve ends in the same
 certificates.
 
 Conventions
@@ -410,6 +431,8 @@ class _Tableau:
         ``bland_after`` pivots both choices fall back to the smallest
         index: the infeasible row of the smallest basic index and, among
         the columns of exactly smallest ratio, the smallest one."""
+        if not self.rhs.size:   # no rows, nothing to restore
+            return OPTIMAL
         z = self.z2[:-1]
         while True:
             if self.iterations >= self.max_iters:
@@ -596,6 +619,17 @@ class _Tableau:
         self.unit_sign = self.unit_sign[:self.nr0]
 
 
+def _dual_then_primal(tb: _Tableau, priced: np.ndarray):
+    """From a dual feasible basis of ``[G | I]``: the dual phase, then the
+    primal phase for the dual infeasibility left at tolerance level."""
+    if tb.run_dual(priced) == INFEASIBLE:
+        # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with no
+        # negative coefficient: Binv[p] is a Farkas vector
+        nc, nr = tb.nc, tb.nr0
+        return INFEASIBLE, tb, tb.row(tb._leaving)[nc:nc + nr]
+    return tb.run(tb.z2, priced), tb, None
+
+
 def _simplex(c, G, g, fixed, max_iters=None, start=None):
     """Simplex on  min c.y, G y <= g, y >= 0.  The ``fixed`` columns
     (held at zero by a bound row with right-hand side 0) are never
@@ -610,12 +644,13 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None):
     if start is not None:
         tb = _Tableau(c, G, g, bland_after, max_iters, start)
         if tb.start_warm(priced):
-            if tb.run_dual(priced) == INFEASIBLE:
-                # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with
-                # no negative coefficient: Binv[p] is a Farkas vector
-                farkas = tb.row(tb._leaving)[nc:nc + nr]
-                return INFEASIBLE, tb, farkas
-            return tb.run(tb.z2, priced), tb, None
+            return _dual_then_primal(tb, priced)
+    if (c[priced[:nc]] >= 0.0).all():
+        # the slack basis is dual feasible, and the tableau on [G | I] is
+        # already current at it
+        slacks = nc + np.arange(nr)
+        return _dual_then_primal(
+            _Tableau(c, G, g, bland_after, max_iters, slacks), priced)
     tb = _Tableau(c, G, g, bland_after, max_iters)
 
     if tb.narts:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -218,11 +220,8 @@ def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
                                           rel=1e-7, abs=1e-7)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_vertex_lps_match_highs_at_benchmark_size(seed, monkeypatch):
-    # the VRep affine LP and the vertex-oracle LP of the worst-case
-    # family at the size of the worstcase-m16 benchmark workload
-    inst = gen_worst_case(16, randomized=True, seed=seed)
+def _record_lps(monkeypatch):
+    """The LPs that affine and adjustable solve from now on, in order."""
     seen = []
 
     def record(lp, **kw):
@@ -231,8 +230,58 @@ def test_vertex_lps_match_highs_at_benchmark_size(seed, monkeypatch):
 
     monkeypatch.setattr(affine, "solve_lp", record)
     monkeypatch.setattr(adjustable, "solve_lp", record)
+    return seen
+
+
+def _vertex_lps(inst, monkeypatch):
+    """z_aff and z_ar of a VRep instance with the two vertex LPs solved."""
+    seen = _record_lps(monkeypatch)
     z_aff = solve_affine(inst).objective
     z_ar = solve_adjustable_vertex_oracle(inst)
     lp_aff, lp_ar = seen
+    return z_aff, z_ar, lp_aff, lp_ar
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vertex_lps_match_highs_at_benchmark_size(seed, monkeypatch):
+    # the VRep affine LP and the vertex-oracle LP of the worst-case
+    # family at the size of the worstcase-m16 benchmark workload
+    inst = gen_worst_case(16, randomized=True, seed=seed)
+    z_aff, z_ar, lp_aff, lp_ar = _vertex_lps(inst, monkeypatch)
+    for z, lp in ((z_aff, lp_aff), (z_ar, lp_ar)):
+        assert z == pytest.approx(_highs_value(lp), rel=1e-7)
+        # the bound z >= 0 is implied: without it the value is the same
+        assert lp.lower[inst.n] == 0.0
+        lower = lp.lower.copy()
+        lower[inst.n] = -np.inf
+        free_z = lp.with_bounds(lower, lp.upper)
+        assert z == pytest.approx(_highs_value(free_z), rel=1e-9)
+
+
+def test_vertex_lps_match_highs_at_criterion_3_size(monkeypatch):
+    # the size of the worst-case family in criterion 3
+    inst = gen_worst_case(25, randomized=True, seed=0)
+    z_aff, z_ar, lp_aff, lp_ar = _vertex_lps(inst, monkeypatch)
     assert z_aff == pytest.approx(_highs_value(lp_aff), rel=1e-7)
     assert z_ar == pytest.approx(_highs_value(lp_ar), rel=1e-7)
+
+
+def test_anchor_free_box_matches_highs_in_few_pivots(monkeypatch):
+    # {0.25, 0.75}^5 holds neither 0 nor any e_i, so its anchors are
+    # generic corners and most vertices get sign rows; the VRep affine
+    # LP starts from the slack basis (costs c, 1 and 0 are nonnegative)
+    box = UncertaintySet.vrep(
+        np.array(list(itertools.product([0.25, 0.75], repeat=5))))
+    seen = _record_lps(monkeypatch)
+    pivots = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)   # the cut-loop workload's recipe
+        inst = Instance(m=5, n=5, c=0.2 * rng.random(5),
+                        A=0.3 * rng.random((5, 5)),
+                        B=0.1 + rng.random((5, 5)), d_bar=1.0,
+                        uncertainty=box, seed=seed)
+        res = solve_affine(inst)
+        assert res.objective == pytest.approx(_highs_value(seen[-1]),
+                                              rel=1e-7, abs=1e-7)
+        pivots += res.iterations
+    assert pivots <= 300

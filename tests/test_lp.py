@@ -11,6 +11,7 @@ from adjrobust.lp import (
     LpBreakdownError,
     _standardize,
     _Tableau,
+    _validate_farkas,
     solve_lp,
 )
 from adjrobust.rng import SplitMix64
@@ -480,3 +481,97 @@ def test_singular_warm_start_gives_the_cold_answer():
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.x, cold.x)
     np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+def _spy_tableaux(monkeypatch):
+    """Every _Tableau built from now on, in order."""
+    made = []
+    init = _Tableau.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(self)
+
+    monkeypatch.setattr(_Tableau, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nonnegative_costs_start_at_the_slack_basis(seed, monkeypatch):
+    # >= rows with positive right-hand sides: the slack basis is primal
+    # infeasible, but with c >= 0 it is dual feasible, so the dual phase
+    # solves the LP with no artificial column
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(seed)
+    n, k = 4 + seed % 5, 3 + seed % 4
+    A = rng.uniform(-0.5, 1.0, (2 * k, n))
+    b = np.concatenate([rng.uniform(0.5, 2.0, k), rng.uniform(1.0, 4.0, k)])
+    c = rng.random(n) * (rng.random(n) < 0.8)   # some zero costs
+    upper = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 3.0, n), np.inf)
+    lp = LinearProgram.from_arrays("min", c, A, [">="] * k + ["<="] * k, b,
+                                   upper=upper)
+    made = _spy_tableaux(monkeypatch)
+    sol = solve_lp(lp)
+    assert [tb.narts for tb in made] == [0]
+    ref = linprog(c, A_ub=np.vstack([-A[:k], A[k:]]),
+                  b_ub=np.concatenate([-b[:k], b[k:]]),
+                  bounds=[(0, None if np.isinf(u) else u) for u in upper],
+                  method="highs")
+    assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if ref.status == 0:
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+
+def test_nonnegative_costs_prove_infeasibility(monkeypatch):
+    # x1 + x2 >= 3 and x1 + x2 <= 1: the dual phase finds a row with a
+    # negative right-hand side and no negative entry
+    lp = LinearProgram.from_arrays("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]],
+                                   [">=", "<="], [3.0, 1.0])
+    made = _spy_tableaux(monkeypatch)
+    sol = solve_lp(lp)
+    assert [tb.narts for tb in made] == [0]
+    assert sol.status == "infeasible"
+    st = _standardize(lp)
+    _validate_farkas(st, sol.farkas, 1e-8)
+    assert sol.farkas.min() >= 0.0 and sol.farkas @ st.g < -1.0
+
+
+def test_fixed_column_with_negative_cost_keeps_the_slack_start(monkeypatch):
+    # x3 is fixed at 1, so its cost -5 is never priced: the slack basis is
+    # still dual feasible on every column that can enter
+    rows = [[1.0, 1.0, 1.0]]
+    lp = LinearProgram.from_arrays("min", [1.0, 2.0, -5.0], rows, [">="],
+                                   [3.0], upper=[np.inf, np.inf, 1.0],
+                                   lower=[0.0, 0.0, 1.0])
+    made = _spy_tableaux(monkeypatch)
+    sol = solve_lp(lp)
+    assert [tb.narts for tb in made] == [0]
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 0.0, 1.0], atol=1e-12)
+    assert sol.objective == pytest.approx(-3.0, abs=1e-12)
+    # x1 + x2 + 2 x3 <= 2 leaves x1 + x2 <= 0 < 2: the Farkas vector
+    # leans on the fixed column's bound row
+    bad = LinearProgram.from_arrays("min", [1.0, 2.0, -5.0],
+                                    rows + [[1.0, 1.0, 2.0]], [">=", "<="],
+                                    [3.0, 2.0], upper=[np.inf, np.inf, 1.0],
+                                    lower=[0.0, 0.0, 1.0])
+    sol = solve_lp(bad)
+    assert [tb.narts for tb in made] == [0, 0]
+    assert sol.status == "infeasible"
+    _validate_farkas(_standardize(bad), sol.farkas, 1e-8)
+
+
+def test_negative_costs_keep_the_artificial_phase_1(monkeypatch):
+    lp = LinearProgram.from_arrays("min", [1.0, -1.0], [[1.0, 1.0]], [">="],
+                                   [2.0], upper=[np.inf, 1.0])
+    made = _spy_tableaux(monkeypatch)
+    sol = solve_lp(lp)
+    assert [tb.narts for tb in made] == [1]
+    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nonnegative_costs_without_rows():
+    # the dual phase has no row to pick: y = 0 is optimal at once
+    sol = solve_lp(LinearProgram("min", [1.0, 0.0]))
+    assert sol.status == "optimal" and sol.iterations == 0
+    np.testing.assert_array_equal(sol.x, [0.0, 0.0])
