@@ -1,10 +1,10 @@
 """Dense linear-programming kernel.
 
-Simplex on a dense tableau: a dual simplex phase for cold starts with
-nonnegative costs and for warm starts, the two-phase primal simplex
-otherwise.  Pricing is Dantzig (most negative reduced cost) and
-switches to Bland's rule after 5*(columns+rows) iterations so cycling
-cannot occur.  Under Dantzig the
+Simplex on a dense tableau of ``[G | I]``: a dual simplex phase reaches
+a primal feasible basis, then a primal simplex phase reaches an optimal
+one.  Pricing is Dantzig (most negative reduced cost) and switches to
+Bland's rule after 5*(columns+rows) iterations so cycling cannot occur.
+Under Dantzig the
 ratio test is Harris's two-pass test: among the rows whose ratio is
 within a feasibility tolerance of the smallest, it takes the largest
 pivot, and right-hand sides that the step leaves within that tolerance
@@ -14,51 +14,57 @@ Bland's termination argument needs.
 
 A pivot does not rewrite the tableau: it appends one rank-one factor,
 and a column or row is read through the pending factors.  The
-right-hand side and the reduced-cost rows are updated on every pivot.
+right-hand side and the reduced-cost row are updated on every pivot.
 Every 128 pivots the tableau is rebuilt from the pristine data through
 the inverse of the basis matrix and the factors are dropped; a tableau
 with fewer than 128 rows folds its factors into the tableau each time
 it holds one per row.  The same inverse re-derives the optimal basic
 values and reduced costs once per solve.
 
-The inverse is taken block-wise.  Slack and artificial columns are
-signed unit columns, so a basis with s structural columns is, up to a
-permutation, block lower triangular with a signed identity in the
-corner: only the s x s block of the structural columns on the rows no
-basic unit column covers is inverted, and the rest of the inverse
-follows from it with one product.  On slack-heavy bases this is much
-cheaper than a dense inverse: the VRep affine LPs of the worst-case
-family at m=16 have a median of 68 structural basic columns among 545.
-A basis of slack columns alone is its own signed inverse.
+The inverse is taken block-wise.  Slack column ``nc + i`` is the unit
+column of row i, so a basis with s structural columns is, up to a
+permutation, block lower triangular with an identity in the corner:
+only the s x s block of the structural columns on the rows no basic
+slack covers is inverted, and the rest of the inverse follows from it
+with one product.  On slack-heavy bases this is much cheaper than a
+dense inverse: the VRep affine LPs of the worst-case family at m=16
+have a median of 68 structural basic columns among 545.  A basis of
+slack columns alone is its own inverse.
 
 Cold start
 ----------
-A cold solve whose standard-form costs are nonnegative on every priced
-column starts from the slack basis of ``[G | I]``: with zero basic
-costs its reduced costs are the costs themselves, so the basis is dual
-feasible, and the tableau is current there with no inverse.  The dual
-and primal phases of a warm start (below) solve it from there, so rows
-with a negative right-hand side need no artificial column and there is
-no phase 1 (Koberstein, "The dual simplex method, techniques for a fast
-and stable implementation", PhD thesis, Paderborn 2005).  The primal
-phase cannot end unbounded there: ``c >= 0`` and ``y >= 0`` bound the
-objective below.  This covers the vertex LPs and the cut-loop master.
-Every other cold LP flips its rows with a negative right-hand side and
-runs the artificial phase 1.  Shifting the costs to make them
-nonnegative would put the HRep affine LP on the dual route too, but its
-free columns (z, P, q) are split in two, so many dual pivots only swap
-a column for its mirror, and its larger structural blocks make every
-refresh dearer: a prototype that did so spent 38% more time in the
-affine LPs of the m=10 ratio table.
+A cold solve starts from the slack basis of ``[G | I]``, where the
+tableau is current with no inverse, and needs no artificial column.
+When the standard-form costs are nonnegative on every priced column,
+that basis is dual feasible (with zero basic costs its reduced costs
+are the costs themselves), so the dual phase runs on the LP's own
+costs; the primal phase then cannot end unbounded, as ``c >= 0`` and
+``y >= 0`` bound the objective below.  This covers the vertex LPs and
+the cut-loop master.  Otherwise the dual phase runs on all-zero costs,
+for which every basis is dual feasible: it is a phase 1 that ends at a
+primal feasible basis or at a row that proves the LP infeasible
+(Koberstein, "The dual simplex method, techniques for a fast and
+stable implementation", PhD thesis, Paderborn 2005), and the primal
+phase then optimizes the LP's own costs and can end unbounded.  With
+zero costs every dual ratio is zero, so the Harris test takes the
+largest ``|a_pj|``; the phase is fully dual degenerate, and the switch
+to Bland's rule is its termination guarantee.  Shifting the costs to
+``max(c, 0)`` would keep the dual phase on nonzero costs, but the HRep
+affine LP's free columns (z, P, q) are split in two, so many dual
+pivots only swap a column for its mirror: on the affine LPs of the m=10
+ratio table (uniform, seeds 200-259) shifted costs took 45,381 pivots
+against 25,030 for zero costs, and 1.9 times the CPU time.  Only on the
+tiny affine LPs of the m=n=2 cut-loop instances did they take fewer
+(930 against 1,175 over 80 seeds).
 
 Warm start
 ----------
 ``solve_lp(lp, start=basis)`` starts from a basis that an earlier solve
 returned (``LpSolution.basis``), typically of an LP with the same rows
 and objective whose bounds moved.  The tableau is then built on
-``[G | I]`` through that basis, with no row flips and no artificials.
-A dual simplex phase restores primal feasibility: the leaving row has
-the most negative right-hand side, the entering column comes from a
+``[G | I]`` through that basis.  A dual simplex phase restores primal
+feasibility: the leaving row has the most negative right-hand side,
+the entering column comes from a
 Harris two-pass test on ``|z_j / a_pj|`` over ``a_pj < 0`` (the largest
 ``|a_pj|`` among the near-smallest ratios), and past the Bland threshold
 both choices go to the smallest index.  A row with a negative right-hand
@@ -147,8 +153,11 @@ class LinearProgram:
         if A.ndim != 2 or A.shape[1] != lp.num_vars:
             raise ValueError("row matrix shape mismatch")
         lp.A = A
-        lp.rel = np.asarray([_REL_CODE[r] if isinstance(r, str) else int(r)
-                             for r in rel], dtype=np.int8)
+        codes = [_REL_CODE.get(r, r) if isinstance(r, str) else r for r in rel]
+        bad = [r for r in codes if r not in (LE, GE, EQ)]
+        if bad:
+            raise ValueError(f"unknown row relation {bad[0]!r}")
+        lp.rel = np.asarray(codes, dtype=np.int8)
         lp.b = np.asarray(b, dtype=float).ravel()
         if lp.rel.size != A.shape[0] or lp.b.size != A.shape[0]:
             raise ValueError("relation/rhs length mismatch")
@@ -252,43 +261,28 @@ class _Tableau:
     The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last
     rebuilt (or materialized) at some basis, and each pivot since has
     appended one rank-one factor instead of rewriting ``T``.  The
-    right-hand side ``rhs`` and the reduced-cost rows in ``costs``
-    (``z2``, and ``z1`` during phase 1; last entry minus the objective)
-    are kept current on every pivot.
+    right-hand side ``rhs`` and the reduced-cost row ``z`` (last entry
+    minus the objective) are kept current on every pivot.  The columns
+    are those of ``[G | I]``: column ``nc + i`` is the slack of row i.
     """
 
     def __init__(self, c: np.ndarray, G: np.ndarray, g: np.ndarray,
                  bland_after: int, max_iters: int,
                  start: np.ndarray | None = None):
         nr, nc = G.shape
-        # a cold start flips the rows with a negative right-hand side and
-        # gives each an artificial; a warm one keeps M0 = [G | I]
-        art_rows = ((g < 0).nonzero()[0] if start is None
-                    else np.zeros(0, dtype=np.intp))
-        narts = art_rows.size
-        self.nc, self.nr0, self.narts = nc, nr, narts
-        self.art_start = nc + nr
-        ncols = nc + nr + narts
+        self.nc = nc
+        ncols = nc + nr
 
         # pristine copies so the tableau can be rebuilt through any basis
         M0 = np.zeros((nr, ncols))
         M0[:, :nc] = G
-        slack_sign = np.ones(nr)
-        art_cols = self.art_start + np.arange(narts)
-        if narts:
-            M0[art_rows, :nc] *= -1.0
-            slack_sign[art_rows] = -1.0
-            M0[art_rows, art_cols] = 1.0
-        M0[np.arange(nr), nc + np.arange(nr)] = slack_sign
+        M0[np.arange(nr), nc + np.arange(nr)] = 1.0
         self.M0 = M0
-        # the slack and artificial columns M0[:, nc:] are signed unit
-        # columns: the row and sign of each
-        self.unit_row = np.concatenate([np.arange(nr), art_rows])
-        self.unit_sign = np.concatenate([slack_sign, np.ones(narts)])
-        self.g0 = np.abs(g) if start is None else g.copy()
+        self.g0 = g.copy()
         self.scale = 1.0 + float(np.abs(g).max(initial=0.0))
+        # current at the slack basis; a warm start rebuilds it
         self.T = M0.copy()
-        self.rhs = self.g0.copy()
+        self.rhs = g.copy()
 
         # pending rank-one factors, one per pivot since T was last current.
         # Past nr factors, reading one row costs more than an eager
@@ -299,29 +293,12 @@ class _Tableau:
         self.V = np.empty((block, ncols))
         self.k = 0
 
-        if start is None:
-            basis = nc + np.arange(nr)
-            basis[art_rows] = art_cols
-        else:
-            basis = start.copy()
-        self.basis = basis
+        self.basis = nc + np.arange(nr) if start is None else start.copy()
 
-        # phase-2 costs (zero on slacks and artificials), reduced row
-        self.z2 = np.zeros(ncols + 1)
-        self.z2[:nc] = c
-        self.c2_full = self.z2[:-1].copy()
-        # the reduced-cost rows that pivots and refreshes keep current,
-        # each with its costs
-        self.costs = [(self.z2, self.c2_full)]
-        if narts:
-            # phase-1 costs: one on artificials, reduced against the
-            # initial basis
-            self.z1 = np.zeros(ncols + 1)
-            self.z1[self.art_start:-1] = 1.0
-            self.c1_full = self.z1[:-1].copy()
-            self.z1[:-1] -= M0[art_rows].sum(axis=0)
-            self.z1[-1] -= self.g0[art_rows].sum()
-            self.costs.append((self.z1, self.c1_full))
+        # costs (zero on slacks) and their reduced row
+        self.z = np.zeros(ncols + 1)
+        self.z[:nc] = c
+        self.cost = self.z[:-1].copy()
 
         self.iterations = 0
         self.bland_after = bland_after
@@ -370,12 +347,12 @@ class _Tableau:
         t = rhs[p] / piv
         rhs -= t * col
         rhs[p] = t
-        for z, _ in self.costs:
-            zq = z[q]
-            if zq != 0.0:
-                z[:-1] -= zq * v
-                z[-1] -= zq * t
-                z[q] = 0.0
+        z = self.z
+        zq = z[q]
+        if zq != 0.0:
+            z[:-1] -= zq * v
+            z[-1] -= zq * t
+            z[q] = 0.0
         self.basis[p] = q
         # keep right-hand sides from drifting slightly negative
         np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -_FEAS_TOL))
@@ -420,8 +397,9 @@ class _Tableau:
             self.pivot(p, q, col)
             self.iterations += 1
 
-    def run_dual(self, priced: np.ndarray) -> str:
-        """Dual simplex until the basis is primal feasible ('optimal') or
+    def run_dual(self, z: np.ndarray, priced: np.ndarray) -> str:
+        """Dual simplex on the reduced-cost row ``z``, which is ``self.z``
+        or all zeros, until the basis is primal feasible ('optimal') or
         a row proves the LP infeasible ('infeasible'; the row is left in
         ``_leaving``).  The leaving row has the most negative right-hand
         side.  The entering column comes from the ``priced`` columns with
@@ -433,7 +411,7 @@ class _Tableau:
         the columns of exactly smallest ratio, the smallest one."""
         if not self.rhs.size:   # no rows, nothing to restore
             return OPTIMAL
-        z = self.z2[:-1]
+        z = z[:-1]
         while True:
             if self.iterations >= self.max_iters:
                 raise LpBreakdownError(
@@ -474,35 +452,32 @@ class _Tableau:
         None when the basis is singular or cannot reproduce the
         right-hand side.
 
-        The basic slack and artificial columns are signed unit columns.
-        With S the basic structural columns, K the basic unit columns
-        and N the rows that no basic unit column covers, the basis
-        permuted to (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], D]]``
-        with D a signed identity, so only the s x s block ``M0[N, S]``
-        is inverted.  ``Binv`` (rows: basis positions, columns: rows of
-        M0) is its inverse on (S, N), D on (K, K) and
-        ``-D M0[K, S] inv(M0[N, S])`` on (K, N).  Returns ``Binv``, the
-        basic values, N, and the basis positions, rows and signs of K.
-        With no structural column basic (s = 0), ``Binv`` is D itself.
+        With S the basic structural columns, K the basic slacks and N
+        the rows that no basic slack covers, the basis permuted to
+        (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], I]]``, so only
+        the s x s block ``M0[N, S]`` is inverted.  ``Binv`` (rows: basis
+        positions, columns: rows of M0) is its inverse on (S, N), I on
+        (K, K) and ``-M0[K, S] inv(M0[N, S])`` on (K, N).  Returns
+        ``Binv``, the basic values, N, and the basis positions and rows
+        of K.  With no structural column basic (s = 0), ``Binv`` is a
+        permutation.
         """
         nc, basis, g0 = self.nc, self.basis, self.g0
         nr = basis.size
         unit = basis >= nc
         S = (~unit).nonzero()[0]
         K = unit.nonzero()[0]
-        ucols = basis[K] - nc
-        rows = self.unit_row[ucols]
+        rows = basis[K] - nc
         free = np.ones(nr, dtype=bool)
         free[rows] = False
         N = free.nonzero()[0]
-        # two unit columns on one row: singular
+        # one slack listed twice: singular
         if N.size != S.size:
             return None
-        sign = self.unit_sign[ucols]
         Binv = np.zeros((nr, nr))
-        Binv[K, rows] = sign
+        Binv[K, rows] = 1.0
         if S.size == 0:
-            return Binv, sign * g0[rows], N, K, rows, sign
+            return Binv, g0[rows], N, K, rows
         MS = self.M0[:, basis[S]]
         try:
             Ainv = np.linalg.inv(MS[N])
@@ -510,15 +485,15 @@ class _Tableau:
             return None
         BN = np.empty((nr, S.size))  # Binv[:, N]
         BN[S] = Ainv
-        BN[K] = (MS[rows] * -sign[:, None]) @ Ainv
+        BN[K] = -MS[rows] @ Ainv
         Binv[:, N] = BN
         xb = Binv @ g0
         # MB @ xb - g0 for the basis matrix MB = M0[:, basis]
         resid = MS @ xb[S] - g0
-        resid[rows] += sign * xb[K]
+        resid[rows] += xb[K]
         if float(np.abs(resid).max(initial=0.0)) > 1e-7 * self.scale:
             return None
-        return Binv, xb, N, K, rows, sign
+        return Binv, xb, N, K, rows
 
     def refresh(self, primal: bool = True) -> None:
         """Rebuild the whole tableau from the pristine data through the
@@ -527,15 +502,15 @@ class _Tableau:
         basis that is infeasible in exact arithmetic.  A basis too
         ill-conditioned to reproduce the right-hand side is left alone
         (its factors folded into T) so the certificates judge the raw
-        tableau instead.  In the primal phases (``primal``) a basis
+        tableau instead.  In the primal phase (``primal``) a basis
         whose values are clearly negative is a breakdown; the dual phase
         expects them.
 
         The structural block ``Binv @ M0[:, :nc]`` is
-        ``Binv[:, N] @ M0[N, :nc]`` plus, in the rows of the basic unit
-        columns, their own rows of M0 times D: an nr x s x nc product
-        instead of an nr x nr x nc one.  The slack and artificial
-        columns of the tableau are signed columns of ``Binv``."""
+        ``Binv[:, N] @ M0[N, :nc]`` plus, in the rows of the basic
+        slacks, their own rows of M0: an nr x s x nc product instead of
+        an nr x nr x nc one.  The slack columns of the tableau are
+        ``Binv`` itself."""
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
@@ -558,21 +533,20 @@ class _Tableau:
         self._rebuild(*inv)
         if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
             return True
-        slack = 1e-7 * (1.0 + float(np.abs(self.c2_full).max(initial=0.0)))
-        return float(self.z2[:-1][priced].min(initial=0.0)) >= -slack
+        slack = 1e-7 * (1.0 + float(np.abs(self.cost).max(initial=0.0)))
+        return float(self.z[:-1][priced].min(initial=0.0)) >= -slack
 
-    def _rebuild(self, Binv, xb, N, K, rows, sign) -> None:
+    def _rebuild(self, Binv, xb, N, K, rows) -> None:
         nc, T, M0 = self.nc, self.T, self.M0
         T[:, :nc] = Binv[:, N] @ M0[N, :nc]
-        T[K, :nc] += sign[:, None] * M0[rows, :nc]
-        T[:, nc:] = Binv[:, self.unit_row] * self.unit_sign
+        T[K, :nc] += M0[rows, :nc]
+        T[:, nc:] = Binv
         self.k = 0
         np.copyto(xb, 0.0, where=(xb < 0) & (xb > -_FEAS_TOL))
         self.rhs = xb
-        for z, cf in self.costs:
-            cb = cf[self.basis]
-            z[:-1] = cf - (cb @ Binv) @ M0
-            z[-1] = -float(cb @ xb)
+        cb = self.cost[self.basis]
+        self.z[:-1] = self.cost - (cb @ Binv) @ M0
+        self.z[-1] = -float(cb @ xb)
 
     def refine_optimal(self) -> None:
         """Re-derive basic values, reduced costs, and the objective from
@@ -584,87 +558,38 @@ class _Tableau:
         if inv is None:
             return
         Binv, xb = inv[:2]
-        cb = self.c2_full[self.basis]
+        cb = self.cost[self.basis]
         self.rhs = xb
-        self.z2[:-1] = self.c2_full - (cb @ Binv) @ self.M0
-        self.z2[-1] = -float(cb @ xb)
-
-    def purge_artificials(self) -> None:
-        """Drive the basic artificials out of the basis.  The slack and
-        the artificial of a row are parallel unit columns, so the
-        tableau row of a basic artificial holds +-1 in its row's slack
-        column: a candidate always exists, and its absence is a
-        breakdown.  Afterwards the basis holds one standard-form column
-        per row and no artificial."""
-        if self.narts == 0:
-            return
-        for p in np.flatnonzero(self.basis >= self.art_start):
-            row = self.row(p)[:self.art_start]
-            cands = np.flatnonzero(np.abs(row) > 1e-7)
-            if cands.size == 0:
-                raise LpBreakdownError("basic artificial cannot be driven out")
-            self.pivot(int(p), int(cands[0]))
-        self.materialize()
-        # artificial columns are never priced again; chop them off
-        self.T = np.ascontiguousarray(self.T[:, :self.art_start])
-        self.U = np.empty((self.T.shape[0], self.V.shape[0]))
-        self.V = np.empty((self.V.shape[0], self.art_start))
-        self.z2 = np.concatenate([self.z2[:self.art_start], self.z2[-1:]])
-        self.M0 = np.ascontiguousarray(self.M0[:, :self.art_start])
-        self.c2_full = self.c2_full[:self.art_start]
-        # phase 1 is over: only the phase-2 row is kept current
-        del self.z1, self.c1_full
-        self.costs = [(self.z2, self.c2_full)]
-        self.unit_row = self.unit_row[:self.nr0]
-        self.unit_sign = self.unit_sign[:self.nr0]
-
-
-def _dual_then_primal(tb: _Tableau, priced: np.ndarray):
-    """From a dual feasible basis of ``[G | I]``: the dual phase, then the
-    primal phase for the dual infeasibility left at tolerance level."""
-    if tb.run_dual(priced) == INFEASIBLE:
-        # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with no
-        # negative coefficient: Binv[p] is a Farkas vector
-        nc, nr = tb.nc, tb.nr0
-        return INFEASIBLE, tb, tb.row(tb._leaving)[nc:nc + nr]
-    return tb.run(tb.z2, priced), tb, None
+        self.z[:-1] = self.cost - (cb @ Binv) @ self.M0
+        self.z[-1] = -float(cb @ xb)
 
 
 def _simplex(c, G, g, fixed, max_iters=None, start=None):
-    """Simplex on  min c.y, G y <= g, y >= 0.  The ``fixed`` columns
-    (held at zero by a bound row with right-hand side 0) are never
-    priced: entering, they could only take a degenerate step, and their
-    reduced costs have no sign to keep."""
+    """Simplex on  min c.y, G y <= g, y >= 0: a dual phase from a basis
+    that is dual feasible on the costs it prices, then a primal phase.
+    A usable warm start is primal feasible, or dual feasible on the
+    costs.  The slack basis of a cold start is dual feasible on the
+    costs if no priced one is negative, and on zero costs always
+    (module docstring, "Cold start").  The ``fixed`` columns (held at
+    zero by a bound row with right-hand side 0) are never priced:
+    entering, they could only take a degenerate step, and their reduced
+    costs have no sign to keep."""
     nr, nc = G.shape
     bland_after = 5 * (nc + nr)
     if max_iters is None:
         max_iters = max(200 * (nc + nr), 20000)
     priced = np.ones(nc + nr, dtype=bool)
     priced[fixed] = False
-    if start is not None:
-        tb = _Tableau(c, G, g, bland_after, max_iters, start)
-        if tb.start_warm(priced):
-            return _dual_then_primal(tb, priced)
-    if (c[priced[:nc]] >= 0.0).all():
-        # the slack basis is dual feasible, and the tableau on [G | I] is
-        # already current at it
-        slacks = nc + np.arange(nr)
-        return _dual_then_primal(
-            _Tableau(c, G, g, bland_after, max_iters, slacks), priced)
-    tb = _Tableau(c, G, g, bland_after, max_iters)
-
-    if tb.narts:
-        allowed = np.zeros(tb.T.shape[1], dtype=bool)
-        allowed[:tb.art_start] = priced  # artificials never re-enter
-        status = tb.run(tb.z1, allowed)
-        if status != OPTIMAL:  # phase 1 is bounded below by zero
-            raise LpBreakdownError("phase 1 reported unbounded")
-        phase1 = -tb.z1[-1]
-        if phase1 > 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0))):
-            farkas = tb.z1[nc:nc + nr].copy()
-            return INFEASIBLE, tb, farkas
-        tb.purge_artificials()
-    return tb.run(tb.z2, priced), tb, None
+    tb = _Tableau(c, G, g, bland_after, max_iters, start)
+    if start is not None and not tb.start_warm(priced):
+        tb, start = _Tableau(c, G, g, bland_after, max_iters), None
+    cold_phase1 = start is None and (c[priced[:nc]] < 0.0).any()
+    if tb.run_dual(np.zeros_like(tb.z) if cold_phase1 else tb.z,
+                   priced) == INFEASIBLE:
+        # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with no
+        # negative coefficient: Binv[p] is a Farkas vector
+        return INFEASIBLE, tb, tb.row(tb._leaving)[nc:]
+    return tb.run(tb.z, priced), tb, None
 
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-8,
@@ -726,9 +651,9 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
         return LpSolution(UNBOUNDED, None, None, None, tb.iterations,
                           ray=ray, basis=tb.basis.copy())
 
-    obj_min = -tb.z2[-1] + st.const
+    obj_min = -tb.z[-1] + st.const
     # duals: rc of slack columns give -d(obj)/d(g_i)
-    y_int = -tb.z2[nc:nc + nr]
+    y_int = -tb.z[nc:nc + nr]
     dual_min = float(y_int @ st.g) + st.const
 
     duals = np.zeros(st.n_orig_rows)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from adjrobust import adjustable
-from adjrobust.instances import budget_set, gen_worst_case
+from adjrobust.affine import build_affine_lp, solve_affine
+from adjrobust.instances import RandomSpec, budget_set, gen_iid, gen_worst_case
 from adjrobust.lp import (
     _FEAS_TOL,
+    EQ,
+    GE,
+    LE,
     LinearProgram,
     LpBreakdownError,
     _standardize,
@@ -196,8 +200,8 @@ def test_beale_cycling_lp_terminates():
     st = _standardize(lp)
     for bland_after in [*range(8), 10**6]:
         tb = _Tableau(st.c, st.G, st.g, bland_after, 200)
-        assert tb.run(tb.z2, np.ones(tb.T.shape[1], dtype=bool)) == "optimal"
-        np.testing.assert_allclose(-tb.z2[-1], -1.25, atol=1e-12)
+        assert tb.run(tb.z, np.ones(tb.T.shape[1], dtype=bool)) == "optimal"
+        np.testing.assert_allclose(-tb.z[-1], -1.25, atol=1e-12)
 
 
 def test_deterministic_iteration_count():
@@ -279,6 +283,17 @@ def test_nonfinite_data_rejected():
         )
 
 
+def test_unknown_relation_rejected():
+    # -1 once indexed the sign table from the end and solved as <=
+    for rel in (-1, 7, "=<"):
+        with pytest.raises(ValueError, match="relation"):
+            LinearProgram.from_arrays("min", [1.0], [[1.0], [1.0]],
+                                      ["<=", rel], [1.0, 2.0])
+    ok = LinearProgram.from_arrays("min", [1.0], [[1.0]] * 3, [LE, GE, EQ],
+                                   [1.0, 0.5, 0.5])
+    np.testing.assert_array_equal(ok.rel, [LE, GE, EQ])
+
+
 def _dense_pivot(T, p, q):
     """Reference pivot: one eager rank-one update of every row of the
     dense tableau [T | rhs], with the kernel's right-hand-side clip."""
@@ -313,7 +328,9 @@ def _dense_lp(monkeypatch, n=6, rows=8):
     rng = SplitMix64(2718)
     A = np.array([[0.1 + rng.next_float() for _ in range(n)]
                   for _ in range(rows)])
-    rel = ["<="] * (rows - 2) + [">="] * 2  # >= rows force a phase 1
+    # >= rows make the slack basis infeasible, and some costs are
+    # negative: the dual phase runs on zero costs
+    rel = ["<="] * (rows - 2) + [">="] * 2
     b = np.array([1.0 + rng.next_float() for _ in range(rows)])
     b[-2:] *= 0.2
     c = np.array([rng.next_float() - 0.3 for _ in range(n)])
@@ -324,38 +341,39 @@ def _large_dense_lp(monkeypatch):
     return _dense_lp(monkeypatch, n=80, rows=60)
 
 
+def _dual_costs(tb, st):
+    """The row ``_simplex`` prices in a cold dual phase."""
+    return tb.z if (st.c >= 0).all() else np.zeros_like(tb.z)
+
+
 @pytest.mark.parametrize("make_lp,block", [(_oracle_lp, 4),
                                            (_large_dense_lp, 4),
                                            (_dense_lp, 1)])
 def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     st = _standardize(make_lp(monkeypatch))
     tb = _Tableau(st.c, st.G, st.g, 10**6, 10**6)
-    assert tb.narts
+    assert (tb.rhs < 0).any()
     # a small factor block, so that pivots also fold full blocks into T;
-    # without refreshes only those folds and the purge make T current
+    # without refreshes only those folds make T current
     tb.U, tb.V = tb.U[:, :block], tb.V[:block]
-    monkeypatch.setattr(_Tableau, "refresh", lambda self: None)
+    monkeypatch.setattr(_Tableau, "refresh", lambda self, primal=True: None)
     ref = np.column_stack([tb.T, tb.rhs])
     pivot = _Tableau.pivot
     folds = []
 
-    def spy(self, p, q, col=None):
+    def spy(self, p, q, col=None, row=None):
         np.testing.assert_allclose(self.column(q), ref[:, q], atol=1e-12)
         np.testing.assert_allclose(self.row(p), ref[p, :-1], atol=1e-12)
         folds.append(self.k == block)
-        pivot(self, p, q, col)
+        pivot(self, p, q, col, row)
         _dense_pivot(ref, p, q)
         np.testing.assert_allclose(self.rhs, ref[:, -1], atol=1e-12)
 
     monkeypatch.setattr(_Tableau, "pivot", spy)
-    allowed = np.ones(tb.T.shape[1], dtype=bool)
-    allowed[tb.art_start:] = False
-    assert tb.run(tb.z1, allowed) == "optimal"
-    tb.purge_artificials()
-    assert (tb.basis < tb.art_start).all() and tb.k == 0
-    ref = np.column_stack([ref[:, :tb.art_start], ref[:, -1]])
-    np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
-    assert tb.run(tb.z2, np.ones(tb.art_start, dtype=bool)) == "optimal"
+    priced = np.ones(tb.T.shape[1], dtype=bool)
+    assert tb.run_dual(_dual_costs(tb, st), priced) == "optimal"
+    assert tb.iterations > 0 and (tb.rhs >= 0).all()
+    assert tb.run(tb.z, priced) == "optimal"
     assert any(folds)
     tb.materialize()
     assert tb.k == 0
@@ -364,21 +382,17 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
 
 
 def _tableau(lp):
+    """The cold tableau of ``lp`` at the slack basis, and its standard
+    form."""
     st = _standardize(lp)
-    return _Tableau(st.c, st.G, st.g, 10**6, 10**6)
+    return _Tableau(st.c, st.G, st.g, 10**6, 10**6), st
 
 
-def _pivot_up_to(tb, z, allowed, pivots):
-    """Run the simplex for exactly ``pivots`` more pivots."""
+def _pivot_up_to(tb, run, pivots):
+    """Run a phase (``run()``) for exactly ``pivots`` more pivots."""
     tb.max_iters = tb.iterations + pivots
     with pytest.raises(LpBreakdownError, match="iteration limit"):
-        tb.run(z, allowed)
-
-
-def _phase1_allowed(tb):
-    allowed = np.ones(tb.T.shape[1], dtype=bool)
-    allowed[tb.art_start:] = False
-    return allowed
+        run()
 
 
 def _assert_dense_inverse(tb):
@@ -388,36 +402,34 @@ def _assert_dense_inverse(tb):
     np.testing.assert_allclose(xb, ref @ tb.g0, rtol=0, atol=1e-10)
 
 
-def test_block_inverse_with_basic_artificials(monkeypatch):
-    tb = _tableau(_dense_lp(monkeypatch))
-    _pivot_up_to(tb, tb.z1, _phase1_allowed(tb), 1)
-    assert (tb.basis >= tb.art_start).any() and (tb.basis < tb.nc).any()
+def test_block_inverse_mid_dual_phase(monkeypatch):
+    tb, st = _tableau(_dense_lp(monkeypatch))
+    priced = np.ones(tb.T.shape[1], dtype=bool)
+    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb, st), priced), 1)
+    assert (tb.basis >= tb.nc).any() and (tb.basis < tb.nc).any()
     _assert_dense_inverse(tb)
-    # the slack of a row whose artificial is basic: two unit columns on
-    # one row make the basis singular
-    p = int(np.flatnonzero(tb.basis >= tb.art_start)[0])
-    q = int(np.flatnonzero(tb.basis < tb.nc)[0])
-    art_row = tb.unit_row[tb.basis[p] - tb.nc]
-    tb.basis[q] = tb.nc + art_row
+    # a slack listed twice makes the basis singular
+    p = int(np.flatnonzero(tb.basis < tb.nc)[0])
+    tb.basis[p] = tb.basis[int(np.flatnonzero(tb.basis >= tb.nc)[0])]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(tb.M0[:, tb.basis])
     assert tb._basis_inverse() is None
 
 
 def test_block_inverse_of_permuted_slack_basis(monkeypatch):
-    # no structural column basic (s = 0), slacks out of row order, and the
-    # >= rows' slacks carry sign -1
-    tb = _tableau(_dense_lp(monkeypatch))
-    assert (tb.unit_sign < 0).any()
+    # no structural column basic (s = 0), and slacks out of row order
+    tb, _ = _tableau(_dense_lp(monkeypatch))
     tb.basis = tb.nc + np.arange(tb.basis.size)[::-1]
     _assert_dense_inverse(tb)
 
 
 def test_block_inverse_mid_phase2_oracle(monkeypatch):
-    tb = _tableau(_oracle_lp(monkeypatch, m=16))
-    assert tb.run(tb.z1, _phase1_allowed(tb)) == "optimal"
-    tb.purge_artificials()
-    _pivot_up_to(tb, tb.z2, np.ones(tb.art_start, dtype=bool), 10)
+    # the oracle's costs are nonnegative, so the dual phase from the
+    # slack basis prices them: 10 pivots into it
+    tb, st = _tableau(_oracle_lp(monkeypatch, m=16))
+    assert (st.c >= 0).all()
+    priced = np.ones(tb.T.shape[1], dtype=bool)
+    _pivot_up_to(tb, lambda: tb.run_dual(tb.z, priced), 10)
     assert 0 < (tb.basis < tb.nc).sum() < tb.basis.size
     _assert_dense_inverse(tb)
 
@@ -446,8 +458,8 @@ def test_warm_start_proves_child_infeasible(monkeypatch):
     dual = _Tableau.run_dual
     seen = []
 
-    def spy(self, priced):
-        seen.append(dual(self, priced))
+    def spy(self, z, priced):
+        seen.append(dual(self, z, priced))
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "run_dual", spy)
@@ -496,6 +508,13 @@ def _spy_tableaux(monkeypatch):
     return made
 
 
+def _slack_width(lp):
+    """Columns of ``[G | I]`` for ``lp``: its standard-form columns and
+    one slack per row, with no artificial column."""
+    nr, nc = _standardize(lp).G.shape
+    return nc + nr
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_nonnegative_costs_start_at_the_slack_basis(seed, monkeypatch):
     # >= rows with positive right-hand sides: the slack basis is primal
@@ -512,7 +531,7 @@ def test_nonnegative_costs_start_at_the_slack_basis(seed, monkeypatch):
                                    upper=upper)
     made = _spy_tableaux(monkeypatch)
     sol = solve_lp(lp)
-    assert [tb.narts for tb in made] == [0]
+    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     ref = linprog(c, A_ub=np.vstack([-A[:k], A[k:]]),
                   b_ub=np.concatenate([-b[:k], b[k:]]),
                   bounds=[(0, None if np.isinf(u) else u) for u in upper],
@@ -529,7 +548,7 @@ def test_nonnegative_costs_prove_infeasibility(monkeypatch):
                                    [">=", "<="], [3.0, 1.0])
     made = _spy_tableaux(monkeypatch)
     sol = solve_lp(lp)
-    assert [tb.narts for tb in made] == [0]
+    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     assert sol.status == "infeasible"
     st = _standardize(lp)
     _validate_farkas(st, sol.farkas, 1e-8)
@@ -545,7 +564,7 @@ def test_fixed_column_with_negative_cost_keeps_the_slack_start(monkeypatch):
                                    lower=[0.0, 0.0, 1.0])
     made = _spy_tableaux(monkeypatch)
     sol = solve_lp(lp)
-    assert [tb.narts for tb in made] == [0]
+    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [2.0, 0.0, 1.0], atol=1e-12)
     assert sol.objective == pytest.approx(-3.0, abs=1e-12)
@@ -556,18 +575,122 @@ def test_fixed_column_with_negative_cost_keeps_the_slack_start(monkeypatch):
                                     [3.0, 2.0], upper=[np.inf, np.inf, 1.0],
                                     lower=[0.0, 0.0, 1.0])
     sol = solve_lp(bad)
-    assert [tb.narts for tb in made] == [0, 0]
+    assert ([tb.T.shape[1] for tb in made]
+            == [_slack_width(lp), _slack_width(bad)])
     assert sol.status == "infeasible"
     _validate_farkas(_standardize(bad), sol.farkas, 1e-8)
 
 
-def test_negative_costs_keep_the_artificial_phase_1(monkeypatch):
-    lp = LinearProgram.from_arrays("min", [1.0, -1.0], [[1.0, 1.0]], [">="],
-                                   [2.0], upper=[np.inf, 1.0])
+def _mixed_lp(seed):
+    """Negative costs, >=, = and <= rows, and free, boxed and
+    lower-bounded columns: the dual phase runs on zero costs."""
+    rng = np.random.default_rng(seed)
+    n, k = 4 + seed % 5, 2 + seed % 3
+    A = rng.uniform(-0.5, 1.0, (2 * k + 1, n))
+    b = np.concatenate([rng.uniform(0.2, 1.0, k), rng.uniform(-1.0, 1.0, 1),
+                        rng.uniform(1.0, 4.0, k)])
+    c = rng.uniform(-1.0, 1.0, n)
+    kind = rng.integers(0, 3, n)        # 0 free, 1 boxed, 2 lower only
+    lower = np.where(kind == 0, -np.inf, 0.0)
+    upper = np.where(kind == 1, rng.uniform(1.0, 3.0, n), np.inf)
+    return LinearProgram.from_arrays("min", c, A, [">="] * k + ["="]
+                                     + ["<="] * k, b, lower, upper)
+
+
+def _highs(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sign = np.where(lp.rel == GE, -1.0, 1.0)
+    ub, eq = lp.rel != EQ, lp.rel == EQ
+    return linprog(lp.obj, A_ub=(lp.A * sign[:, None])[ub],
+                   b_ub=(lp.b * sign)[ub], A_eq=lp.A[eq], b_eq=lp.b[eq],
+                   bounds=[(None if np.isinf(lo) else lo,
+                            None if np.isinf(up) else up)
+                           for lo, up in zip(lp.lower, lp.upper)],
+                   method="highs")
+
+
+def _assert_improving_ray(lp, ray):
+    """``ray`` keeps every row and bound of the min ``lp`` and lowers
+    its objective."""
+    tol = 1e-9 * (1.0 + np.abs(ray).max())
+    move = lp.A @ ray
+    assert (move[lp.rel == LE] <= tol).all()
+    assert (move[lp.rel == GE] >= -tol).all()
+    assert (np.abs(move[lp.rel == EQ]) <= tol).all()
+    assert (ray[np.isfinite(lp.lower)] >= -tol).all()
+    assert (ray[np.isfinite(lp.upper)] <= tol).all()
+    assert lp.obj @ ray < -tol
+
+
+def test_negative_costs_match_highs(monkeypatch):
+    outcomes = set()
     made = _spy_tableaux(monkeypatch)
+    for seed in range(30):
+        lp = _mixed_lp(seed)
+        st = _standardize(lp)
+        assert (st.c < 0).any() and (st.g < 0).any()
+        made.clear()
+        sol = solve_lp(lp)
+        assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
+        ref = _highs(lp)
+        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        assert sol.status == status, f"seed {seed}"
+        outcomes.add(status)
+        if status == "optimal":
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9,
+                                                  abs=1e-12), f"seed {seed}"
+        elif status == "infeasible":
+            _validate_farkas(st, sol.farkas, 1e-8)
+        else:
+            _assert_improving_ray(lp, sol.ray)
+    assert outcomes == {"optimal", "infeasible", "unbounded"}
+
+
+def test_negative_costs_reach_an_unbounded_ray_after_the_dual_phase(
+        monkeypatch):
+    # min -x1 s.t. x1 + x2 >= 2: the slack basis is infeasible, the dual
+    # phase on zero costs makes it feasible, and the primal phase finds
+    # the ray
+    lp = LinearProgram.from_arrays("min", [-1.0, 0.0], [[1.0, 1.0]], [">="],
+                                   [2.0])
+    made = _spy_tableaux(monkeypatch)
+    phases = []
+    dual, primal = _Tableau.run_dual, _Tableau.run
+
+    def spy_dual(self, z, priced):
+        phases.append(("dual", dual(self, z, priced)))
+        return phases[-1][1]
+
+    def spy_primal(self, z, allowed):
+        phases.append(("primal", primal(self, z, allowed)))
+        return phases[-1][1]
+
+    monkeypatch.setattr(_Tableau, "run_dual", spy_dual)
+    monkeypatch.setattr(_Tableau, "run", spy_primal)
     sol = solve_lp(lp)
-    assert [tb.narts for tb in made] == [1]
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    assert phases == [("dual", "optimal"), ("primal", "unbounded")]
+    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
+    assert sol.status == "unbounded" and sol.iterations >= 1
+    _assert_improving_ray(lp, sol.ray)
+    assert sol.ray[0] > 0
+
+
+def test_zero_cost_dual_phase_ends_under_any_bland_switch():
+    # with zero costs every dual ratio ties, so Bland's rule is what
+    # guarantees the phase ends: switch to it after 0-7 pivots, or never
+    inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
+    want = solve_affine(inst).objective
+    st = _standardize(build_affine_lp(inst))
+    assert (st.c < 0).any() and (st.g < 0).any()
+    priced = np.ones(sum(st.G.shape), dtype=bool)
+    priced[st.fixed_cols] = False
+    for bland_after in [*range(8), 10**6]:
+        tb = _Tableau(st.c, st.G, st.g, bland_after, 10**4)
+        assert tb.run_dual(np.zeros_like(tb.z), priced) == "optimal"
+        assert tb.run(tb.z, priced) == "optimal"
+        tb.refine_optimal()
+        value = st.sense_mult * (st.const - tb.z[-1])
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_nonnegative_costs_without_rows():
