@@ -276,20 +276,36 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     return h, best_w, float((h - ax) @ best_w)
 
 
+class _RootStart:
+    """The optimal root basis of the last separation MIP of a cut loop.
+    The separation MIPs of one loop share rows and bounds and differ only
+    in the objective, so it is primal feasible for the next root."""
+    __slots__ = ("start",)
+
+    def __init__(self):
+        self.start = None
+
+
 def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
-             mip_tol: float = 1e-6, node_limit: int | None = None):
+             mip_tol: float = 1e-6, node_limit: int | None = None,
+             root: _RootStart | None = None):
     """Most violated (h, w) pair, or None when nothing beats z_hat.
 
     The pair's value is recomputed from the returned vectors, so it is
     exact for them even though the MIP search is approximate.  Returns
-    (h, w, value) when value > z_hat + 10*mip_tol.
+    (h, w, value) when value > z_hat + 10*mip_tol.  With ``root``, the
+    separation MIP's root LP starts from ``root.start``, which then
+    takes this root's optimal basis.
     """
     sep_tol = 10.0 * mip_tol
     if inst.uncertainty.is_hrep:
         if dig is None:
             raise SeparationError("HRep separation needs a Digitization")
         prob = build_separation_mip(inst, x_hat, dig)
-        sol = solve_mip(prob, mip_tol=mip_tol, node_limit=node_limit)
+        sol = solve_mip(prob, mip_tol=mip_tol, node_limit=node_limit,
+                        start=None if root is None else root.start)
+        if root is not None:
+            root.start = sol.root_start
         if sol.status == "node_limit":
             raise InconclusiveSeparationError(
                 f"separation stopped at {sol.nodes} nodes with gap {sol.gap:.3g}")
@@ -356,8 +372,9 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
     h0 = (np.zeros(inst.m) if inst.uncertainty.is_hrep
           else inst.uncertainty.vertices[0].copy())
     cuts.add(h0, np.zeros(inst.m), 0.0)
+    root = _RootStart()
     cuts.add(*separate(inst, np.zeros(inst.n), -math.inf, dig,
-                       mip_tol=mip_tol, node_limit=node_limit))
+                       mip_tol=mip_tol, node_limit=node_limit, root=root))
 
     # separation undershoots the true bilinear max by at most this much
     sep_slack = (dig.eps_total + mip_tol) if dig is not None else 1e-7
@@ -370,7 +387,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
                 f"master value regressed from {prev} to {master}")
         prev = max(prev, master)
         hit = separate(inst, x_hat, z_hat, dig, mip_tol=mip_tol,
-                       node_limit=node_limit)
+                       node_limit=node_limit, root=root)
         if hit is None:
             return AdjustableResult("optimal", master, x_hat, cuts, it,
                                     (master, master))

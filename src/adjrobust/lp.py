@@ -75,6 +75,19 @@ that is singular, or neither primal nor dual feasible, is solved cold,
 by the rule above.  Warm or cold, a solve ends in the same
 certificates.
 
+An optimal solve also returns ``LpSolution.block``, the inverse of the
+s x s structural block of its final basis that its last block inverse
+computed (see above).  A start may be the pair ``(basis, block)`` for an
+LP with the same rows: the tableau is then rebuilt at that basis without
+an inversion.  The residual check on the new LP's own right-hand side
+still judges the block, and a block that fails it leaves the LP to a
+cold solve.  Branch and bound hands each child its parent's pair, and a
+separation MIP's root the previous root's.  A node LP differs from the
+root only in its bound values, so a search builds the standard form's
+``G``, ``c`` and row and column maps once (``_Form``), and each node
+computes only ``g``, the shift, the constant and the fixed columns.  A
+one-off LP takes the same path with a form of its own.
+
 Conventions
 -----------
 - Variables have per-coordinate bounds [lower, upper], default [0, inf).
@@ -143,6 +156,7 @@ class LinearProgram:
         self.A = np.zeros((0, nv))
         self.rel = np.zeros(0, dtype=np.int8)
         self.b = np.zeros(0)
+        self._form = None   # set by _Form.with_bounds
 
     @classmethod
     def from_arrays(cls, sense, obj, A, rel, b, lower=None, upper=None):
@@ -190,6 +204,9 @@ class LpSolution:
     farkas: np.ndarray | None = field(default=None, repr=False)
     # final basis: one standard-form column index per standard-form row
     basis: np.ndarray | None = field(default=None, repr=False)
+    # inverse of the final basis's structural block, s x s for s basic
+    # structural columns (_Tableau._basis_inverse); None if not optimal
+    block: np.ndarray | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +219,104 @@ class _Standard:
                  "fixed_cols", "fixed_rows")
 
 
+class _Form:
+    """The standard form of an LP up to the values of its bounds.
+
+    ``G``, ``c`` and the row and column maps depend only on the rows,
+    the objective and which bounds are finite.  ``standardize`` adds what
+    the bound values move: ``g``, the shift, the constant and the fixed
+    columns.  A branch-and-bound search builds one form for its root and
+    solves every node through it (``with_bounds``)."""
+
+    def __init__(self, lp: LinearProgram):
+        if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
+                and np.all(np.isfinite(lp.obj))):
+            raise ValueError("non-finite data in LP")
+        A, rel = lp.A, lp.rel
+        self.lp = lp
+        self.sense_mult = 1.0 if lp.sense == "min" else -1.0
+        self.c0 = self.sense_mult * lp.obj
+
+        # one column per variable, two (y+ then y-) for a free one
+        has_lo, has_up = np.isfinite(lp.lower), np.isfinite(lp.upper)
+        free = ~(has_lo | has_up)
+        width = free + 1
+        co = np.arange(lp.num_vars).repeat(width)
+        first = width.cumsum() - width
+        cs = np.ones(co.size)
+        cs[first[~has_lo & has_up]] = -1.0   # mirrored: x_j = up - y
+        cs[first[free] + 1] = -1.0
+        # y <= up - lo on every column with both bounds; 0 for a fixed one
+        boxed = (has_lo & has_up).nonzero()[0]
+
+        # row expansion: >= negated, = split into a <=/>= pair
+        src = np.arange(A.shape[0]).repeat((rel == EQ) + 1)
+        sgn = _ROW_SIGN[rel[src]]
+        sgn[1:][src[1:] == src[:-1]] = -1.0   # the >= half of an = row
+        nrow = src.size
+        G = np.zeros((nrow + boxed.size, co.size))
+        G[:nrow] = A[src][:, co] * cs * sgn[:, None]
+        G[nrow + np.arange(boxed.size), first[boxed]] = 1.0
+
+        self.has_lo, self.has_up = has_lo, has_up
+        self.first, self.boxed, self.nrow = first, boxed, nrow
+        self.c, self.G = self.c0[co] * cs, G
+        self.col_orig, self.col_sign = co, cs
+        self.row_of, self.row_sign = src, sgn
+
+    def with_bounds(self, lower, upper) -> LinearProgram:
+        """``lp.with_bounds(lower, upper)`` for the form's LP, solved
+        through this form when its bounds are finite in the same
+        places."""
+        node = self.lp.with_bounds(lower, upper)
+        if (np.array_equal(np.isfinite(node.lower), self.has_lo)
+                and np.array_equal(np.isfinite(node.upper), self.has_up)):
+            node._form = self
+        return node
+
+    def fits(self, start) -> bool:
+        """Whether the basis of ``start``, as ``solve_lp`` takes it,
+        holds one column index of ``[G | I]`` per row of ``G``."""
+        basis = _split_start(start)[0]
+        nr, nc = self.G.shape
+        return basis.shape == (nr,) and (
+            nr == 0 or (basis.min() >= 0 and basis.max() < nc + nr))
+
+    def standardize(self, lo: np.ndarray, up: np.ndarray) -> _Standard:
+        if (lo > up).any():
+            raise _BoundInfeasible
+        lp, boxed = self.lp, self.boxed
+        shift = np.where(self.has_lo, lo, np.where(self.has_up, up, 0.0))
+        fixed = (lo[boxed] == up[boxed]).nonzero()[0]
+        st = _Standard()
+        st.c, st.G = self.c, self.G
+        st.g = np.concatenate(((lp.b - lp.A @ shift)[self.row_of]
+                               * self.row_sign, (up - lo)[boxed]))
+        st.const = float(self.c0 @ shift)
+        st.col_orig, st.col_sign, st.shift = self.col_orig, self.col_sign, shift
+        st.row_of, st.row_sign = self.row_of, self.row_sign
+        st.n_orig_rows = lp.num_rows
+        st.sense_mult = self.sense_mult
+        # fixed columns and their bound rows
+        st.fixed_cols = self.first[boxed[fixed]]
+        st.fixed_rows = self.nrow + fixed
+        return st
+
+
+def _split_start(start):
+    """``solve_lp``'s ``start`` as a basis array and an inverse block,
+    either of which may be None."""
+    if start is None:
+        return None, None
+    block = None
+    if isinstance(start, tuple):
+        start, block = start
+    return np.asarray(start, dtype=np.intp), block
+
+
 def _standardize(lp: LinearProgram) -> _Standard:
-    A, rel, b = lp.A, lp.rel, lp.b
-    lo, up = lp.lower, lp.upper
-    if (lo > up).any():
-        raise _BoundInfeasible
-    sense_mult = 1.0 if lp.sense == "min" else -1.0
-    c0 = sense_mult * lp.obj
-
-    # one column per variable, two (y+ then y-) for a free one
-    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
-    free = ~(has_lo | has_up)
-    width = free + 1
-    co = np.arange(lp.num_vars).repeat(width)
-    first = width.cumsum() - width
-    cs = np.ones(co.size)
-    cs[first[~has_lo & has_up]] = -1.0   # mirrored: x_j = up - y
-    cs[first[free] + 1] = -1.0
-    shift = np.where(has_lo, lo, np.where(has_up, up, 0.0))
-    # y <= up - lo on every column with both bounds; 0 for a fixed one
-    boxed = (has_lo & has_up).nonzero()[0]
-    fixed = (lo[boxed] == up[boxed]).nonzero()[0]
-
-    # row expansion: >= negated, = split into a <=/>= pair
-    src = np.arange(A.shape[0]).repeat((rel == EQ) + 1)
-    sgn = _ROW_SIGN[rel[src]]
-    sgn[1:][src[1:] == src[:-1]] = -1.0   # the >= half of an = row
-    nrow = src.size
-    G = np.zeros((nrow + boxed.size, co.size))
-    G[:nrow] = A[src][:, co] * cs * sgn[:, None]
-    G[nrow + np.arange(boxed.size), first[boxed]] = 1.0
-    g = np.concatenate(((b - A @ shift)[src] * sgn, (up - lo)[boxed]))
-
-    st = _Standard()
-    st.c = c0[co] * cs
-    st.G, st.g = G, g
-    st.const = float(c0 @ shift)
-    st.col_orig, st.col_sign, st.shift = co, cs, shift
-    st.row_of, st.row_sign = src, sgn
-    st.n_orig_rows = A.shape[0]
-    st.sense_mult = sense_mult
-    # fixed columns and their bound rows
-    st.fixed_cols, st.fixed_rows = first[boxed[fixed]], nrow + fixed
-    return st
+    form = lp._form or _Form(lp)
+    return form.standardize(lp.lower, lp.upper)
 
 
 class _BoundInfeasible(Exception):
@@ -264,6 +336,7 @@ class _Tableau:
     right-hand side ``rhs`` and the reduced-cost row ``z`` (last entry
     minus the objective) are kept current on every pivot.  The columns
     are those of ``[G | I]``: column ``nc + i`` is the slack of row i.
+    The pristine data ``M0`` is ``G`` alone; the identity is implicit.
     """
 
     def __init__(self, c: np.ndarray, G: np.ndarray, g: np.ndarray,
@@ -273,15 +346,15 @@ class _Tableau:
         self.nc = nc
         ncols = nc + nr
 
-        # pristine copies so the tableau can be rebuilt through any basis
-        M0 = np.zeros((nr, ncols))
-        M0[:, :nc] = G
-        M0[np.arange(nr), nc + np.arange(nr)] = 1.0
-        self.M0 = M0
+        # pristine data, so the tableau can be rebuilt through any basis;
+        # the slack block of [G | I] is implicit
+        self.M0 = G
         self.g0 = g.copy()
         self.scale = 1.0 + float(np.abs(g).max(initial=0.0))
         # current at the slack basis; a warm start rebuilds it
-        self.T = M0.copy()
+        self.T = np.zeros((nr, ncols))
+        self.T[:, :nc] = G
+        self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
         self.rhs = g.copy()
 
         # pending rank-one factors, one per pivot since T was last current.
@@ -303,6 +376,8 @@ class _Tableau:
         self.iterations = 0
         self.bland_after = bland_after
         self.max_iters = max_iters
+        # inv(M0[N, S]) of the final basis, once refine_optimal has it
+        self.block = None
 
     def column(self, q: int) -> np.ndarray:
         k = self.k
@@ -447,7 +522,7 @@ class _Tableau:
             self.pivot(p, q, row=row)
             self.iterations += 1
 
-    def _basis_inverse(self):
+    def _basis_inverse(self, block: np.ndarray | None = None):
         """Inverse of the basis matrix and the basic values it gives, or
         None when the basis is singular or cannot reproduce the
         right-hand side.
@@ -459,8 +534,12 @@ class _Tableau:
         positions, columns: rows of M0) is its inverse on (S, N), I on
         (K, K) and ``-M0[K, S] inv(M0[N, S])`` on (K, N).  Returns
         ``Binv``, the basic values, N, and the basis positions and rows
-        of K.  With no structural column basic (s = 0), ``Binv`` is a
-        permutation.
+        of K, and ``inv(M0[N, S])``.  With no structural column basic
+        (s = 0), ``Binv`` is a permutation.
+
+        ``block`` is ``inv(M0[N, S])`` if the caller already has it, as
+        a branch-and-bound child has its parent's: it takes the place of
+        the inversion, and the residual check still judges it.
         """
         nc, basis, g0 = self.nc, self.basis, self.g0
         nr = basis.size
@@ -477,23 +556,26 @@ class _Tableau:
         Binv = np.zeros((nr, nr))
         Binv[K, rows] = 1.0
         if S.size == 0:
-            return Binv, g0[rows], N, K, rows
+            return Binv, g0[rows], N, K, rows, np.empty((0, 0))
         MS = self.M0[:, basis[S]]
-        try:
-            Ainv = np.linalg.inv(MS[N])
-        except np.linalg.LinAlgError:
-            return None
+        if block is not None and block.shape == (S.size, S.size):
+            Ainv = block
+        else:
+            try:
+                Ainv = np.linalg.inv(MS[N])
+            except np.linalg.LinAlgError:
+                return None
         BN = np.empty((nr, S.size))  # Binv[:, N]
         BN[S] = Ainv
         BN[K] = -MS[rows] @ Ainv
         Binv[:, N] = BN
         xb = Binv @ g0
-        # MB @ xb - g0 for the basis matrix MB = M0[:, basis]
+        # MB @ xb - g0 for the basis matrix MB = [M0 | I][:, basis]
         resid = MS @ xb[S] - g0
         resid[rows] += xb[K]
         if float(np.abs(resid).max(initial=0.0)) > 1e-7 * self.scale:
             return None
-        return Binv, xb, N, K, rows
+        return Binv, xb, N, K, rows, Ainv
 
     def refresh(self, primal: bool = True) -> None:
         """Rebuild the whole tableau from the pristine data through the
@@ -506,11 +588,10 @@ class _Tableau:
         whose values are clearly negative is a breakdown; the dual phase
         expects them.
 
-        The structural block ``Binv @ M0[:, :nc]`` is
-        ``Binv[:, N] @ M0[N, :nc]`` plus, in the rows of the basic
-        slacks, their own rows of M0: an nr x s x nc product instead of
-        an nr x nr x nc one.  The slack columns of the tableau are
-        ``Binv`` itself."""
+        The structural block ``Binv @ M0`` is ``Binv[:, N] @ M0[N]``
+        plus, in the rows of the basic slacks, their own rows of M0: an
+        nr x s x nc product instead of an nr x nr x nc one.  The slack
+        columns of the tableau are ``Binv`` itself."""
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
@@ -520,17 +601,19 @@ class _Tableau:
             if float(xb.min(initial=0.0)) < -1e-7 * self.scale:
                 raise LpBreakdownError("basis lost primal feasibility")
             np.copyto(xb, 0.0, where=xb < 0.0)
-        self._rebuild(*inv)
+        self._rebuild(*inv[:5])
 
-    def start_warm(self, priced: np.ndarray) -> bool:
-        """Rebuild the tableau at the start basis.  False when the basis
-        is singular, or neither primal feasible nor dual feasible on the
+    def start_warm(self, priced: np.ndarray,
+                   block: np.ndarray | None = None) -> bool:
+        """Rebuild the tableau at the start basis, through ``block`` if
+        given (see ``_basis_inverse``).  False when the basis is
+        singular, or neither primal feasible nor dual feasible on the
         ``priced`` columns (up to the slack that the certified optimum of
         a related LP leaves)."""
-        inv = self._basis_inverse()
+        inv = self._basis_inverse(block)
         if inv is None:
             return False
-        self._rebuild(*inv)
+        self._rebuild(*inv[:5])
         if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
             return True
         slack = 1e-7 * (1.0 + float(np.abs(self.cost).max(initial=0.0)))
@@ -538,33 +621,41 @@ class _Tableau:
 
     def _rebuild(self, Binv, xb, N, K, rows) -> None:
         nc, T, M0 = self.nc, self.T, self.M0
-        T[:, :nc] = Binv[:, N] @ M0[N, :nc]
-        T[K, :nc] += M0[rows, :nc]
+        T[:, :nc] = Binv[:, N] @ M0[N]
+        T[K, :nc] += M0[rows]
         T[:, nc:] = Binv
         self.k = 0
         np.copyto(xb, 0.0, where=(xb < 0) & (xb > -_FEAS_TOL))
         self.rhs = xb
+        self._price(Binv, xb)
+
+    def _price(self, Binv, xb) -> None:
+        """Reduced costs and objective at the basis that ``Binv``
+        inverts: ``cost - y [G | I]`` with ``y = c_B Binv``."""
+        nc, z = self.nc, self.z
         cb = self.cost[self.basis]
-        self.z[:-1] = self.cost - (cb @ Binv) @ M0
-        self.z[-1] = -float(cb @ xb)
+        y = cb @ Binv
+        z[:nc] = self.cost[:nc] - y @ self.M0
+        z[nc:-1] = -y
+        z[-1] = -float(cb @ xb)
 
     def refine_optimal(self) -> None:
         """Re-derive basic values, reduced costs, and the objective from
         the pristine data through the final basis.  Hundreds of pivot
         updates accumulate enough roundoff to trip the optimality
         certificates; one block inverse of the basis (see
-        ``_basis_inverse``) removes it."""
+        ``_basis_inverse``) removes it.  Its ``inv(M0[N, S])`` is kept
+        in ``block``, for warm starts from this basis."""
         inv = self._basis_inverse()
         if inv is None:
             return
         Binv, xb = inv[:2]
-        cb = self.cost[self.basis]
         self.rhs = xb
-        self.z[:-1] = self.cost - (cb @ Binv) @ self.M0
-        self.z[-1] = -float(cb @ xb)
+        self._price(Binv, xb)
+        self.block = inv[-1]
 
 
-def _simplex(c, G, g, fixed, max_iters=None, start=None):
+def _simplex(c, G, g, fixed, max_iters=None, start=None, block=None):
     """Simplex on  min c.y, G y <= g, y >= 0: a dual phase from a basis
     that is dual feasible on the costs it prices, then a primal phase.
     A usable warm start is primal feasible, or dual feasible on the
@@ -573,7 +664,8 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None):
     (module docstring, "Cold start").  The ``fixed`` columns (held at
     zero by a bound row with right-hand side 0) are never priced:
     entering, they could only take a degenerate step, and their reduced
-    costs have no sign to keep."""
+    costs have no sign to keep.  ``block`` is the start's
+    ``inv(M0[N, S])`` if known (``_Tableau._basis_inverse``)."""
     nr, nc = G.shape
     bland_after = 5 * (nc + nr)
     if max_iters is None:
@@ -581,7 +673,7 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None):
     priced = np.ones(nc + nr, dtype=bool)
     priced[fixed] = False
     tb = _Tableau(c, G, g, bland_after, max_iters, start)
-    if start is not None and not tb.start_warm(priced):
+    if start is not None and not tb.start_warm(priced, block):
         tb, start = _Tableau(c, G, g, bland_after, max_iters), None
     cold_phase1 = start is None and (c[priced[:nc]] < 0.0).any()
     if tb.run_dual(np.zeros_like(tb.z) if cold_phase1 else tb.z,
@@ -594,7 +686,7 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None):
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-8,
              max_iters: int | None = None,
-             start: np.ndarray | None = None) -> LpSolution:
+             start: np.ndarray | tuple | None = None) -> LpSolution:
     """Solve lp; statuses 'optimal', 'infeasible', 'unbounded'.
 
     Optimal solutions come with duals (marginals per original row) and
@@ -603,26 +695,25 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
 
     ``start`` is a basis to start from, as ``LpSolution.basis`` returns
     it for an LP whose bounds are finite in the same places (one
-    standard-form column per standard-form row).  A start that is
-    singular, or neither primal nor dual feasible, is ignored.
+    standard-form column per standard-form row), or the pair
+    ``(basis, block)`` of an earlier solve's ``basis`` and ``block``
+    when its LP had the same rows, which spares the start an inversion.
+    A start that is singular, or neither primal nor dual feasible, is
+    ignored.
     """
-    if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
-            and np.all(np.isfinite(lp.obj))):
-        raise ValueError("non-finite data in LP")
+    form = lp._form or _Form(lp)
     try:
-        st = _standardize(lp)
+        st = form.standardize(lp.lower, lp.upper)
     except _BoundInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
     nr, nc = st.G.shape
-    if start is not None:
-        start = np.asarray(start, dtype=np.intp)
-        if (start.shape != (nr,) or start.min(initial=0) < 0
-                or start.max(initial=-1) >= nc + nr):
-            raise ValueError(f"start must hold {nr} column indices "
-                             f"below {nc + nr}")
+    if start is not None and not form.fits(start):
+        raise ValueError(f"start must hold {nr} column indices "
+                         f"below {nc + nr}")
+    start, block = _split_start(start)
     status, tb, farkas = _simplex(st.c, st.G, st.g, st.fixed_cols,
-                                  max_iters, start)
+                                  max_iters, start, block)
 
     if status == INFEASIBLE:
         # a fixed column was never priced, so the combination may weigh
@@ -663,7 +754,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     sol = LpSolution(OPTIMAL, x, duals, float(st.sense_mult * obj_min),
                      tb.iterations,
                      dual_objective=float(st.sense_mult * dual_min),
-                     basis=tb.basis.copy())
+                     basis=tb.basis.copy(), block=tb.block)
     _validate_optimal(lp, st, sol, y, y_int, obj_min, dual_min, tol)
     return sol
 

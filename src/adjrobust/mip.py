@@ -7,14 +7,23 @@ relaxation value precedes its sibling.  A rounding heuristic (fix every
 binary to its rounded value, re-solve the LP) runs while no incumbent
 exists.  Everything is deterministic.
 
-The root LP is solved cold.  Every child, and every rounding LP,
-starts from its parent's optimal basis (``solve_lp(..., start=basis)``):
-it differs from the parent only in bounds, which keeps that basis dual
-feasible, so the LP kernel's dual simplex phase re-solves it in a few
-pivots.  Where the parent's LP has alternative optima, a warm re-solve
-can end at a different one than a cold solve would, so the node count
-can differ from that of a cold search; values agree to the tolerances.
-``MipSolution.pivots`` counts the LP pivots of the whole search.
+The root LP is solved cold unless a ``start`` is given, as
+``solve_lp`` takes it: the cut loop starts each separation MIP's root
+from the previous root's optimal basis (``MipSolution.root_start``),
+which is primal feasible because the MIPs share rows and bounds.  Every
+child, and every rounding LP, starts from its parent's optimal basis and
+the inverse block that the parent's solve computed for it
+(``solve_lp(..., start=(basis, block))``): it differs from the parent
+only in bounds, which keeps that basis dual feasible, so the LP
+kernel's dual simplex phase re-solves it in a few pivots, with no
+inversion to start.  All LPs of a search share one standard form (the
+LP kernel's ``_Form``), built once for the root.  An open node keeps
+only the s x s block, for s basic structural columns, not the full
+basis inverse.  Where the parent's LP has alternative optima, a warm
+re-solve can end at a different one than a cold solve would, so the
+node count can differ from that of a cold search; values agree to the
+tolerances.  ``MipSolution.pivots`` counts the LP pivots of the whole
+search.
 
 The reported bound never lies below the optimum (up to mip_tol, the
 slack at which nodes are pruned).  An exhausted search reports the
@@ -26,11 +35,11 @@ heap, which between them bound every node left open.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, _Form, solve_lp
 
 INT_TOL = 1e-6
 
@@ -64,6 +73,10 @@ class MipSolution:
     gap: float
     nodes: int
     pivots: int                      # LP pivots, root and rounding included
+    # the root LP's optimal basis and inverse block: a start for the root
+    # of a MIP with the same rows and bounds; None if the root was not
+    # solved to optimality
+    root_start: tuple | None = field(default=None, repr=False)
 
 
 def _fractionality(x, binaries):
@@ -72,13 +85,18 @@ def _fractionality(x, binaries):
 
 
 def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
-              node_limit: int | None = 1_000_000) -> MipSolution:
+              node_limit: int | None = 1_000_000,
+              start: np.ndarray | tuple | None = None) -> MipSolution:
     """Solve max/min c.x over the LP's rows with the given columns binary.
 
     `mip_tol` is the absolute optimality gap at which nodes are pruned
     against the incumbent, so the returned objective is within mip_tol
     of the true optimum.  With `node_limit` set, the search stops after
     that many LP relaxations and reports the surviving bound and gap.
+    `start` starts the root LP, as `solve_lp` takes it; a MIP with the
+    same rows and bounds returns one in `MipSolution.root_start`.  A
+    start of the wrong shape is dropped, and one that is singular or
+    unusable leaves the root to a cold solve.
     """
     lp = prob.lp
     binaries = np.asarray(prob.binary_vars, dtype=np.intp)
@@ -89,27 +107,32 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     # binaries live in {0,1}; intersect with any caller bounds
     lower[binaries] = np.maximum(lower[binaries], 0.0)
     upper[binaries] = np.minimum(upper[binaries], 1.0)
+    # every node LP differs from the root in bound values only
+    form = _Form(lp.with_bounds(lower, upper))
+    root = start if start is not None and form.fits(start) else None
 
     nodes = pivots = 0
     incumbent_x = None
     incumbent_val = None          # in sgn-units (larger is better)
+    root_start = None
 
-    # (-bound, tiebreak, lo, up, parent's basis)
-    heap: list = [(-np.inf, 0, lower, upper, None)]
+    # (-bound, tiebreak, lo, up, the parent's (basis, block))
+    heap: list = [(-np.inf, 0, lower, upper, root)]
     tie = 1
 
     def relax(lo, up, start):
         nonlocal pivots
-        sol = solve_lp(lp.with_bounds(lo, up), start=start)
+        sol = solve_lp(form.with_bounds(lo, up), start=start)
         pivots += sol.iterations
         return sol
 
     def finish(status: str, bound: float) -> MipSolution:
         if incumbent_val is None:
             return MipSolution(status, None, None, sgn * bound, np.inf, nodes,
-                               pivots)
+                               pivots, root_start)
         return MipSolution(status, incumbent_x, sgn * incumbent_val,
-                           sgn * bound, bound - incumbent_val, nodes, pivots)
+                           sgn * bound, bound - incumbent_val, nodes, pivots,
+                           root_start)
 
     def accept(x: np.ndarray, objective: float) -> None:
         nonlocal incumbent_x, incumbent_val
@@ -136,6 +159,9 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         if sol.status == "unbounded":
             return MipSolution("unbounded", None, None, sgn * np.inf, np.inf,
                                nodes, pivots)
+        warm = (sol.basis, sol.block)
+        if nodes == 1:
+            root_start = warm
         val = sgn * sol.objective
 
         if incumbent_val is not None and val <= incumbent_val + mip_tol:
@@ -156,7 +182,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         for value in (pref, 1.0 - pref):
             clo, cup = lo.copy(), up.copy()
             clo[j] = cup[j] = value
-            heapq.heappush(heap, (-val, tie, clo, cup, sol.basis))
+            heapq.heappush(heap, (-val, tie, clo, cup, warm))
             tie += 1
 
     # exhausted: every open node was solved or pruned against the incumbent
@@ -169,6 +195,6 @@ def _try_rounding(relax, lo, up, binaries, parent, accept):
     clo, cup = lo.copy(), up.copy()
     rounded = np.round(parent.x[binaries])
     clo[binaries] = cup[binaries] = rounded
-    sol = relax(clo, cup, parent.basis)
+    sol = relax(clo, cup, (parent.basis, parent.block))
     if sol.status == "optimal":
         accept(sol.x, sol.objective)

@@ -329,6 +329,30 @@ def test_adjustable_vrep_matches_oracle():
         assert res.bracket[0] <= res.bracket[1] + 1e-12
 
 
+@pytest.mark.parametrize("m,seeds,eps,mip_tol", [(2, range(10), 0.5, 0.05),
+                                                  (3, range(5), 0.1, 0.01)])
+def test_warm_separation_roots_stay_in_the_oracle_bracket(m, seeds, eps,
+                                                         mip_tol, monkeypatch):
+    # each separation MIP's root starts from the previous root's basis
+    warm = []
+
+    def record(prob, **kw):
+        warm.append(kw.get("start") is not None)
+        return solve_mip(prob, **kw)
+
+    monkeypatch.setattr(adjustable, "solve_mip", record)
+    for seed in seeds:
+        inst = mixed_instance(m, m, seed)
+        dig = Digitization.from_instance(inst, eps)
+        res = solve_adjustable(inst, eps=eps, mip_tol=mip_tol)
+        z = solve_adjustable_vertex_oracle(inst)
+        assert res.status == "optimal"
+        assert res.z_ar <= z + 1e-7
+        assert res.z_ar >= z - (dig.eps_total + 10 * mip_tol) - 1e-7
+    # all but the first separation of each loop
+    assert sum(warm) == len(warm) - len(seeds) > 0
+
+
 def test_adjustable_hrep_digitized_loop():
     # full loop with MIP separation, coarse digitization
     inst = mixed_instance(3, 3, seed=42)

@@ -395,8 +395,13 @@ def _pivot_up_to(tb, run, pivots):
         run()
 
 
+def _basis_matrix(tb):
+    """The basis columns of ``[G | I]``; the tableau stores ``G`` only."""
+    return np.hstack([tb.M0, np.eye(tb.M0.shape[0])])[:, tb.basis]
+
+
 def _assert_dense_inverse(tb):
-    ref = np.linalg.inv(tb.M0[:, tb.basis])
+    ref = np.linalg.inv(_basis_matrix(tb))
     Binv, xb = tb._basis_inverse()[:2]
     np.testing.assert_allclose(Binv, ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(xb, ref @ tb.g0, rtol=0, atol=1e-10)
@@ -412,7 +417,7 @@ def test_block_inverse_mid_dual_phase(monkeypatch):
     p = int(np.flatnonzero(tb.basis < tb.nc)[0])
     tb.basis[p] = tb.basis[int(np.flatnonzero(tb.basis >= tb.nc)[0])]
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(tb.M0[:, tb.basis])
+        np.linalg.inv(_basis_matrix(tb))
     assert tb._basis_inverse() is None
 
 
@@ -493,6 +498,33 @@ def test_singular_warm_start_gives_the_cold_answer():
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.x, cold.x)
     np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
+    # a handed block that does not invert the start basis fails the
+    # residual check on the child's own right-hand side: cold solve
+    lp = _dense_lp(monkeypatch)
+    parent = solve_lp(lp)
+    assert parent.status == "optimal" and parent.block.size
+    child = lp.with_bounds(np.full(lp.num_vars, 0.01), lp.upper)
+    start_warm = _Tableau.start_warm
+    seen = []
+
+    def spy(self, priced, block=None):
+        seen.append(start_warm(self, priced, block))
+        return seen[-1]
+
+    monkeypatch.setattr(_Tableau, "start_warm", spy)
+    solve_lp(child, start=(parent.basis, parent.block))
+    assert seen == [True]
+    seen.clear()
+    sol = solve_lp(child, start=(parent.basis, 2.0 * parent.block))
+    assert seen == [False]
+    cold = solve_lp(child)
+    assert sol.status == cold.status == "optimal"
+    assert sol.iterations == cold.iterations
+    np.testing.assert_array_equal(sol.x, cold.x)
+    np.testing.assert_array_equal(sol.basis, cold.basis)
 
 
 def _spy_tableaux(monkeypatch):

@@ -1,12 +1,14 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
 from adjrobust import adjustable, mip
-from adjrobust.adjustable import solve_adjustable
+from adjrobust.adjustable import (Digitization, build_separation_mip,
+                                  solve_adjustable)
 from adjrobust.instances import Instance, budget_set
-from adjrobust.lp import LinearProgram, _Tableau, solve_lp
+from adjrobust.lp import LinearProgram, _standardize, _Tableau, solve_lp
 from adjrobust.mip import MipError, MixedBinaryProgram, solve_mip
 from adjrobust.rng import SplitMix64
 
@@ -248,9 +250,22 @@ def test_dual_phase_refreshes_keep_the_search(monkeypatch):
     assert any(dual_refreshes)
 
 
+def _cut_loop_instance(seed):
+    """An m = n = 2 HRep budget instance of the cut-loop recipe."""
+    rng = np.random.default_rng(seed)
+    return Instance(m=2, n=2, c=0.2 * rng.random(2),
+                    A=0.3 * rng.random((2, 2)),
+                    B=0.1 + rng.random((2, 2)), d_bar=1.0,
+                    uncertainty=budget_set(2), seed=seed)
+
+
+def _run_cut_loops():
+    # the cut loop's separation MIPs, eps 0.5, mip_tol 0.05
+    for seed in range(10):
+        solve_adjustable(_cut_loop_instance(seed), eps=0.5, mip_tol=0.05)
+
+
 def test_warm_started_search_pivots_per_node(monkeypatch):
-    # the cut loop's separation MIPs on m = n = 2 HRep budget instances,
-    # eps 0.5, mip_tol 0.05
     sols = []
 
     def record(prob, **kw):
@@ -258,14 +273,76 @@ def test_warm_started_search_pivots_per_node(monkeypatch):
         return sols[-1]
 
     monkeypatch.setattr(adjustable, "solve_mip", record)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        inst = Instance(m=2, n=2, c=0.2 * rng.random(2),
-                        A=0.3 * rng.random((2, 2)),
-                        B=0.1 + rng.random((2, 2)), d_bar=1.0,
-                        uncertainty=budget_set(2), seed=seed)
-        solve_adjustable(inst, eps=0.5, mip_tol=0.05)
+    _run_cut_loops()
     nodes = sum(s.nodes for s in sols)
     pivots = sum(s.pivots for s in sols)
     assert nodes > 100
-    assert pivots <= 8 * nodes
+    assert pivots <= 5 * nodes
+
+
+@pytest.mark.parametrize("searches", ["fuzz", "cut_loops"])
+def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
+                                                             monkeypatch):
+    # every LP of a search goes through the root's standard form and,
+    # below the root, its parent's inverse block; solved on its own from
+    # the same basis it must give the same bits
+    inverses, handed = [], []
+    inv, start_warm = np.linalg.inv, _Tableau.start_warm
+
+    def counted_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    def spy_start(self, priced, block=None):
+        before = len(inverses)
+        ok = start_warm(self, priced, block)
+        if block is not None:
+            handed.append(len(inverses) - before)
+        return ok
+
+    def checked(lp, start=None, **kw):
+        sol = solve_lp(lp, start=start, **kw)
+        assert lp._form is not None
+        basis = start[0] if isinstance(start, tuple) else start
+        ref = solve_lp(lp.with_bounds(lp.lower, lp.upper), start=basis, **kw)
+        assert sol.status == ref.status
+        assert sol.iterations == ref.iterations
+        if ref.status == "optimal":
+            np.testing.assert_array_equal(sol.x, ref.x)
+            np.testing.assert_array_equal(sol.basis, ref.basis)
+            assert sol.objective == ref.objective
+        return sol
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(_Tableau, "start_warm", spy_start)
+    monkeypatch.setattr(mip, "solve_lp", checked)
+    if searches == "fuzz":
+        for _, _, prob in _fuzz_mips():
+            solve_mip(prob)
+    else:
+        _run_cut_loops()
+    # a handed block replaces the inversion of the start basis
+    assert len(handed) > 100 and not any(handed)
+
+
+def test_open_nodes_hold_the_square_block(monkeypatch):
+    # a heap entry keeps inv(M0[N, S]) of its parent's basis, s x s for
+    # the s basic structural columns, never the nr x nr basis inverse
+    inst = _cut_loop_instance(2)
+    prob = build_separation_mip(inst, np.zeros(2),
+                                Digitization.from_instance(inst, 0.1))
+    nr, nc = _standardize(prob.lp).G.shape
+    pushed = []
+    push = heapq.heappush
+
+    def spy(heap, entry):
+        pushed.append(entry)
+        push(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", spy)
+    assert solve_mip(prob, mip_tol=0.05).status == "optimal"
+    assert len(pushed) > 50
+    for _, _, lo, up, (basis, block) in pushed:
+        s = int((basis < nc).sum())
+        assert basis.shape == (nr,) and block.shape == (s, s) and s < nr
+        assert lo.size == up.size == prob.lp.num_vars
