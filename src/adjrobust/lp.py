@@ -18,18 +18,24 @@ right-hand side and the reduced-cost row are updated on every pivot.
 Every 128 pivots the tableau is rebuilt from the pristine data through
 the inverse of the basis matrix and the factors are dropped; a tableau
 with fewer than 128 rows folds its factors into the tableau each time
-it holds one per row.  The same inverse re-derives the optimal basic
-values and reduced costs once per solve.
+it holds one per row.
 
 The inverse is taken block-wise.  Slack column ``nc + i`` is the unit
 column of row i, so a basis with s structural columns is, up to a
 permutation, block lower triangular with an identity in the corner:
 only the s x s block of the structural columns on the rows no basic
 slack covers is inverted, and the rest of the inverse follows from it
-with one product.  On slack-heavy bases this is much cheaper than a
-dense inverse: the VRep affine LPs of the worst-case family at m=16
-have a median of 68 structural basic columns among 545.  A basis of
-slack columns alone is its own inverse.
+with one product.  Its columns are written straight into the tableau;
+the nr x nr inverse is never assembled.  On slack-heavy bases this is
+much cheaper than a dense inverse: the VRep affine LPs of the
+worst-case family at m=16 have a median of 68 structural basic columns
+among 545.  A basis of slack columns alone is its own inverse.
+
+An optimal solve re-derives its basic values and duals from the
+pristine data with no inversion: one step of iterative refinement,
+whose corrections go through the inverse that the tableau's slack
+columns already hold.  A refined residual above the rebuild's bound
+sends it to the block inverse instead.
 
 Cold start
 ----------
@@ -75,18 +81,35 @@ that is singular, or neither primal nor dual feasible, is solved cold,
 by the rule above.  Warm or cold, a solve ends in the same
 certificates.
 
-An optimal solve also returns ``LpSolution.block``, the inverse of the
-s x s structural block of its final basis that its last block inverse
-computed (see above).  A start may be the pair ``(basis, block)`` for an
-LP with the same rows: the tableau is then rebuilt at that basis without
-an inversion.  The residual check on the new LP's own right-hand side
-still judges the block, and a block that fails it leaves the LP to a
-cold solve.  Branch and bound hands each child its parent's pair, and a
-separation MIP's root the previous root's.  A node LP differs from the
-root only in its bound values, so a search builds the standard form's
-``G``, ``c`` and row and column maps once (``_Form``), and each node
-computes only ``g``, the shift, the constant and the fixed columns.  A
-one-off LP takes the same path with a form of its own.
+A start may also be the pair ``(basis, block)`` for an LP with the same
+rows, where ``block`` is the inverse of the basis's s x s structural
+block (``_Form.block``): the tableau is then rebuilt at that basis
+without an inversion.  The residual check on the new LP's own
+right-hand side still judges the block, and a block that fails it
+leaves the LP to a cold solve.  Branch and bound hands each child its
+parent's pair, and a separation MIP's root the previous root's.  A node
+LP differs from the root only in its bound values, so a search builds
+the standard form's ``G``, ``c`` and row and column maps once
+(``_Form``), and each node computes only ``g``, the shift, the constant
+and the fixed columns.  A one-off LP takes the same path with a form of
+its own.
+
+Allocation
+----------
+A solve allocates and frees arrays of a few MB (the tableau, its factor
+block, the products of a rebuild).  glibc serves a request above its
+mmap threshold with fresh pages, and raises that threshold as such
+blocks are freed, so whether a solve reuses heap pages or faults in
+new ones depends on the allocation history of the process, down to the
+size of its environment.  On the 12 worst-case instances at m=16 a
+pass of affine LPs and vertex oracles took about 61k minor page faults
+in one layout and a few thousand in another, and its affine LPs about
+0.012 against 0.008 s.  Importing this module fixes the mmap threshold
+at 32 MiB, glibc's ceiling for its dynamic value, and the trim
+threshold at 64 MiB, so that freed blocks stay in the heap for the next
+solve: a repeated pass then faults no page.  Either setting alone left
+about 10k faults per instance.  Where the C library has no ``mallopt``
+the import changes nothing.
 
 Conventions
 -----------
@@ -111,6 +134,7 @@ Conventions
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +152,26 @@ _RC_TOL = 1e-9
 # Harris ratio-test tolerance; right-hand sides above -_FEAS_TOL are
 # clipped to zero, which removes the overshoot the Harris step allows
 _FEAS_TOL = 1e-9
+
+
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds (see "Allocation" in the
+    module docstring).  A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_allocator()
 
 
 class LpError(Exception):
@@ -204,9 +248,6 @@ class LpSolution:
     farkas: np.ndarray | None = field(default=None, repr=False)
     # final basis: one standard-form column index per standard-form row
     basis: np.ndarray | None = field(default=None, repr=False)
-    # inverse of the final basis's structural block, s x s for s basic
-    # structural columns (_Tableau._basis_inverse); None if not optimal
-    block: np.ndarray | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +295,18 @@ class _Form:
         sgn = _ROW_SIGN[rel[src]]
         sgn[1:][src[1:] == src[:-1]] = -1.0   # the >= half of an = row
         nrow = src.size
-        G = np.zeros((nrow + boxed.size, co.size))
-        G[:nrow] = A[src][:, co] * cs * sgn[:, None]
+        # G = [A[src][:, co] * cs * sgn[:, None]; bound rows], filled in
+        # place: the signs are +-1, so the order of the products is exact
+        G = np.empty((nrow + boxed.size, co.size))
+        top = G[:nrow]
+        if nrow == A.shape[0] and co.size == A.shape[1]:
+            np.multiply(A, sgn[:, None], out=top)   # nothing duplicated
+        else:
+            np.take(A[src] if nrow > A.shape[0] else A, co, axis=1, out=top)
+            top *= sgn[:, None]
+        if (cs < 0).any():
+            top *= cs
+        G[nrow:] = 0.0
         G[nrow + np.arange(boxed.size), first[boxed]] = 1.0
 
         self.has_lo, self.has_up = has_lo, has_up
@@ -282,6 +333,23 @@ class _Form:
         return basis.shape == (nr,) and (
             nr == 0 or (basis.min() >= 0 and basis.max() < nc + nr))
 
+    def block(self, basis: np.ndarray) -> np.ndarray | None:
+        """``inv(G[N, S])`` for ``basis`` (see ``_partition``): with the
+        basis, the start ``(basis, block)`` that rebuilds a tableau of
+        this form at that basis with no inversion
+        (``_Tableau._basis_inverse``).  None when the basis is
+        singular."""
+        part = _partition(basis, self.G.shape[1])
+        if part is None:
+            return None
+        S, _, _, N = part
+        if S.size == 0:
+            return np.empty((0, 0))
+        try:
+            return np.linalg.inv(self.G[:, basis[S]][N])
+        except np.linalg.LinAlgError:
+            return None
+
     def standardize(self, lo: np.ndarray, up: np.ndarray) -> _Standard:
         if (lo > up).any():
             raise _BoundInfeasible
@@ -301,6 +369,29 @@ class _Form:
         st.fixed_cols = self.first[boxed[fixed]]
         st.fixed_rows = self.nrow + fixed
         return st
+
+
+def _peak(a: np.ndarray) -> float:
+    """The largest absolute entry of ``a``, 0 if it is empty."""
+    return float(np.abs(a).max(initial=0.0))
+
+
+def _partition(basis: np.ndarray, nc: int):
+    """The block structure of a basis of ``[G | I]`` with ``nc``
+    structural columns: the basis positions S of structural columns and
+    K of slacks, the rows of K's slacks, and the rows N that no basic
+    slack covers.  None when N and S differ in size, which makes the
+    basis singular (a slack listed twice)."""
+    unit = basis >= nc
+    S = (~unit).nonzero()[0]
+    K = unit.nonzero()[0]
+    rows = basis[K] - nc
+    free = np.ones(basis.size, dtype=bool)
+    free[rows] = False
+    N = free.nonzero()[0]
+    if N.size != S.size:
+        return None
+    return S, K, rows, N
 
 
 def _split_start(start):
@@ -352,8 +443,9 @@ class _Tableau:
         self.g0 = g.copy()
         self.scale = 1.0 + float(np.abs(g).max(initial=0.0))
         # current at the slack basis; a warm start rebuilds it
-        self.T = np.zeros((nr, ncols))
+        self.T = np.empty((nr, ncols))
         self.T[:, :nc] = G
+        self.T[:, nc:] = 0.0
         self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
         self.rhs = g.copy()
 
@@ -376,8 +468,6 @@ class _Tableau:
         self.iterations = 0
         self.bland_after = bland_after
         self.max_iters = max_iters
-        # inv(M0[N, S]) of the final basis, once refine_optimal has it
-        self.block = None
 
     def column(self, q: int) -> np.ndarray:
         k = self.k
@@ -523,40 +613,32 @@ class _Tableau:
             self.iterations += 1
 
     def _basis_inverse(self, block: np.ndarray | None = None):
-        """Inverse of the basis matrix and the basic values it gives, or
-        None when the basis is singular or cannot reproduce the
-        right-hand side.
+        """The part of the basis inverse that is not a unit column, and
+        the basic values it gives, or None when the basis is singular or
+        cannot reproduce the right-hand side.
 
-        With S the basic structural columns, K the basic slacks and N
-        the rows that no basic slack covers, the basis permuted to
-        (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], I]]``, so only
-        the s x s block ``M0[N, S]`` is inverted.  ``Binv`` (rows: basis
-        positions, columns: rows of M0) is its inverse on (S, N), I on
-        (K, K) and ``-M0[K, S] inv(M0[N, S])`` on (K, N).  Returns
-        ``Binv``, the basic values, N, and the basis positions and rows
-        of K, and ``inv(M0[N, S])``.  With no structural column basic
-        (s = 0), ``Binv`` is a permutation.
+        With S, K, ``rows`` and N as ``_partition`` returns them, the
+        basis permuted to (N, K) x (S, K) is
+        ``[[M0[N, S], 0], [M0[K, S], I]]``, so only the s x s block
+        ``M0[N, S]`` is inverted.  The inverse ``Binv`` (rows: basis
+        positions, columns: rows of M0) is the unit column of basis
+        position K[i] in column ``rows[i]``, and ``BN = Binv[:, N]``
+        elsewhere: ``inv(M0[N, S])`` on S and ``-M0[K, S] inv(M0[N, S])``
+        on K.  Returns ``BN``, the basic values, N, K and ``rows``; the
+        nr x nr ``Binv`` is never assembled.
 
         ``block`` is ``inv(M0[N, S])`` if the caller already has it, as
-        a branch-and-bound child has its parent's: it takes the place of
-        the inversion, and the residual check still judges it.
+        a branch-and-bound child has its parent's (``_Form.block``): it
+        takes the place of the inversion, and the residual check still
+        judges it.
         """
         nc, basis, g0 = self.nc, self.basis, self.g0
-        nr = basis.size
-        unit = basis >= nc
-        S = (~unit).nonzero()[0]
-        K = unit.nonzero()[0]
-        rows = basis[K] - nc
-        free = np.ones(nr, dtype=bool)
-        free[rows] = False
-        N = free.nonzero()[0]
-        # one slack listed twice: singular
-        if N.size != S.size:
+        part = _partition(basis, nc)
+        if part is None:
             return None
-        Binv = np.zeros((nr, nr))
-        Binv[K, rows] = 1.0
+        S, K, rows, N = part
         if S.size == 0:
-            return Binv, g0[rows], N, K, rows, np.empty((0, 0))
+            return np.empty((basis.size, 0)), g0[rows], N, K, rows
         MS = self.M0[:, basis[S]]
         if block is not None and block.shape == (S.size, S.size):
             Ainv = block
@@ -565,17 +647,27 @@ class _Tableau:
                 Ainv = np.linalg.inv(MS[N])
             except np.linalg.LinAlgError:
                 return None
-        BN = np.empty((nr, S.size))  # Binv[:, N]
+        BN = np.empty((basis.size, S.size))
         BN[S] = Ainv
         BN[K] = -MS[rows] @ Ainv
-        Binv[:, N] = BN
-        xb = Binv @ g0
-        # MB @ xb - g0 for the basis matrix MB = [M0 | I][:, basis]
-        resid = MS @ xb[S] - g0
-        resid[rows] += xb[K]
-        if float(np.abs(resid).max(initial=0.0)) > 1e-7 * self.scale:
+        xb = BN @ g0[N]
+        xb[K] += g0[rows]
+        if _peak(self._residual(xb)) > 1e-7 * self.scale:
             return None
-        return Binv, xb, N, K, rows, Ainv
+        return BN, xb, N, K, rows
+
+    def _residual(self, xb: np.ndarray) -> np.ndarray:
+        """``B xb - g0`` for the basis matrix B = ``[M0 | I][:, basis]``."""
+        nc, basis = self.nc, self.basis
+        y = np.zeros(nc + basis.size)
+        y[basis] = xb
+        resid = self.M0 @ y[:nc] - self.g0
+        resid += y[nc:]
+        return resid
+
+    def _reduced(self, y: np.ndarray) -> np.ndarray:
+        """Reduced costs ``cost - y [M0 | I]`` for the duals ``y``."""
+        return np.concatenate((self.cost[:self.nc] - y @ self.M0, -y))
 
     def refresh(self, primal: bool = True) -> None:
         """Rebuild the whole tableau from the pristine data through the
@@ -586,12 +678,7 @@ class _Tableau:
         (its factors folded into T) so the certificates judge the raw
         tableau instead.  In the primal phase (``primal``) a basis
         whose values are clearly negative is a breakdown; the dual phase
-        expects them.
-
-        The structural block ``Binv @ M0`` is ``Binv[:, N] @ M0[N]``
-        plus, in the rows of the basic slacks, their own rows of M0: an
-        nr x s x nc product instead of an nr x nr x nc one.  The slack
-        columns of the tableau are ``Binv`` itself."""
+        expects them."""
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
@@ -601,7 +688,7 @@ class _Tableau:
             if float(xb.min(initial=0.0)) < -1e-7 * self.scale:
                 raise LpBreakdownError("basis lost primal feasibility")
             np.copyto(xb, 0.0, where=xb < 0.0)
-        self._rebuild(*inv[:5])
+        self._rebuild(*inv)
 
     def start_warm(self, priced: np.ndarray,
                    block: np.ndarray | None = None) -> bool:
@@ -613,46 +700,70 @@ class _Tableau:
         inv = self._basis_inverse(block)
         if inv is None:
             return False
-        self._rebuild(*inv[:5])
+        self._rebuild(*inv)
         if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
             return True
         slack = 1e-7 * (1.0 + float(np.abs(self.cost).max(initial=0.0)))
         return float(self.z[:-1][priced].min(initial=0.0)) >= -slack
 
-    def _rebuild(self, Binv, xb, N, K, rows) -> None:
+    def _rebuild(self, BN, xb, N, K, rows) -> None:
+        """Write ``Binv [M0 | I]`` into T, column blocks straight from
+        ``BN`` (see ``_basis_inverse``).  The structural block is
+        ``BN @ M0[N]`` plus, in the rows of the basic slacks, their own
+        rows of M0: an nr x s x nc product instead of an nr x nr x nc
+        one.  The slack block is ``Binv`` itself."""
         nc, T, M0 = self.nc, self.T, self.M0
-        T[:, :nc] = Binv[:, N] @ M0[N]
+        np.matmul(BN, M0[N], out=T[:, :nc])
         T[K, :nc] += M0[rows]
-        T[:, nc:] = Binv
+        slack = T[:, nc:]
+        slack[:, N] = BN
+        slack[:, rows] = 0.0
+        slack[K, rows] = 1.0
         self.k = 0
         np.copyto(xb, 0.0, where=(xb < 0) & (xb > -_FEAS_TOL))
-        self.rhs = xb
-        self._price(Binv, xb)
+        self._price(BN, xb, N)
 
-    def _price(self, Binv, xb) -> None:
-        """Reduced costs and objective at the basis that ``Binv``
-        inverts: ``cost - y [G | I]`` with ``y = c_B Binv``."""
-        nc, z = self.nc, self.z
-        cb = self.cost[self.basis]
-        y = cb @ Binv
-        z[:nc] = self.cost[:nc] - y @ self.M0
-        z[nc:-1] = -y
-        z[-1] = -float(cb @ xb)
+    def _price(self, BN, xb, N) -> None:
+        """Take the basic values ``xb`` and the reduced costs of the
+        duals ``y = c_B Binv`` (see ``_basis_inverse``), which are zero
+        on the rows of the basic slacks, whose costs are zero."""
+        y = np.zeros(xb.size)
+        y[N] = self.cost[self.basis] @ BN
+        self._settle(xb, self._reduced(y))
+
+    def _settle(self, xb, rc) -> None:
+        """Take the basic values ``xb`` and the reduced costs ``rc``."""
+        self.rhs = xb
+        self.z[:-1] = rc
+        self.z[-1] = -float(self.cost[self.basis] @ xb)
 
     def refine_optimal(self) -> None:
         """Re-derive basic values, reduced costs, and the objective from
         the pristine data through the final basis.  Hundreds of pivot
         updates accumulate enough roundoff to trip the optimality
-        certificates; one block inverse of the basis (see
-        ``_basis_inverse``) removes it.  Its ``inv(M0[N, S])`` is kept
-        in ``block``, for warm starts from this basis."""
-        inv = self._basis_inverse()
-        if inv is None:
+        certificates.  One step of iterative refinement removes it: the
+        residuals of the basic values (``B xb - g0``) and of the duals
+        (the reduced costs of the basic columns) are taken from the
+        pristine data and corrected through the inverse that the slack
+        columns of the tableau hold, read through the pending factors;
+        that inverse is never assembled.  If a refined residual still
+        exceeds the bound of ``_basis_inverse``, the block inverse
+        re-derives them instead."""
+        nc, basis, k = self.nc, self.basis, self.k
+        slack, U, V = self.T[:, nc:], self.U[:, :k], self.V[:k, nc:]
+        r = self._residual(self.rhs)
+        xb = self.rhs - (slack @ r - U @ (V @ r))
+        y = -self.z[nc:-1]
+        d = self._reduced(y)[basis]
+        y = y + (d @ slack - (d @ U) @ V)
+        rc = self._reduced(y)
+        if (_peak(self._residual(xb)) <= 1e-7 * self.scale
+                and _peak(rc[basis]) <= 1e-7 * (1.0 + _peak(self.cost))):
+            self._settle(xb, rc)
             return
-        Binv, xb = inv[:2]
-        self.rhs = xb
-        self._price(Binv, xb)
-        self.block = inv[-1]
+        inv = self._basis_inverse()
+        if inv is not None:
+            self._price(*inv[:3])
 
 
 def _simplex(c, G, g, fixed, max_iters=None, start=None, block=None):
@@ -696,8 +807,9 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     ``start`` is a basis to start from, as ``LpSolution.basis`` returns
     it for an LP whose bounds are finite in the same places (one
     standard-form column per standard-form row), or the pair
-    ``(basis, block)`` of an earlier solve's ``basis`` and ``block``
-    when its LP had the same rows, which spares the start an inversion.
+    ``(basis, block)`` of such a basis and its inverse block
+    (``_Form.block``) when its LP had the same rows, which spares the
+    start an inversion.
     A start that is singular, or neither primal nor dual feasible, is
     ignored.
     """
@@ -754,7 +866,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     sol = LpSolution(OPTIMAL, x, duals, float(st.sense_mult * obj_min),
                      tb.iterations,
                      dual_objective=float(st.sense_mult * dual_min),
-                     basis=tb.basis.copy(), block=tb.block)
+                     basis=tb.basis.copy())
     _validate_optimal(lp, st, sol, y, y_int, obj_min, dual_min, tol)
     return sol
 

@@ -1,8 +1,9 @@
 """Branch and bound for LPs with binary variables.
 
 Search order is best-bound from the root.  Branching picks the most
-fractional binary (lowest index on ties), and of two open nodes with
-the same bound the older goes first, so the child matching the rounded
+fractional binary (lowest index on ties, which roundoff in the node
+LP's solution does not break), and of two open nodes with the same
+bound the older goes first, so the child matching the rounded
 relaxation value precedes its sibling.  A rounding heuristic (fix every
 binary to its rounded value, re-solve the LP) runs while no incumbent
 exists.  Everything is deterministic.
@@ -12,18 +13,18 @@ The root LP is solved cold unless a ``start`` is given, as
 from the previous root's optimal basis (``MipSolution.root_start``),
 which is primal feasible because the MIPs share rows and bounds.  Every
 child, and every rounding LP, starts from its parent's optimal basis and
-the inverse block that the parent's solve computed for it
-(``solve_lp(..., start=(basis, block))``): it differs from the parent
-only in bounds, which keeps that basis dual feasible, so the LP
-kernel's dual simplex phase re-solves it in a few pivots, with no
-inversion to start.  All LPs of a search share one standard form (the
-LP kernel's ``_Form``), built once for the root.  An open node keeps
-only the s x s block, for s basic structural columns, not the full
-basis inverse.  Where the parent's LP has alternative optima, a warm
-re-solve can end at a different one than a cold solve would, so the
-node count can differ from that of a cold search; values agree to the
-tolerances.  ``MipSolution.pivots`` counts the LP pivots of the whole
-search.
+that basis's inverse block (``solve_lp(..., start=(basis, block))``): it
+differs from the parent only in bounds, which keeps that basis dual
+feasible, so the LP kernel's dual simplex phase re-solves it in a few
+pivots, with no inversion to start.  All LPs of a search share one
+standard form (the LP kernel's ``_Form``), built once for the root, and
+the search asks that form for the block (``_Form.block``): one s x s
+inversion, for s basic structural columns, per node that has children
+or is the root.  An open node keeps only that block, not the full basis
+inverse.  Where the parent's LP has alternative optima, a warm re-solve
+can end at a different one than a cold solve would, so the node count
+can differ from that of a cold search; values agree to the tolerances.
+``MipSolution.pivots`` counts the LP pivots of the whole search.
 
 The reported bound never lies below the optimum (up to mip_tol, the
 slack at which nodes are pruned).  An exhausted search reports the
@@ -42,6 +43,7 @@ import numpy as np
 from .lp import LinearProgram, _Form, solve_lp
 
 INT_TOL = 1e-6
+_TIE_TOL = 1e-9
 
 
 class MipError(Exception):
@@ -82,6 +84,13 @@ class MipSolution:
 def _fractionality(x, binaries):
     f = x[binaries]
     return np.minimum(f - np.floor(f), np.ceil(f) - f)
+
+
+def _most_fractional(frac):
+    """Index of the most fractional binary, the lowest on ties.  Values
+    within _TIE_TOL of the largest tie with it, so that roundoff in the
+    LP solution does not pick the branch."""
+    return int(np.argmax(frac >= frac.max() - _TIE_TOL))
 
 
 def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
@@ -159,9 +168,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         if sol.status == "unbounded":
             return MipSolution("unbounded", None, None, sgn * np.inf, np.inf,
                                nodes, pivots)
-        warm = (sol.basis, sol.block)
         if nodes == 1:
-            root_start = warm
+            root_start = (sol.basis, form.block(sol.basis))
         val = sgn * sol.objective
 
         if incumbent_val is not None and val <= incumbent_val + mip_tol:
@@ -172,12 +180,13 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             accept(sol.x, sol.objective)
             continue
 
+        # the start of the children: this basis and its inverse block
+        warm = root_start if nodes == 1 else (sol.basis,
+                                              form.block(sol.basis))
         if incumbent_val is None:
-            _try_rounding(relax, lo, up, binaries, sol, accept)
+            _try_rounding(relax, lo, up, binaries, sol.x, warm, accept)
 
-        # most fractional binary, lowest index on ties
-        j_local = int(np.argmax(frac))
-        j = int(binaries[j_local])
+        j = int(binaries[_most_fractional(frac)])
         pref = float(np.round(sol.x[j]))
         for value in (pref, 1.0 - pref):
             clo, cup = lo.copy(), up.copy()
@@ -191,10 +200,10 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     return finish("optimal", incumbent_val)
 
 
-def _try_rounding(relax, lo, up, binaries, parent, accept):
+def _try_rounding(relax, lo, up, binaries, x, warm, accept):
     clo, cup = lo.copy(), up.copy()
-    rounded = np.round(parent.x[binaries])
+    rounded = np.round(x[binaries])
     clo[binaries] = cup[binaries] = rounded
-    sol = relax(clo, cup, (parent.basis, parent.block))
+    sol = relax(clo, cup, warm)
     if sol.status == "optimal":
         accept(sol.x, sol.objective)

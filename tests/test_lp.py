@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from adjrobust import adjustable
+from adjrobust.adjustable import Digitization, build_separation_mip
 from adjrobust.affine import build_affine_lp, solve_affine
+from adjrobust.bench import BenchConfig, run_benchmark
 from adjrobust.instances import RandomSpec, budget_set, gen_iid, gen_worst_case
 from adjrobust.lp import (
     _FEAS_TOL,
@@ -13,6 +15,7 @@ from adjrobust.lp import (
     LE,
     LinearProgram,
     LpBreakdownError,
+    _Form,
     _standardize,
     _Tableau,
     _validate_farkas,
@@ -401,8 +404,13 @@ def _basis_matrix(tb):
 
 
 def _assert_dense_inverse(tb):
+    # the block inverse returns Binv[:, N]; the other columns of Binv are
+    # unit columns, basis position K[i] in column rows[i]
     ref = np.linalg.inv(_basis_matrix(tb))
-    Binv, xb = tb._basis_inverse()[:2]
+    BN, xb, N, K, rows = tb._basis_inverse()
+    Binv = np.zeros_like(ref)
+    Binv[:, N] = BN
+    Binv[K, rows] = 1.0
     np.testing.assert_allclose(Binv, ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(xb, ref @ tb.g0, rtol=0, atol=1e-10)
 
@@ -505,7 +513,8 @@ def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
     # residual check on the child's own right-hand side: cold solve
     lp = _dense_lp(monkeypatch)
     parent = solve_lp(lp)
-    assert parent.status == "optimal" and parent.block.size
+    block = _Form(lp).block(parent.basis)
+    assert parent.status == "optimal" and block.size
     child = lp.with_bounds(np.full(lp.num_vars, 0.01), lp.upper)
     start_warm = _Tableau.start_warm
     seen = []
@@ -515,10 +524,10 @@ def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "start_warm", spy)
-    solve_lp(child, start=(parent.basis, parent.block))
+    solve_lp(child, start=(parent.basis, block))
     assert seen == [True]
     seen.clear()
-    sol = solve_lp(child, start=(parent.basis, 2.0 * parent.block))
+    sol = solve_lp(child, start=(parent.basis, 2.0 * block))
     assert seen == [False]
     cold = solve_lp(child)
     assert sol.status == cold.status == "optimal"
@@ -730,3 +739,109 @@ def test_nonnegative_costs_without_rows():
     sol = solve_lp(LinearProgram("min", [1.0, 0.0]))
     assert sol.status == "optimal" and sol.iterations == 0
     np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+
+
+def _spy_refinement(monkeypatch):
+    """From now on, check every ``refine_optimal``: it must not call
+    ``np.linalg.inv``, and its objective must match the block inversion
+    of the same basis to 1e-12 relative.  Returns the list of checked
+    objectives."""
+    inverses, checked = [], []
+    inv, refine = np.linalg.inv, _Tableau.refine_optimal
+
+    def counted_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    def spy(self):
+        before = len(inverses)
+        refine(self)
+        assert len(inverses) == before
+        xb = self._basis_inverse()[1]
+        want = float(self.cost[self.basis] @ xb)
+        assert abs(-self.z[-1] - want) <= 1e-12 * max(abs(want), 1.0)
+        checked.append(want)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(_Tableau, "refine_optimal", spy)
+    return checked
+
+
+def test_refinement_matches_the_inversion_on_the_worst_case_family(
+        monkeypatch):
+    checked = _spy_refinement(monkeypatch)
+    for seed in range(12):
+        inst = gen_worst_case(16, randomized=True, seed=seed)
+        solve_affine(inst)
+        adjustable.solve_adjustable_vertex_oracle(inst)
+    assert len(checked) == 24
+
+
+def test_refinement_matches_the_inversion_on_the_m10_table(monkeypatch):
+    checked = _spy_refinement(monkeypatch)
+    rows, _ = run_benchmark(BenchConfig(kind="uniform", m_list=[10],
+                                        count=30, seed_base=0))
+    assert [r.status for r in rows] == ["ok"] * 30
+    assert len(checked) > 300
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
+    # drift the basic values and reduced costs of the final tableau far
+    # past roundoff: the slack block's inverse removes the drift with no
+    # inversion, and a corrupted slack block cannot, so the residual
+    # check sends refine_optimal to the block inversion
+    lp = _oracle_lp(monkeypatch, m=16)
+    clean = solve_lp(lp)
+    refine, basis_inverse = _Tableau.refine_optimal, _Tableau._basis_inverse
+    calls, inversions = [], []
+
+    def drifted(self):
+        self.rhs = self.rhs + 1e-5 * self.scale
+        self.z[:-1] += 1e-5
+        if corrupt:
+            self.T[:, self.nc:] *= 2.0
+        before = len(calls)
+        refine(self)
+        inversions.append(len(calls) - before)
+
+    def spy_inverse(self, block=None):
+        calls.append(block)
+        return basis_inverse(self, block)
+
+    monkeypatch.setattr(_Tableau, "refine_optimal", drifted)
+    monkeypatch.setattr(_Tableau, "_basis_inverse", spy_inverse)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert inversions == [int(corrupt)]
+    assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
+    np.testing.assert_allclose(sol.x, clean.x, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sol.duals, clean.duals, rtol=0, atol=1e-10)
+
+
+def _indexed_G(form):
+    """The standard form's ``G`` as one indexed product, the way it was
+    built before ``_Form`` filled it in place."""
+    lp, boxed, nrow = form.lp, form.boxed, form.nrow
+    G = np.zeros((nrow + boxed.size, form.col_orig.size))
+    G[:nrow] = (lp.A[form.row_of][:, form.col_orig] * form.col_sign
+                * form.row_sign[:, None])
+    G[nrow + np.arange(boxed.size), form.first[boxed]] = 1.0
+    return G
+
+
+def test_form_fills_G_in_place(monkeypatch):
+    # the HRep affine LP (free columns split), a separation MIP (bound
+    # rows and = rows split) and the vertex LP (nothing duplicated)
+    inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
+    lps = [build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)),
+           build_separation_mip(inst, np.zeros(3),
+                                Digitization.from_instance(inst, 0.1)).lp,
+           _oracle_lp(monkeypatch, m=16)]
+    forms = [_Form(lp) for lp in lps]
+    for form in forms:
+        np.testing.assert_array_equal(form.G, _indexed_G(form))
+    dup = [form.nrow > form.lp.num_rows
+           or form.col_orig.size > form.lp.num_vars for form in forms]
+    assert dup == [True, True, False]
+    assert forms[1].boxed.size > 0

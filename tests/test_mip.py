@@ -120,6 +120,13 @@ def test_determinism():
     np.testing.assert_array_equal(a.x, b.x)
 
 
+def test_branching_ties_within_roundoff_go_to_the_lowest_index():
+    # two binaries equally fractional in exact arithmetic, apart by the
+    # roundoff of an LP solution: the lower index is branched on
+    assert mip._most_fractional(np.array([0.1, 0.4, 0.4 + 1e-15])) == 1
+    assert mip._most_fractional(np.array([0.1, 0.4, 0.4 + 1e-6])) == 2
+
+
 def test_binary_index_validation():
     lp = LinearProgram.from_arrays("max", [1.0], [[1.0]], ["<="], [1.0])
     with pytest.raises(MipError):

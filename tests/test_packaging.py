@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import adjrobust
 
-# imports every module of the package in a fresh interpreter and prints the
-# scipy modules that got loaded
+# imports every module of the package in a fresh interpreter and prints
+# the scipy modules that got loaded, then whether ctypes.util did
 _PROBE = """
 import importlib, pkgutil, sys
 import adjrobust
@@ -14,16 +16,28 @@ assert "cli" in names
 for name in names:
     importlib.import_module("adjrobust." + name)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("ctypes.util" in sys.modules)
 """
 
 
-def test_package_imports_without_scipy():
-    # pyproject.toml lists numpy as the only runtime dependency; scipy is
-    # a test extra
+@pytest.fixture(scope="module")
+def probe():
     src = os.path.dirname(os.path.dirname(os.path.abspath(adjrobust.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+def test_package_imports_without_scipy(probe):
+    # pyproject.toml lists numpy as the only runtime dependency; scipy is
+    # a test extra
+    assert probe[0] == "[]"
+
+
+def test_package_imports_without_ctypes_util(probe):
+    # the LP kernel reaches mallopt through ctypes.CDLL(None);
+    # ctypes.util.find_library would run ldconfig, about 16 ms per import
+    assert probe[1] == "False"
