@@ -441,7 +441,7 @@ class _Tableau:
         # the slack block of [G | I] is implicit
         self.M0 = G
         self.g0 = g.copy()
-        self.scale = 1.0 + float(np.abs(g).max(initial=0.0))
+        self.scale = 1.0 + _peak(g)
         # current at the slack basis; a warm start rebuilds it
         self.T = np.empty((nr, ncols))
         self.T[:, :nc] = G
@@ -703,7 +703,7 @@ class _Tableau:
         self._rebuild(*inv)
         if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
             return True
-        slack = 1e-7 * (1.0 + float(np.abs(self.cost).max(initial=0.0)))
+        slack = 1e-7 * (1.0 + _peak(self.cost))
         return float(self.z[:-1][priced].min(initial=0.0)) >= -slack
 
     def _rebuild(self, BN, xb, N, K, rows) -> None:
