@@ -125,6 +125,11 @@ class Digitization:
     def bits_u(self) -> int:
         return self.delta_u + self.s + 1
 
+    @property
+    def place_values(self) -> np.ndarray:
+        """2^{Delta_U}, ..., 2^{-s}: the value of each bit of one h_i."""
+        return 2.0 ** (self.delta_u - np.arange(self.bits_u))
+
     def binaries(self, m: int) -> int:
         return m * self.bits_u
 
@@ -171,15 +176,16 @@ def build_separation_mip(inst: Instance, x_hat,
                          dig: Digitization) -> MixedBinaryProgram:
     """Maximize (h - A x_hat)^T w over digitized U x W.
 
-    Columns: h (m), w (m), the h bits alpha (bits_u per coordinate), then
-    the products z_it = alpha_it * w_i (continuous).  Equality rows tie
-    h_i to its bits, R h <= r and B^T w <= d keep h and w in their sets,
-    and each product gets the two upper McCormick rows z_it <= 2^Delta_W
-    alpha_it (w_i <= 2^Delta_W on W) and z_it <= w_i.  The objective
-    sum p_t z_it - (A x_hat).w rewards every product, so the lower
-    envelope would never bind; at binary alpha the two rows give
-    z_it <= alpha_it w_i, so the MIP never overstates the bilinear value
-    of its (h, w).
+    Columns: w (m), the h bits alpha (bits_u per coordinate), then the
+    products z_it = alpha_it * w_i (continuous).  h is not a column:
+    h = K alpha with K = kron(I_m, p) for the place values p, so
+    R h <= r is written R K alpha <= r.  B^T w <= d keeps w in W, and
+    each product gets the two upper McCormick rows z_it <= 2^Delta_W
+    alpha_it (w_i <= 2^Delta_W on W) and z_it <= w_i.  Every row is <=.
+    The objective sum p_t z_it - (A x_hat).w rewards every product, so
+    the lower envelope would never bind; at binary alpha the two rows
+    give z_it <= alpha_it w_i, so the MIP never overstates the bilinear
+    value of its (h, w).
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("separation MIP needs an HRep uncertainty set")
@@ -194,39 +200,39 @@ def build_separation_mip(inst: Instance, x_hat,
     L = R.shape[0]
     ax = inst.A @ np.asarray(x_hat, dtype=float)
 
-    pu = 2.0 ** (dig.delta_u - np.arange(dig.bits_u))   # place values
-    oa, oz = 2 * m, 2 * m + k
+    pu = dig.place_values
+    oz = m + k
     prods = np.arange(k)
-    G = np.zeros((m + L + n + 2 * k, oz + k))
-    G[:m, :m] = np.eye(m)                           # h_i = sum p_t alpha_it
-    G[:m, oa:oz] = -np.kron(np.eye(m), pu)
-    G[m:m + L, :m] = R
-    G[m + L:m + L + n, m:oa] = inst.B.T
-    cap_rows = m + L + n + prods                    # z_it <= 2^dw alpha_it
+    G = np.zeros((L + n + 2 * k, oz + k))
+    G[:L, m:oz] = np.kron(R, pu)                    # R K alpha <= r
+    G[L:L + n, :m] = inst.B.T
+    cap_rows = L + n + prods                        # z_it <= 2^dw alpha_it
     G[cap_rows, oz + prods] = 1.0
-    G[cap_rows, oa + prods] = -2.0 ** dig.delta_w
+    G[cap_rows, m + prods] = -2.0 ** dig.delta_w
     w_rows = cap_rows + k                           # z_it <= w_i
     G[w_rows, oz + prods] = 1.0
-    G[w_rows, m + prods // dig.bits_u] = -1.0
-    rhs = np.concatenate([np.zeros(m), r, np.full(n, float(inst.d_bar)),
-                          np.zeros(2 * k)])
-    rel = ["="] * m + ["<="] * (L + n + 2 * k)
+    G[w_rows, prods // dig.bits_u] = -1.0
+    rhs = np.concatenate([r, np.full(n, float(inst.d_bar)), np.zeros(2 * k)])
 
-    obj = np.concatenate([np.zeros(m), -ax, np.zeros(k), np.tile(pu, m)])
+    obj = np.concatenate([-ax, np.zeros(k), np.tile(pu, m)])
     upper = np.full(oz + k, np.inf)
-    upper[oa:oz] = 1.0   # bits
-    lp = LinearProgram.from_arrays("max", obj, G, rel, rhs, upper=upper)
-    return MixedBinaryProgram(lp, range(oa, oz))
+    upper[m:oz] = 1.0   # bits
+    lp = LinearProgram.from_arrays("max", obj, G, ["<="] * len(G), rhs,
+                                   upper=upper)
+    return MixedBinaryProgram(lp, range(m, oz))
 
 
-def _recover_pair(inst: Instance, x_hat, sol_x, m):
-    h = sol_x[:m].copy()
-    w = sol_x[m:2 * m].copy()
+def _recover_pair(inst: Instance, x_hat, sol_x, dig: Digitization):
+    """(h, w, value) of a separation MIP's solution: h decoded from its
+    bits, and the bilinear value recomputed from (h, w)."""
+    m = inst.m
+    w = sol_x[:m].copy()
+    h = sol_x[m:m + dig.binaries(m)].reshape(m, -1) @ dig.place_values
     value = float((h - inst.A @ np.asarray(x_hat, float)) @ w)
     return h, w, value
 
 
-def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
+def _separate_vrep(inst: Instance, x_hat):
     """Exact separation: the best vertex h of U against its LP-optimal w.
 
     Vertex h's LP is max c_h.w over W with c_h = h - A x_hat; its dual is
@@ -257,7 +263,7 @@ def _separate_vrep(inst: Instance, x_hat, tol: float = 1e-8):
     k = int(np.argmax(ub))
     while True:
         lp = LinearProgram.from_arrays("max", C[k], W.B.T, ["<="] * n, rhs)
-        sol = solve_lp(lp, tol=tol)
+        sol = solve_lp(lp)
         if sol.status != "optimal":
             raise SeparationError(f"separation LP came back {sol.status}")
         vals = C @ sol.x
@@ -311,7 +317,7 @@ def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
                 f"separation stopped at {sol.nodes} nodes with gap {sol.gap:.3g}")
         if sol.status != "optimal":
             raise SeparationError(f"separation MIP came back {sol.status}")
-        h, w, value = _recover_pair(inst, x_hat, sol.x, inst.m)
+        h, w, value = _recover_pair(inst, x_hat, sol.x, dig)
     else:
         h, w, value = _separate_vrep(inst, x_hat)
     if value > z_hat + sep_tol:
@@ -329,7 +335,7 @@ class AdjustableResult:
     bracket: tuple[float, float]
 
 
-def _solve_master(inst: Instance, cuts: CutPool, tol: float):
+def _solve_master(inst: Instance, cuts: CutPool):
     n = inst.n
     nrows = len(cuts)
     G = np.zeros((nrows, n + 1))
@@ -342,7 +348,7 @@ def _solve_master(inst: Instance, cuts: CutPool, tol: float):
     # nonnegative and the LP kernel starts from the slack basis
     obj = np.concatenate([inst.c, [1.0]])
     lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs)
-    sol = solve_lp(lp, tol=tol)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise SeparationError(f"master LP came back {sol.status}")
     return sol.x[:n].copy(), float(sol.x[n]), float(sol.objective)
@@ -381,7 +387,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
 
     prev = -math.inf
     for it in range(1, max_iters + 1):
-        x_hat, z_hat, master = _solve_master(inst, cuts, tol=1e-8)
+        x_hat, z_hat, master = _solve_master(inst, cuts)
         if master < prev - 1e-7:
             raise SeparationError(
                 f"master value regressed from {prev} to {master}")
@@ -417,17 +423,16 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
     return hit[2]
 
 
-def solve_adjustable_vertex_oracle(inst: Instance, cap: int = 12,
-                                   tol: float = 1e-8) -> float:
+def solve_adjustable_vertex_oracle(inst: Instance) -> float:
     """Exact z_AR as one LP with a recourse copy per vertex of U: the
     vertex LP of the affine policy with each vertex its own anchor."""
     inst.validate()
     uset = inst.uncertainty
     if uset.is_hrep:
-        uset = enumerate_vertices(uset, cap=cap)
+        uset = enumerate_vertices(uset)
     Vx = uset.vertices
     lp = vertex_lp(inst, Vx, np.eye(len(Vx)))
-    sol = solve_lp(lp, tol=tol)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise SeparationError(f"vertex oracle LP came back {sol.status}")
     return float(sol.objective)

@@ -103,8 +103,8 @@ def build_affine_lp(inst: Instance) -> LinearProgram:
                                      lower=lower)
 
 
-def _solve_hrep(inst: Instance, tol: float) -> AffineResult:
-    sol = solve_lp(build_affine_lp(inst), tol=tol)
+def _solve_hrep(inst: Instance) -> AffineResult:
+    sol = solve_lp(build_affine_lp(inst))
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
     n, m, x = inst.n, inst.m, sol.x
@@ -184,7 +184,7 @@ def vertex_lp(inst: Instance, V: np.ndarray, lam: np.ndarray) -> LinearProgram:
     return LinearProgram.from_arrays("min", obj, G, [">="] * len(G), rhs)
 
 
-def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
+def _solve_vrep(inst: Instance) -> AffineResult:
     # An affine y is fixed by its values u_k = y(a_k) >= 0 at affinely
     # independent anchor vertices a_0..a_K: every vertex is h = sum lam_k a_k
     # with sum lam_k = 1, so y(h) = sum lam_k u_k.  Variables: x, z, u_0..u_K.
@@ -196,7 +196,7 @@ def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
     lam[:, 1:] = _solve_rows(D.T, (V - a0).T).T
     lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
 
-    sol = solve_lp(vertex_lp(inst, V, lam), tol=tol)
+    sol = solve_lp(vertex_lp(inst, V, lam))
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
     U = sol.x[n + 1:].reshape(len(anchors), n)
@@ -207,15 +207,15 @@ def _solve_vrep(inst: Instance, tol: float) -> AffineResult:
                         sol.iterations)
 
 
-def solve_affine(inst: Instance, tol: float = 1e-8) -> AffineResult:
+def solve_affine(inst: Instance) -> AffineResult:
     """Best affine-policy value for either uncertainty representation."""
     inst.validate()
     if inst.uncertainty.is_hrep:
-        return _solve_hrep(inst, tol)
-    return _solve_vrep(inst, tol)
+        return _solve_hrep(inst)
+    return _solve_vrep(inst)
 
 
-def solve_affine_dualized(inst: Instance, tol: float = 1e-8) -> AffineResult:
+def solve_affine_dualized(inst: Instance) -> AffineResult:
     """Affine policy applied to the dualized second stage.
 
     The inner problem is rewritten over W = {w >= 0 : B^T w <= d}; the
@@ -290,14 +290,14 @@ def solve_affine_dualized(inst: Instance, tol: float = 1e-8) -> AffineResult:
     lower[oL:o0 + L] = -np.inf  # Lam and lam0 free
     lp = LinearProgram.from_arrays("min", obj, G, [">="] * nrows, rhs,
                                    lower=lower)
-    sol = solve_lp(lp, tol=tol)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         return AffineResult(sol.status, None, None, None, None, sol.iterations)
     return AffineResult("optimal", sol.objective, sol.x[:n].copy(), None, None,
                         sol.iterations)
 
 
-def solve_affine_symmetric_worstcase(m: int, tol: float = 1e-8):
+def solve_affine_symmetric_worstcase(m: int):
     """Best symmetric affine policy P = theta I + mu (ee^T - I), q = lam e
     for the deterministic structured family; its value equals the full
     affine optimum there because the instance is permutation invariant.
@@ -305,43 +305,23 @@ def solve_affine_symmetric_worstcase(m: int, tol: float = 1e-8):
     from .instances import gen_worst_case
 
     inst = gen_worst_case(m)
-    B, d = inst.B, inst.d
-    Vx = inst.uncertainty.vertices
-    # variables (theta, mu, lam, z); y_j(h) = theta h_j + mu (sum h - h_j) + lam
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for h in Vx:
-        s = float(h.sum())
-        ycoef = [(float(h[j]), s - float(h[j]), 1.0) for j in range(m)]
-        # z >= d . y(h)
-        gt = -sum(d[j] * ycoef[j][0] for j in range(m))
-        gm = -sum(d[j] * ycoef[j][1] for j in range(m))
-        gl = -sum(d[j] * ycoef[j][2] for j in range(m))
-        rows.append((gt, gm, gl, 1.0))
-        rhs.append(0.0)
-        for i in range(m):
-            # (B y(h))_i >= h_i
-            bt = sum(B[i, j] * ycoef[j][0] for j in range(m))
-            bm = sum(B[i, j] * ycoef[j][1] for j in range(m))
-            bl = sum(B[i, j] * ycoef[j][2] for j in range(m))
-            rows.append((bt, bm, bl, 0.0))
-            rhs.append(float(h[i]))
-            # y_i(h) >= 0
-            rows.append((ycoef[i][0], ycoef[i][1], ycoef[i][2], 0.0))
-            rhs.append(0.0)
-
-    # symmetry collapses most rows to exact duplicates
-    uniq: dict[tuple, float] = {}
-    for g, b in zip(rows, rhs):
-        key = tuple(round(v, 12) for v in g) + (round(b, 12),)
-        uniq[key] = b
-    G = np.array([k[:4] for k in uniq])
-    rr = np.array([k[4] for k in uniq])
-
-    lp = LinearProgram.from_arrays(
-        "min", [0.0, 0.0, 0.0, 1.0], G, [">="] * len(G), rr,
-        lower=[-np.inf] * 4)
-    sol = solve_lp(lp, tol=tol)
+    # 0, e_1 and nu_m (e_1 again at m = 1): every other vertex permutes
+    # one of them, and B, d and the policy are permutation invariant, so
+    # their rows imply those of every vertex
+    H = inst.uncertainty.vertices[[0, 1, -1]]
+    # y(h) = Y(h) (theta, mu, lam) with Y(h)_j = (h_j, sum h - h_j, 1)
+    Y = np.stack([H, H.sum(axis=1, keepdims=True) - H, np.ones_like(H)],
+                 axis=2)
+    # variables (theta, mu, lam, z): z >= d . y(h), B y(h) >= h, y(h) >= 0
+    G = np.zeros((3 + 6 * m, 4))
+    G[:3, :3] = -(inst.d @ Y)
+    G[:3, 3] = 1.0
+    G[3:, :3] = np.concatenate([(inst.B @ Y).reshape(-1, 3),
+                                Y.reshape(-1, 3)])
+    rhs = np.concatenate([np.zeros(3), H.ravel(), np.zeros(3 * m)])
+    lp = LinearProgram.from_arrays("min", [0.0, 0.0, 0.0, 1.0], G,
+                                   [">="] * len(G), rhs, lower=[-np.inf] * 4)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InstanceError(f"symmetric policy LP came back {sol.status}")
     th, mu, lam, _ = sol.x

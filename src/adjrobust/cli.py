@@ -21,8 +21,8 @@ from .affine import solve_affine
 from .analysis import (kappa_sandwich, theorem1_bound, theorem2_bound,
                        worstcase_lower_bound)
 from .bench import BenchConfig, generate_bench_instance, run_benchmark
-from .instances import (enumerate_vertices, gen_worst_case, read_instance,
-                        write_instance)
+from .instances import (RandomSpec, enumerate_vertices, gen_worst_case,
+                        read_instance, write_instance)
 from .lp import LpError
 from .mip import MipError
 
@@ -200,9 +200,9 @@ def _cmd_bounds(args) -> int:
         except ValueError as exc:
             print(f"theorem2: regime_valid=false ({exc})")
     else:
-        b = 1.0
-        mu = 0.5 if args.dist == "uniform" else args.p
-        rep = theorem1_bound(b, mu, args.m, n)
+        spec = RandomSpec(args.dist,
+                          args.p if args.dist == "bernoulli" else None)
+        rep = theorem1_bound(spec.support_bound, spec.mu, args.m, n)
         print(f"theorem1: epsilon={rep.epsilon!r} tau={rep.tau!r} "
               f"ratio_bound={rep.ratio_bound!r} "
               f"regime_valid={str(rep.regime_valid).lower()}")

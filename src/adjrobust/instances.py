@@ -36,7 +36,7 @@ class InstanceFormatError(ValueError):
 
 
 class DimensionCapError(ValueError):
-    """Vertex enumeration requested above the configured dimension cap."""
+    """Vertex enumeration requested above its dimension cap, m = 12."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +152,19 @@ def budget_vertices(m: int) -> UncertaintySet:
     return UncertaintySet.vrep(V[np.lexsort(V.T[::-1])])
 
 
-def enumerate_vertices(uset: UncertaintySet, cap: int = 12,
-                       dedup_tol: float = 1e-9) -> UncertaintySet:
-    """All vertices of an HRep set by active-set brute force.
+def enumerate_vertices(uset: UncertaintySet) -> UncertaintySet:
+    """All vertices of an HRep set by active-set brute force, m <= 12.
 
     Every m-subset of the rows of {R h <= r} stacked with {h >= 0} that
     forms a nonsingular system contributes its solution when feasible
-    (within 1e-9).  Points closer than dedup_tol coordinatewise are
+    (within 1e-9).  Points within 1e-9 of each other coordinatewise are
     merged; output rows are sorted lexicographically.
     """
     if not uset.is_hrep:
         raise InstanceError("enumerate_vertices expects an HRep set")
     m = uset.dim
-    if m > cap:
-        raise DimensionCapError(f"vertex enumeration capped at {cap}, got m={m}")
+    if m > 12:
+        raise DimensionCapError(f"vertex enumeration capped at 12, got m={m}")
     uset.check_bounded()
     G = np.vstack([uset.R, -np.eye(m)])
     g = np.concatenate([uset.r, np.zeros(m)])
@@ -194,7 +193,7 @@ def enumerate_vertices(uset: UncertaintySet, cap: int = 12,
     pts = np.unique(np.round(pts, 12) + 0.0, axis=0)  # +0.0 clears -0.0
     kept: list[np.ndarray] = []
     for p in pts:
-        if not any(np.max(np.abs(p - q)) <= dedup_tol for q in kept):
+        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in kept):
             kept.append(p)
     V = np.asarray(kept)
     V = V[np.lexsort(V.T[::-1])]

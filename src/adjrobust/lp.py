@@ -113,17 +113,18 @@ the import changes nothing.
 
 Conventions
 -----------
-- Variables have per-coordinate bounds [lower, upper], default [0, inf).
+- Rows are <= or >=; there are no equality rows.  Variables have
+  per-coordinate bounds [lower, upper], default [0, inf).
   Internally every problem becomes  min c.y  s.t.  G y <= g, y >= 0:
-  finite lower bounds are shifted out, free variables split into a
-  difference of two nonnegatives, finite upper bounds become extra rows,
-  and equality rows split into a <=/>= pair.  A fixed variable (finite
-  lower == upper) keeps its column, with an upper-bound row whose
-  right-hand side is 0, so the columns and rows of the standard form
-  depend only on which bounds are finite; the bound values move only
-  ``g`` and the shift.  A fixed column is never priced: it could enter
-  only by a degenerate step, and a Farkas vector covers it through its
-  bound row.
+  >= rows are negated, finite lower bounds are shifted out, free
+  variables split into a difference of two nonnegatives, and finite
+  upper bounds become extra rows, so row i of the LP is row i of G.  A
+  fixed variable (finite lower == upper) keeps its column, with an
+  upper-bound row whose right-hand side is 0, so the columns and rows
+  of the standard form depend only on which bounds are finite; the
+  bound values move only ``g`` and the shift.  A fixed column is never
+  priced: it could enter only by a degenerate step, and a Farkas vector
+  covers it through its bound row.
 - ``duals[i]`` is the marginal d(objective)/d(rhs_i) of original row i.
 - A solution claiming Optimal is certified before it is returned
   (primal feasibility, complementary slackness, duality gap); Infeasible
@@ -139,9 +140,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LE, GE, EQ = 0, 1, 2
-_REL_CODE = {"<=": LE, ">=": GE, "=": EQ, "==": EQ}
-_ROW_SIGN = np.array([1.0, -1.0, 1.0])  # by relation code
+LE, GE = 0, 1
+_REL_CODE = {"<=": LE, ">=": GE}
+_ROW_SIGN = np.array([1.0, -1.0])  # by relation code
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -152,6 +153,8 @@ _RC_TOL = 1e-9
 # Harris ratio-test tolerance; right-hand sides above -_FEAS_TOL are
 # clipped to zero, which removes the overshoot the Harris step allows
 _FEAS_TOL = 1e-9
+# scale of the certificate thresholds (see _validate_optimal)
+_CERT_TOL = 1e-8
 
 
 # glibc's mallopt parameters
@@ -212,7 +215,7 @@ class LinearProgram:
             raise ValueError("row matrix shape mismatch")
         lp.A = A
         codes = [_REL_CODE.get(r, r) if isinstance(r, str) else r for r in rel]
-        bad = [r for r in codes if r not in (LE, GE, EQ)]
+        bad = [r for r in codes if r not in (LE, GE)]
         if bad:
             raise ValueError(f"unknown row relation {bad[0]!r}")
         lp.rel = np.asarray(codes, dtype=np.int8)
@@ -255,25 +258,24 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 class _Standard:
-    __slots__ = ("c", "G", "g", "const", "col_orig", "col_sign", "shift",
-                 "row_of", "row_sign", "n_orig_rows", "sense_mult",
-                 "fixed_cols", "fixed_rows")
+    """What the bound values move in a ``_Form``'s standard form."""
+    __slots__ = ("g", "const", "shift", "fixed_cols", "fixed_rows")
 
 
 class _Form:
     """The standard form of an LP up to the values of its bounds.
 
-    ``G``, ``c`` and the row and column maps depend only on the rows,
-    the objective and which bounds are finite.  ``standardize`` adds what
-    the bound values move: ``g``, the shift, the constant and the fixed
-    columns.  A branch-and-bound search builds one form for its root and
-    solves every node through it (``with_bounds``)."""
+    ``G``, ``c``, the column map and the row signs depend only on the
+    rows, the objective and which bounds are finite.  ``standardize``
+    adds what the bound values move: ``g``, the shift, the constant and
+    the fixed columns.  A branch-and-bound search builds one form for
+    its root and solves every node through it (``with_bounds``)."""
 
     def __init__(self, lp: LinearProgram):
         if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
                 and np.all(np.isfinite(lp.obj))):
             raise ValueError("non-finite data in LP")
-        A, rel = lp.A, lp.rel
+        A = lp.A
         self.lp = lp
         self.sense_mult = 1.0 if lp.sense == "min" else -1.0
         self.c0 = self.sense_mult * lp.obj
@@ -290,19 +292,17 @@ class _Form:
         # y <= up - lo on every column with both bounds; 0 for a fixed one
         boxed = (has_lo & has_up).nonzero()[0]
 
-        # row expansion: >= negated, = split into a <=/>= pair
-        src = np.arange(A.shape[0]).repeat((rel == EQ) + 1)
-        sgn = _ROW_SIGN[rel[src]]
-        sgn[1:][src[1:] == src[:-1]] = -1.0   # the >= half of an = row
-        nrow = src.size
-        # G = [A[src][:, co] * cs * sgn[:, None]; bound rows], filled in
-        # place: the signs are +-1, so the order of the products is exact
+        # >= rows negated
+        sgn = _ROW_SIGN[lp.rel]
+        nrow = A.shape[0]
+        # G = [A[:, co] * cs * sgn[:, None]; bound rows], filled in place:
+        # the signs are +-1, so the order of the products is exact
         G = np.empty((nrow + boxed.size, co.size))
         top = G[:nrow]
-        if nrow == A.shape[0] and co.size == A.shape[1]:
-            np.multiply(A, sgn[:, None], out=top)   # nothing duplicated
+        if co.size == A.shape[1]:
+            np.multiply(A, sgn[:, None], out=top)   # no column split
         else:
-            np.take(A[src] if nrow > A.shape[0] else A, co, axis=1, out=top)
+            np.take(A, co, axis=1, out=top)
             top *= sgn[:, None]
         if (cs < 0).any():
             top *= cs
@@ -312,8 +312,7 @@ class _Form:
         self.has_lo, self.has_up = has_lo, has_up
         self.first, self.boxed, self.nrow = first, boxed, nrow
         self.c, self.G = self.c0[co] * cs, G
-        self.col_orig, self.col_sign = co, cs
-        self.row_of, self.row_sign = src, sgn
+        self.col_orig, self.col_sign, self.row_sign = co, cs, sgn
 
     def with_bounds(self, lower, upper) -> LinearProgram:
         """``lp.with_bounds(lower, upper)`` for the form's LP, solved
@@ -357,14 +356,10 @@ class _Form:
         shift = np.where(self.has_lo, lo, np.where(self.has_up, up, 0.0))
         fixed = (lo[boxed] == up[boxed]).nonzero()[0]
         st = _Standard()
-        st.c, st.G = self.c, self.G
-        st.g = np.concatenate(((lp.b - lp.A @ shift)[self.row_of]
-                               * self.row_sign, (up - lo)[boxed]))
+        st.g = np.concatenate(((lp.b - lp.A @ shift) * self.row_sign,
+                               (up - lo)[boxed]))
         st.const = float(self.c0 @ shift)
-        st.col_orig, st.col_sign, st.shift = self.col_orig, self.col_sign, shift
-        st.row_of, st.row_sign = self.row_of, self.row_sign
-        st.n_orig_rows = lp.num_rows
-        st.sense_mult = self.sense_mult
+        st.shift = shift
         # fixed columns and their bound rows
         st.fixed_cols = self.first[boxed[fixed]]
         st.fixed_rows = self.nrow + fixed
@@ -403,11 +398,6 @@ def _split_start(start):
     if isinstance(start, tuple):
         start, block = start
     return np.asarray(start, dtype=np.intp), block
-
-
-def _standardize(lp: LinearProgram) -> _Standard:
-    form = lp._form or _Form(lp)
-    return form.standardize(lp.lower, lp.upper)
 
 
 class _BoundInfeasible(Exception):
@@ -766,7 +756,7 @@ class _Tableau:
             self._price(*inv[:3])
 
 
-def _simplex(c, G, g, fixed, max_iters=None, start=None, block=None):
+def _simplex(c, G, g, fixed, start=None, block=None):
     """Simplex on  min c.y, G y <= g, y >= 0: a dual phase from a basis
     that is dual feasible on the costs it prices, then a primal phase.
     A usable warm start is primal feasible, or dual feasible on the
@@ -779,8 +769,7 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None, block=None):
     ``inv(M0[N, S])`` if known (``_Tableau._basis_inverse``)."""
     nr, nc = G.shape
     bland_after = 5 * (nc + nr)
-    if max_iters is None:
-        max_iters = max(200 * (nc + nr), 20000)
+    max_iters = max(200 * (nc + nr), 20000)
     priced = np.ones(nc + nr, dtype=bool)
     priced[fixed] = False
     tb = _Tableau(c, G, g, bland_after, max_iters, start)
@@ -795,8 +784,7 @@ def _simplex(c, G, g, fixed, max_iters=None, start=None, block=None):
     return tb.run(tb.z, priced), tb, None
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-8,
-             max_iters: int | None = None,
+def solve_lp(lp: LinearProgram,
              start: np.ndarray | tuple | None = None) -> LpSolution:
     """Solve lp; statuses 'optimal', 'infeasible', 'unbounded'.
 
@@ -819,20 +807,20 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     except _BoundInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
-    nr, nc = st.G.shape
+    nr, nc = form.G.shape
     if start is not None and not form.fits(start):
         raise ValueError(f"start must hold {nr} column indices "
                          f"below {nc + nr}")
     start, block = _split_start(start)
-    status, tb, farkas = _simplex(st.c, st.G, st.g, st.fixed_cols,
-                                  max_iters, start, block)
+    status, tb, farkas = _simplex(form.c, form.G, st.g, st.fixed_cols,
+                                  start, block)
 
     if status == INFEASIBLE:
         # a fixed column was never priced, so the combination may weigh
         # it negatively; its bound row (rhs 0) makes up the difference
-        short = farkas @ st.G[:, st.fixed_cols]
+        short = farkas @ form.G[:, st.fixed_cols]
         farkas[st.fixed_rows] += np.maximum(-short, 0.0)
-        _validate_farkas(st, farkas, tol)
+        _validate_farkas(form.G, st.g, farkas)
         return LpSolution(INFEASIBLE, None, None, None, tb.iterations,
                           farkas=farkas)
     if status == OPTIMAL:
@@ -842,32 +830,30 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
     y = np.zeros(nc + nr)
     y[tb.basis] = tb.rhs
     x = st.shift.copy()
-    np.add.at(x, st.col_orig, st.col_sign * y[:nc])
+    np.add.at(x, form.col_orig, form.col_sign * y[:nc])
 
     if status == UNBOUNDED:
         d = np.zeros(nc + nr)
         d[tb._entering] = 1.0
         d[tb.basis] = -tb.column(tb._entering)
         ray = np.zeros(lp.num_vars)
-        np.add.at(ray, st.col_orig, st.col_sign * d[:nc])
-        _validate_ray(lp, st, ray, d[:nc], tol)
+        np.add.at(ray, form.col_orig, form.col_sign * d[:nc])
+        _validate_ray(lp, ray, d[:nc])
         return LpSolution(UNBOUNDED, None, None, None, tb.iterations,
                           ray=ray, basis=tb.basis.copy())
 
+    sense = form.sense_mult
     obj_min = -tb.z[-1] + st.const
     # duals: rc of slack columns give -d(obj)/d(g_i)
     y_int = -tb.z[nc:nc + nr]
     dual_min = float(y_int @ st.g) + st.const
+    duals = sense * form.row_sign * y_int[:form.nrow]
 
-    duals = np.zeros(st.n_orig_rows)
-    np.add.at(duals, st.row_of, st.row_sign * y_int[:st.row_of.size])
-    duals *= st.sense_mult
-
-    sol = LpSolution(OPTIMAL, x, duals, float(st.sense_mult * obj_min),
+    sol = LpSolution(OPTIMAL, x, duals, float(sense * obj_min),
                      tb.iterations,
-                     dual_objective=float(st.sense_mult * dual_min),
+                     dual_objective=float(sense * dual_min),
                      basis=tb.basis.copy())
-    _validate_optimal(lp, st, sol, y, y_int, obj_min, dual_min, tol)
+    _validate_optimal(lp, st.g, sol, y[nc:], y_int, obj_min, dual_min)
     return sol
 
 
@@ -875,18 +861,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-8,
 # certificate validation
 # ---------------------------------------------------------------------------
 
-def _validate_optimal(lp, st, sol, y_int_vars, y_int, obj_min, dual_min,
-                      tol) -> None:
+def _validate_optimal(lp, g, sol, slack, y_int, obj_min, dual_min) -> None:
     # validation thresholds sit one to two orders above the pivot/feas
     # tolerances so honest float accumulation does not masquerade as
     # breakdown; property tests assert the tight bounds on small LPs.
-    x, A, b, rel = sol.x, lp.A, lp.b, lp.rel
+    tol = _CERT_TOL
+    x, A, b = sol.x, lp.A, lp.b
     if A.size:
-        act = A @ x
-        resid_le = act - b
-        bad = (((rel == LE) & (resid_le > 10 * tol * (1 + np.abs(b))))
-               | ((rel == GE) & (-resid_le > 10 * tol * (1 + np.abs(b))))
-               | ((rel == EQ) & (np.abs(resid_le) > 10 * tol * (1 + np.abs(b)))))
+        bad = _ROW_SIGN[lp.rel] * (A @ x - b) > 10 * tol * (1 + np.abs(b))
         if bad.any():
             raise LpBreakdownError(
                 f"optimal point violates row {int(np.flatnonzero(bad)[0])}")
@@ -899,35 +881,31 @@ def _validate_optimal(lp, st, sol, y_int_vars, y_int, obj_min, dual_min,
     gap = abs(obj_min - dual_min)
     if gap > 100 * tol * (1.0 + abs(obj_min)):
         raise LpBreakdownError(f"duality gap {gap:.3e} failed certification")
-    slack_int = y_int_vars[st.G.shape[1]:]
-    cs = np.abs(y_int * slack_int)
-    if cs.size and cs.max() > 100 * tol * (1.0 + np.abs(st.g)).max():
+    cs = np.abs(y_int * slack)
+    if cs.size and cs.max() > 100 * tol * (1.0 + np.abs(g)).max():
         raise LpBreakdownError("complementary slackness failed")
 
 
-def _validate_farkas(st, farkas, tol) -> None:
-    lam = farkas
+def _validate_farkas(G, g, lam) -> None:
+    """``lam >= 0`` with ``lam G >= 0`` and ``lam g < 0`` proves that
+    ``G y <= g, y >= 0`` has no solution."""
+    tol = _CERT_TOL
     if lam.min(initial=0.0) < -10 * tol:
         raise LpBreakdownError("Farkas multipliers not nonnegative")
-    comb = lam @ st.G
-    scale = (1.0 + float(np.abs(st.G).max(initial=0.0))
-             * float(np.abs(lam).max(initial=0.0)))
+    comb = lam @ G
+    scale = 1.0 + _peak(G) * _peak(lam)
     if comb.size and comb.min() < -100 * tol * scale:
         raise LpBreakdownError("Farkas combination not nonnegative")
-    if float(lam @ st.g) >= -1e-10 * (1.0 + float(np.abs(st.g).max(initial=0.0))):
+    if float(lam @ g) >= -1e-10 * (1.0 + _peak(g)):
         raise LpBreakdownError("Farkas combination fails to cut off rhs")
 
 
-def _validate_ray(lp, st, ray, d_struct, tol) -> None:
-    A, rel = lp.A, lp.rel
-    scale = 1.0 + float(np.abs(d_struct).max(initial=0.0))
-    if A.size:
-        move = A @ ray
-        bad = (((rel == LE) & (move > 100 * tol * scale))
-               | ((rel == GE) & (-move > 100 * tol * scale))
-               | ((rel == EQ) & (np.abs(move) > 100 * tol * scale)))
+def _validate_ray(lp, ray, d_struct) -> None:
+    scale = 1.0 + _peak(d_struct)
+    if lp.A.size:
+        bad = _ROW_SIGN[lp.rel] * (lp.A @ ray) > 100 * _CERT_TOL * scale
         if bad.any():
             raise LpBreakdownError("improving ray leaves the feasible cone")
-    drop = st.sense_mult * float(lp.obj @ ray)
+    drop = (1.0 if lp.sense == "min" else -1.0) * float(lp.obj @ ray)
     if drop > -1e-9 * scale:
         raise LpBreakdownError("ray fails to improve the objective")

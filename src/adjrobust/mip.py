@@ -4,19 +4,18 @@ Search order is best-bound from the root.  Branching picks the most
 fractional binary (lowest index on ties, which roundoff in the node
 LP's solution does not break), and of two open nodes with the same
 bound the older goes first, so the child matching the rounded
-relaxation value precedes its sibling.  A rounding heuristic (fix every
-binary to its rounded value, re-solve the LP) runs while no incumbent
-exists.  Everything is deterministic.
+relaxation value precedes its sibling.  There is no primal heuristic:
+incumbents are the integral node LPs.  Everything is deterministic.
 
 The root LP is solved cold unless a ``start`` is given, as
 ``solve_lp`` takes it: the cut loop starts each separation MIP's root
 from the previous root's optimal basis (``MipSolution.root_start``),
 which is primal feasible because the MIPs share rows and bounds.  Every
-child, and every rounding LP, starts from its parent's optimal basis and
-that basis's inverse block (``solve_lp(..., start=(basis, block))``): it
-differs from the parent only in bounds, which keeps that basis dual
-feasible, so the LP kernel's dual simplex phase re-solves it in a few
-pivots, with no inversion to start.  All LPs of a search share one
+child starts from its parent's optimal basis and that basis's inverse
+block (``solve_lp(..., start=(basis, block))``): it differs from the
+parent only in bounds, which keeps that basis dual feasible, so the LP
+kernel's dual simplex phase re-solves it in a few pivots, with no
+inversion to start.  All LPs of a search share one
 standard form (the LP kernel's ``_Form``), built once for the root, and
 the search asks that form for the block (``_Form.block``): one s x s
 inversion, for s basic structural columns, per node that has children
@@ -74,7 +73,7 @@ class MipSolution:
     bound: float
     gap: float
     nodes: int
-    pivots: int                      # LP pivots, root and rounding included
+    pivots: int                      # LP pivots, root included
     # the root LP's optimal basis and inverse block: a start for the root
     # of a MIP with the same rows and bounds; None if the root was not
     # solved to optimality
@@ -129,12 +128,6 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     heap: list = [(-np.inf, 0, lower, upper, root)]
     tie = 1
 
-    def relax(lo, up, start):
-        nonlocal pivots
-        sol = solve_lp(form.with_bounds(lo, up), start=start)
-        pivots += sol.iterations
-        return sol
-
     def finish(status: str, bound: float) -> MipSolution:
         if incumbent_val is None:
             return MipSolution(status, None, None, sgn * bound, np.inf, nodes,
@@ -142,14 +135,6 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         return MipSolution(status, incumbent_x, sgn * incumbent_val,
                            sgn * bound, bound - incumbent_val, nodes, pivots,
                            root_start)
-
-    def accept(x: np.ndarray, objective: float) -> None:
-        nonlocal incumbent_x, incumbent_val
-        val = sgn * objective
-        if incumbent_val is None or val > incumbent_val:
-            xr = x.copy()
-            xr[binaries] = np.round(xr[binaries])
-            incumbent_x, incumbent_val = xr, val
 
     while heap:
         negb, _, lo, up, start = heapq.heappop(heap)
@@ -162,7 +147,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
                         -np.inf if incumbent_val is None else incumbent_val)
             return finish("node_limit", bound)
         nodes += 1
-        sol = relax(lo, up, start)
+        sol = solve_lp(form.with_bounds(lo, up), start=start)
+        pivots += sol.iterations
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -177,14 +163,14 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
 
         frac = _fractionality(sol.x, binaries)
         if frac.size == 0 or frac.max() <= INT_TOL:
-            accept(sol.x, sol.objective)
+            # val beats the incumbent by more than mip_tol: replace it
+            incumbent_x, incumbent_val = sol.x.copy(), val
+            incumbent_x[binaries] = np.round(incumbent_x[binaries])
             continue
 
         # the start of the children: this basis and its inverse block
         warm = root_start if nodes == 1 else (sol.basis,
                                               form.block(sol.basis))
-        if incumbent_val is None:
-            _try_rounding(relax, lo, up, binaries, sol.x, warm, accept)
 
         j = int(binaries[_most_fractional(frac)])
         pref = float(np.round(sol.x[j]))
@@ -199,11 +185,3 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
         return finish("infeasible", -np.inf)
     return finish("optimal", incumbent_val)
 
-
-def _try_rounding(relax, lo, up, binaries, x, warm, accept):
-    clo, cup = lo.copy(), up.copy()
-    rounded = np.round(x[binaries])
-    clo[binaries] = cup[binaries] = rounded
-    sol = relax(clo, cup, warm)
-    if sol.status == "optimal":
-        accept(sol.x, sol.objective)

@@ -14,7 +14,7 @@ from adjrobust.adjustable import (CutPool, Digitization, DualizedSet,
 from adjrobust.instances import (Instance, InstanceError, RandomSpec,
                                  UncertaintySet, budget_set, budget_vertices,
                                  enumerate_vertices, gen_iid, gen_worst_case)
-from adjrobust.lp import LinearProgram, solve_lp
+from adjrobust.lp import LE, LinearProgram, solve_lp
 from adjrobust.mip import solve_mip
 
 SQRT2 = float(np.sqrt(2.0))
@@ -102,7 +102,8 @@ def test_separation_zero_set():
     sol = solve_mip(prob, mip_tol=1e-6)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
-    np.testing.assert_allclose(sol.x[:2], 0.0, atol=1e-9)
+    h, _, _ = adjustable._recover_pair(inst, np.zeros(2), sol.x, dig)
+    np.testing.assert_allclose(h, 0.0, atol=1e-9)
 
 
 def test_separation_box_corner():
@@ -164,11 +165,13 @@ def test_separation_mip_one_sided_bound_and_size():
                 x_hat = 0.3 * rng.random(m)
             dig = Digitization.from_instance(inst, eps)
             prob = build_separation_mip(inst, x_hat, dig)
-            # h bits only, one continuous product per bit, two rows each
+            # w, the h bits and one continuous product per bit, two rows
+            # each; h is no column, and every row is <=
             k = m * dig.bits_u
             assert len(prob.binary_vars) == dig.binaries(m) == k
-            assert prob.lp.num_vars == 2 * m + 2 * k
-            prods = prob.lp.A[:, 2 * m + k:]
+            assert prob.lp.num_vars == m + 2 * k
+            assert (prob.lp.rel == LE).all()
+            prods = prob.lp.A[:, m + k:]
             assert ((prods != 0).sum(axis=0) == 2).all()
 
             tol = eps / 4
@@ -181,6 +184,10 @@ def test_separation_mip_one_sided_bound_and_size():
             under = m * 2.0 ** (dig.delta_w - dig.s)
             assert true - (under + tol) - 1e-9 <= sol.objective
             assert sol.objective <= true + tol + 1e-9
+            # the h decoded from the bits lies in U
+            h, _, _ = adjustable._recover_pair(inst, x_hat, sol.x, dig)
+            R, r = inst.uncertainty.R, inst.uncertainty.r
+            assert (h >= 0).all() and (R @ h <= r + 1e-9).all()
 
 
 def test_separation_needs_hrep():
@@ -417,12 +424,12 @@ def test_oracle_worst_case_family():
             1.0, abs=1e-8)
 
 
-def extensive_oracle_value(inst, cap=12):
+def extensive_oracle_value(inst):
     """z_AR from the extensive form written out in full: x, z and a
     recourse copy y_v per vertex, with every covering row of every vertex."""
     uset = inst.uncertainty
     if uset.is_hrep:
-        uset = enumerate_vertices(uset, cap=cap)
+        uset = enumerate_vertices(uset)
     V = uset.vertices
     K, m, n = len(V), inst.m, inst.n
     G = np.zeros((K * (1 + m), n + 1 + K * n))

@@ -126,6 +126,14 @@ def test_bounds_uniform(capsys):
     assert lb == pytest.approx(99.0 / 60.0)
 
 
+def test_bounds_refuses_an_impossible_p(capsys):
+    # p = 1.5 once gave ratio_bound=0.98, a ratio below 1, and exit 0
+    code, out, err = run(capsys, "bounds", "--dist", "bernoulli", "--p",
+                         "1.5", "--m", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "p in (0, 1)" in err
+
+
 def test_bounds_folded_normal(capsys):
     code, out, _ = run(capsys, "bounds", "--dist", "folded-normal",
                        "--m", "100")

@@ -10,18 +10,23 @@ from adjrobust.bench import BenchConfig, run_benchmark
 from adjrobust.instances import RandomSpec, budget_set, gen_iid, gen_worst_case
 from adjrobust.lp import (
     _FEAS_TOL,
-    EQ,
     GE,
     LE,
     LinearProgram,
     LpBreakdownError,
     _Form,
-    _standardize,
     _Tableau,
     _validate_farkas,
     solve_lp,
 )
 from adjrobust.rng import SplitMix64
+
+
+def _standard(lp):
+    """The standard form of ``lp``: its ``_Form`` and what its bound
+    values move."""
+    form = _Form(lp)
+    return form, form.standardize(lp.lower, lp.upper)
 
 
 def small_lp():
@@ -57,9 +62,10 @@ def test_row_scaling_leaves_solution_unchanged():
 
 
 def test_equality_and_ge_rows():
-    # min x + y s.t. x + y = 1, x - y >= 0
+    # min x + y s.t. x + y = 1 (as a <=/>= pair), x - y >= 0
     lp = LinearProgram.from_arrays(
-        "min", [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", ">="], [1.0, 0.0]
+        "min", [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+        ["<=", ">=", ">="], [1.0, 1.0, 0.0]
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -101,29 +107,29 @@ def test_fixed_variable_substitution():
 
 def test_standard_form_layout():
     # one variable of each bound kind (free, lower only, upper only, both,
-    # fixed) and one row of each relation
+    # fixed) and rows of each relation, the last two an equality as a pair
     lp = LinearProgram.from_arrays(
         "min",
         [1.0, 2.0, 3.0, 4.0, 5.0],
         [[1.0, 2.0, 3.0, 4.0, 5.0],
          [6.0, 7.0, 8.0, 9.0, 10.0],
+         [11.0, 12.0, 13.0, 14.0, 15.0],
          [11.0, 12.0, 13.0, 14.0, 15.0]],
-        ["<=", ">=", "="],
-        [10.0, 20.0, 30.0],
+        ["<=", ">=", "<=", ">="],
+        [10.0, 20.0, 30.0, 30.0],
         lower=[-np.inf, 1.0, -np.inf, -1.0, 2.0],
         upper=[np.inf, np.inf, 2.0, 3.0, 2.0],
     )
-    st = _standardize(lp)
+    form, st = _standard(lp)
     # the free variable splits into y+ and y-, the upper-only one is
     # mirrored, and the boxed and fixed ones keep a column each
-    np.testing.assert_array_equal(st.col_orig, [0, 0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(st.col_sign, [1, -1, 1, -1, 1, 1])
+    np.testing.assert_array_equal(form.col_orig, [0, 0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(form.col_sign, [1, -1, 1, -1, 1, 1])
     np.testing.assert_array_equal(st.shift, [0, 1, 2, -1, 2])
-    # >= negated, = split into a <=/>= pair, then one upper-bound row per
-    # boxed column; the fixed one's right-hand side is 0
-    np.testing.assert_array_equal(st.row_of, [0, 1, 2, 2])
-    np.testing.assert_array_equal(st.row_sign, [1, -1, 1, -1])
-    np.testing.assert_array_equal(st.G, [
+    # >= negated, then one upper-bound row per boxed column; the fixed
+    # one's right-hand side is 0
+    np.testing.assert_array_equal(form.row_sign, [1, -1, 1, -1])
+    np.testing.assert_array_equal(form.G, [
         [1, -1, 2, -3, 4, 5],
         [-6, 6, -7, 8, -9, -10],
         [11, -11, 12, -13, 14, 15],
@@ -133,7 +139,7 @@ def test_standard_form_layout():
     ])
     # b - A @ shift with A @ shift = (14, 34, 54); upper - lower = 4, 0
     np.testing.assert_array_equal(st.g, [-4, 14, -24, 24, 4, 0])
-    np.testing.assert_array_equal(st.c, [1, -1, 2, -3, 4, 5])
+    np.testing.assert_array_equal(form.c, [1, -1, 2, -3, 4, 5])
     assert st.const == 14.0
     np.testing.assert_array_equal(st.fixed_cols, [5])
     np.testing.assert_array_equal(st.fixed_rows, [5])
@@ -200,9 +206,9 @@ def test_beale_cycling_lp_terminates():
     np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     # the Harris test alone, and a switch to Bland's rule after any
     # number of its pivots, ends at the same optimum
-    st = _standardize(lp)
+    form, st = _standard(lp)
     for bland_after in [*range(8), 10**6]:
-        tb = _Tableau(st.c, st.G, st.g, bland_after, 200)
+        tb = _Tableau(form.c, form.G, st.g, bland_after, 200)
         assert tb.run(tb.z, np.ones(tb.T.shape[1], dtype=bool)) == "optimal"
         np.testing.assert_allclose(-tb.z[-1], -1.25, atol=1e-12)
 
@@ -223,7 +229,7 @@ def test_with_bounds_shares_rows():
 
 
 def test_tight_certificates_on_small_lp():
-    sol = solve_lp(small_lp(), tol=1e-8)
+    sol = solve_lp(small_lp())
     lp = small_lp()
     # primal feasibility, complementary slackness and zero gap, tight
     resid = lp.A @ sol.x - lp.b
@@ -288,13 +294,14 @@ def test_nonfinite_data_rejected():
 
 def test_unknown_relation_rejected():
     # -1 once indexed the sign table from the end and solved as <=
-    for rel in (-1, 7, "=<"):
+    # and there are no equality rows: "=", "==" and code 2 are unknown
+    for rel in (-1, 7, "=<", "=", "==", 2):
         with pytest.raises(ValueError, match="relation"):
             LinearProgram.from_arrays("min", [1.0], [[1.0], [1.0]],
                                       ["<=", rel], [1.0, 2.0])
-    ok = LinearProgram.from_arrays("min", [1.0], [[1.0]] * 3, [LE, GE, EQ],
-                                   [1.0, 0.5, 0.5])
-    np.testing.assert_array_equal(ok.rel, [LE, GE, EQ])
+    ok = LinearProgram.from_arrays("min", [1.0], [[1.0]] * 2, [LE, GE],
+                                   [1.0, 0.5])
+    np.testing.assert_array_equal(ok.rel, [LE, GE])
 
 
 def _dense_pivot(T, p, q):
@@ -344,17 +351,17 @@ def _large_dense_lp(monkeypatch):
     return _dense_lp(monkeypatch, n=80, rows=60)
 
 
-def _dual_costs(tb, st):
+def _dual_costs(tb, form):
     """The row ``_simplex`` prices in a cold dual phase."""
-    return tb.z if (st.c >= 0).all() else np.zeros_like(tb.z)
+    return tb.z if (form.c >= 0).all() else np.zeros_like(tb.z)
 
 
 @pytest.mark.parametrize("make_lp,block", [(_oracle_lp, 4),
                                            (_large_dense_lp, 4),
                                            (_dense_lp, 1)])
 def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
-    st = _standardize(make_lp(monkeypatch))
-    tb = _Tableau(st.c, st.G, st.g, 10**6, 10**6)
+    form, st = _standard(make_lp(monkeypatch))
+    tb = _Tableau(form.c, form.G, st.g, 10**6, 10**6)
     assert (tb.rhs < 0).any()
     # a small factor block, so that pivots also fold full blocks into T;
     # without refreshes only those folds make T current
@@ -374,7 +381,7 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
 
     monkeypatch.setattr(_Tableau, "pivot", spy)
     priced = np.ones(tb.T.shape[1], dtype=bool)
-    assert tb.run_dual(_dual_costs(tb, st), priced) == "optimal"
+    assert tb.run_dual(_dual_costs(tb, form), priced) == "optimal"
     assert tb.iterations > 0 and (tb.rhs >= 0).all()
     assert tb.run(tb.z, priced) == "optimal"
     assert any(folds)
@@ -385,10 +392,9 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
 
 
 def _tableau(lp):
-    """The cold tableau of ``lp`` at the slack basis, and its standard
-    form."""
-    st = _standardize(lp)
-    return _Tableau(st.c, st.G, st.g, 10**6, 10**6), st
+    """The cold tableau of ``lp`` at the slack basis, and its form."""
+    form, st = _standard(lp)
+    return _Tableau(form.c, form.G, st.g, 10**6, 10**6), form
 
 
 def _pivot_up_to(tb, run, pivots):
@@ -416,9 +422,9 @@ def _assert_dense_inverse(tb):
 
 
 def test_block_inverse_mid_dual_phase(monkeypatch):
-    tb, st = _tableau(_dense_lp(monkeypatch))
+    tb, form = _tableau(_dense_lp(monkeypatch))
     priced = np.ones(tb.T.shape[1], dtype=bool)
-    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb, st), priced), 1)
+    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb, form), priced), 1)
     assert (tb.basis >= tb.nc).any() and (tb.basis < tb.nc).any()
     _assert_dense_inverse(tb)
     # a slack listed twice makes the basis singular
@@ -439,8 +445,8 @@ def test_block_inverse_of_permuted_slack_basis(monkeypatch):
 def test_block_inverse_mid_phase2_oracle(monkeypatch):
     # the oracle's costs are nonnegative, so the dual phase from the
     # slack basis prices them: 10 pivots into it
-    tb, st = _tableau(_oracle_lp(monkeypatch, m=16))
-    assert (st.c >= 0).all()
+    tb, form = _tableau(_oracle_lp(monkeypatch, m=16))
+    assert (form.c >= 0).all()
     priced = np.ones(tb.T.shape[1], dtype=bool)
     _pivot_up_to(tb, lambda: tb.run_dual(tb.z, priced), 10)
     assert 0 < (tb.basis < tb.nc).sum() < tb.basis.size
@@ -456,7 +462,7 @@ def _bounded_lp():
 def test_basis_of_a_solution_restarts_without_pivots():
     lp = _bounded_lp()
     sol = solve_lp(lp)
-    assert sol.basis.shape == (_standardize(lp).G.shape[0],)
+    assert sol.basis.shape == (_Form(lp).G.shape[0],)
     again = solve_lp(lp, start=sol.basis)
     assert again.status == "optimal" and again.iterations == 0
     np.testing.assert_array_equal(again.basis, sol.basis)
@@ -479,10 +485,10 @@ def test_warm_start_proves_child_infeasible(monkeypatch):
     sol = solve_lp(child, start=parent.basis)
     assert seen == ["infeasible"]
     assert sol.status == "infeasible"
-    st = _standardize(child)
+    form, st = _standard(child)
     lam = sol.farkas
     assert lam.min() >= 0.0
-    assert (lam @ st.G).min() >= -1e-12
+    assert (lam @ form.G).min() >= -1e-12
     assert lam @ st.g < -0.1
 
 
@@ -552,7 +558,7 @@ def _spy_tableaux(monkeypatch):
 def _slack_width(lp):
     """Columns of ``[G | I]`` for ``lp``: its standard-form columns and
     one slack per row, with no artificial column."""
-    nr, nc = _standardize(lp).G.shape
+    nr, nc = _Form(lp).G.shape
     return nc + nr
 
 
@@ -591,8 +597,8 @@ def test_nonnegative_costs_prove_infeasibility(monkeypatch):
     sol = solve_lp(lp)
     assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     assert sol.status == "infeasible"
-    st = _standardize(lp)
-    _validate_farkas(st, sol.farkas, 1e-8)
+    form, st = _standard(lp)
+    _validate_farkas(form.G, st.g, sol.farkas)
     assert sol.farkas.min() >= 0.0 and sol.farkas @ st.g < -1.0
 
 
@@ -619,12 +625,14 @@ def test_fixed_column_with_negative_cost_keeps_the_slack_start(monkeypatch):
     assert ([tb.T.shape[1] for tb in made]
             == [_slack_width(lp), _slack_width(bad)])
     assert sol.status == "infeasible"
-    _validate_farkas(_standardize(bad), sol.farkas, 1e-8)
+    form, st = _standard(bad)
+    _validate_farkas(form.G, st.g, sol.farkas)
 
 
 def _mixed_lp(seed):
-    """Negative costs, >=, = and <= rows, and free, boxed and
-    lower-bounded columns: the dual phase runs on zero costs."""
+    """Negative costs, >= and <= rows and an equality as a >=/<= pair,
+    and free, boxed and lower-bounded columns: the dual phase runs on
+    zero costs."""
     rng = np.random.default_rng(seed)
     n, k = 4 + seed % 5, 2 + seed % 3
     A = rng.uniform(-0.5, 1.0, (2 * k + 1, n))
@@ -634,16 +642,15 @@ def _mixed_lp(seed):
     kind = rng.integers(0, 3, n)        # 0 free, 1 boxed, 2 lower only
     lower = np.where(kind == 0, -np.inf, 0.0)
     upper = np.where(kind == 1, rng.uniform(1.0, 3.0, n), np.inf)
-    return LinearProgram.from_arrays("min", c, A, [">="] * k + ["="]
-                                     + ["<="] * k, b, lower, upper)
+    rows = np.r_[0:k + 1, k:2 * k + 1]  # row k twice
+    return LinearProgram.from_arrays("min", c, A[rows], [">="] * (k + 1)
+                                     + ["<="] * (k + 1), b[rows], lower, upper)
 
 
 def _highs(lp):
     linprog = pytest.importorskip("scipy.optimize").linprog
     sign = np.where(lp.rel == GE, -1.0, 1.0)
-    ub, eq = lp.rel != EQ, lp.rel == EQ
-    return linprog(lp.obj, A_ub=(lp.A * sign[:, None])[ub],
-                   b_ub=(lp.b * sign)[ub], A_eq=lp.A[eq], b_eq=lp.b[eq],
+    return linprog(lp.obj, A_ub=lp.A * sign[:, None], b_ub=lp.b * sign,
                    bounds=[(None if np.isinf(lo) else lo,
                             None if np.isinf(up) else up)
                            for lo, up in zip(lp.lower, lp.upper)],
@@ -657,7 +664,6 @@ def _assert_improving_ray(lp, ray):
     move = lp.A @ ray
     assert (move[lp.rel == LE] <= tol).all()
     assert (move[lp.rel == GE] >= -tol).all()
-    assert (np.abs(move[lp.rel == EQ]) <= tol).all()
     assert (ray[np.isfinite(lp.lower)] >= -tol).all()
     assert (ray[np.isfinite(lp.upper)] <= tol).all()
     assert lp.obj @ ray < -tol
@@ -668,8 +674,8 @@ def test_negative_costs_match_highs(monkeypatch):
     made = _spy_tableaux(monkeypatch)
     for seed in range(30):
         lp = _mixed_lp(seed)
-        st = _standardize(lp)
-        assert (st.c < 0).any() and (st.g < 0).any()
+        form, st = _standard(lp)
+        assert (form.c < 0).any() and (st.g < 0).any()
         made.clear()
         sol = solve_lp(lp)
         assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
@@ -681,7 +687,7 @@ def test_negative_costs_match_highs(monkeypatch):
             assert sol.objective == pytest.approx(ref.fun, rel=1e-9,
                                                   abs=1e-12), f"seed {seed}"
         elif status == "infeasible":
-            _validate_farkas(st, sol.farkas, 1e-8)
+            _validate_farkas(form.G, st.g, sol.farkas)
         else:
             _assert_improving_ray(lp, sol.ray)
     assert outcomes == {"optimal", "infeasible", "unbounded"}
@@ -721,16 +727,16 @@ def test_zero_cost_dual_phase_ends_under_any_bland_switch():
     # guarantees the phase ends: switch to it after 0-7 pivots, or never
     inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
     want = solve_affine(inst).objective
-    st = _standardize(build_affine_lp(inst))
-    assert (st.c < 0).any() and (st.g < 0).any()
-    priced = np.ones(sum(st.G.shape), dtype=bool)
+    form, st = _standard(build_affine_lp(inst))
+    assert (form.c < 0).any() and (st.g < 0).any()
+    priced = np.ones(sum(form.G.shape), dtype=bool)
     priced[st.fixed_cols] = False
     for bland_after in [*range(8), 10**6]:
-        tb = _Tableau(st.c, st.G, st.g, bland_after, 10**4)
+        tb = _Tableau(form.c, form.G, st.g, bland_after, 10**4)
         assert tb.run_dual(np.zeros_like(tb.z), priced) == "optimal"
         assert tb.run(tb.z, priced) == "optimal"
         tb.refine_optimal()
-        value = st.sense_mult * (st.const - tb.z[-1])
+        value = form.sense_mult * (st.const - tb.z[-1])
         assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -824,7 +830,7 @@ def _indexed_G(form):
     built before ``_Form`` filled it in place."""
     lp, boxed, nrow = form.lp, form.boxed, form.nrow
     G = np.zeros((nrow + boxed.size, form.col_orig.size))
-    G[:nrow] = (lp.A[form.row_of][:, form.col_orig] * form.col_sign
+    G[:nrow] = (lp.A[:, form.col_orig] * form.col_sign
                 * form.row_sign[:, None])
     G[nrow + np.arange(boxed.size), form.first[boxed]] = 1.0
     return G
@@ -832,7 +838,7 @@ def _indexed_G(form):
 
 def test_form_fills_G_in_place(monkeypatch):
     # the HRep affine LP (free columns split), a separation MIP (bound
-    # rows and = rows split) and the vertex LP (nothing duplicated)
+    # rows) and the vertex LP (nothing duplicated)
     inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
     lps = [build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)),
            build_separation_mip(inst, np.zeros(3),
@@ -841,7 +847,6 @@ def test_form_fills_G_in_place(monkeypatch):
     forms = [_Form(lp) for lp in lps]
     for form in forms:
         np.testing.assert_array_equal(form.G, _indexed_G(form))
-    dup = [form.nrow > form.lp.num_rows
-           or form.col_orig.size > form.lp.num_vars for form in forms]
-    assert dup == [True, True, False]
+    dup = [form.col_orig.size > form.lp.num_vars for form in forms]
+    assert dup == [True, False, False]
     assert forms[1].boxed.size > 0

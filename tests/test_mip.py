@@ -8,7 +8,7 @@ from adjrobust import adjustable, mip
 from adjrobust.adjustable import (Digitization, build_separation_mip,
                                   solve_adjustable)
 from adjrobust.instances import Instance, budget_set
-from adjrobust.lp import LinearProgram, _standardize, _Tableau, solve_lp
+from adjrobust.lp import LinearProgram, _Form, _Tableau, solve_lp
 from adjrobust.mip import MipError, MixedBinaryProgram, solve_mip
 from adjrobust.rng import SplitMix64
 
@@ -72,13 +72,14 @@ def test_infeasible_mip():
 
 
 def test_fractional_only_feasibility_is_integer_infeasible():
-    # LP feasible only at a + b = 1 with a = b, so a = b = 1/2
+    # LP feasible only at a + b = 1 with a = b, so a = b = 1/2; each
+    # equality is a <=/>= pair
     lp = LinearProgram.from_arrays(
         "max",
         [1.0, 0.0],
-        [[1.0, 1.0], [1.0, -1.0]],
-        ["=", "="],
-        [1.0, 0.0],
+        [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, -1.0]],
+        ["<=", ">=", "<=", ">="],
+        [1.0, 1.0, 0.0, 0.0],
     )
     sol = solve_mip(MixedBinaryProgram(lp, (0, 1)))
     assert sol.status == "infeasible"
@@ -152,9 +153,9 @@ def _exhaustive_best(lp, binaries):
 
 
 def _fuzz_mips():
-    """25 random MIPs: 3-8 binaries, 0-2 continuous columns, 2-4 rows."""
+    """40 random MIPs: 3-8 binaries, 0-2 continuous columns, 2-4 rows."""
     rng = SplitMix64(777)
-    for trial in range(25):
+    for trial in range(40):
         nb = 3 + int(rng.next_float() * 6)        # 3..8 binaries
         nc = int(rng.next_float() * 3)            # 0..2 continuous
         n = nb + nc
@@ -338,7 +339,7 @@ def test_open_nodes_hold_the_square_block(monkeypatch):
     inst = _cut_loop_instance(2)
     prob = build_separation_mip(inst, np.zeros(2),
                                 Digitization.from_instance(inst, 0.1))
-    nr, nc = _standardize(prob.lp).G.shape
+    nr, nc = _Form(prob.lp).G.shape
     pushed = []
     push = heapq.heappush
 
