@@ -32,14 +32,13 @@ Digitization.eps_total.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .affine import vertex_lp
-from .instances import Instance, InstanceError, UncertaintySet, enumerate_vertices
+from .instances import Instance, InstanceError, enumerate_vertices
 from .lp import LinearProgram, solve_lp
 from .mip import MixedBinaryProgram, solve_mip
 
@@ -55,39 +54,17 @@ class InconclusiveSeparationError(SeparationError):
     """The separation MIP hit its node limit before proving anything."""
 
 
-@dataclass(frozen=True)
-class DualizedSet:
-    """W = {w >= 0 : B^T w <= d_bar e}, the inner dual feasible set."""
+def _w_caps(inst: Instance) -> np.ndarray:
+    """max w_i over W = {w >= 0 : B^T w <= d_bar e}: d_bar / max_j B_ij.
 
-    B: np.ndarray
-    d_bar: float
-
-    @property
-    def is_bounded(self) -> bool:
-        # w_i is capped iff row i of B is nonzero (B is nonnegative)
-        return bool(np.isfinite(self.caps).all())
-
-    def require_bounded(self) -> "DualizedSet":
-        """Return self, or raise SeparationError when W is unbounded."""
-        if not self.is_bounded:
-            raise SeparationError(
-                "W is unbounded: some row of B is all zero, so the second "
-                "stage cannot cover that demand coordinate")
-        return self
-
-    @property
-    def caps(self) -> np.ndarray:
-        """max w_i over W, d_bar / max_j B_ij (inf on a zero row of B)."""
-        return self.uncertainty().caps
-
-    def uncertainty(self) -> UncertaintySet:
-        n = self.B.shape[1]
-        return UncertaintySet.hrep(self.B.T.copy(),
-                                   np.full(n, float(self.d_bar)))
-
-    @classmethod
-    def of(cls, inst: Instance) -> "DualizedSet":
-        return cls(B=inst.B, d_bar=inst.d_bar)
+    Raises SeparationError when W is unbounded, i.e. on a zero row of B
+    (B is nonnegative)."""
+    top = inst.B.max(axis=1, initial=0.0)
+    if (top <= 0.0).any():
+        raise SeparationError(
+            "W is unbounded: some row of B is all zero, so the second "
+            "stage cannot cover that demand coordinate")
+    return inst.d_bar / top
 
 
 def _exponent(cap: float) -> int:
@@ -110,9 +87,8 @@ class Digitization:
     def from_instance(cls, inst: Instance, epsilon: float) -> "Digitization":
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        W = DualizedSet.of(inst).require_bounded()
         du = _exponent(float(inst.uncertainty.caps.max(initial=0.0)))
-        dw = _exponent(float(W.caps.max(initial=0.0)))
+        dw = _exponent(float(_w_caps(inst).max(initial=0.0)))
         s = math.ceil(math.log2(inst.m * (1 + 2.0 ** du) / epsilon) - 1e-12)
         s = max(s, -du)  # keep at least one place value
         return cls(epsilon=epsilon, s=s, delta_u=du, delta_w=dw)
@@ -141,37 +117,6 @@ class Cut:
     value: float
 
 
-@dataclass
-class CutPool:
-    cuts: list[Cut] = field(default_factory=list)
-
-    def add(self, h, w, value) -> None:
-        self.cuts.append(Cut(np.asarray(h, float), np.asarray(w, float),
-                             float(value)))
-
-    def contains(self, h, w, tol: float = 1e-9) -> bool:
-        for c in self.cuts:
-            if (np.max(np.abs(c.h - h)) <= tol
-                    and np.max(np.abs(c.w - w)) <= tol):
-                return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def __iter__(self):
-        return iter(self.cuts)
-
-    def to_dict(self) -> dict:
-        return {"cuts": [{"h": c.h.tolist(), "w": c.w.tolist(),
-                          "value": c.value} for c in self.cuts]}
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
 def build_separation_mip(inst: Instance, x_hat,
                          dig: Digitization) -> MixedBinaryProgram:
     """Maximize (h - A x_hat)^T w over digitized U x W.
@@ -189,7 +134,6 @@ def build_separation_mip(inst: Instance, x_hat,
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("separation MIP needs an HRep uncertainty set")
-    inst.validate()
     m, n = inst.m, inst.n
     k = dig.binaries(m)
     if k > BINARY_BUDGET:
@@ -252,17 +196,17 @@ def _separate_vrep(inst: Instance, x_hat):
     ties, which the last bits of the duals decide, from changing which
     LPs are solved.
     """
-    W = DualizedSet.of(inst).require_bounded()
+    caps = _w_caps(inst)
     ax = inst.A @ np.asarray(x_hat, dtype=float)
     V = inst.uncertainty.vertices
     C = V - ax
     n = inst.n
-    rhs = np.full(n, W.d_bar)
-    ub = np.maximum(C, 0.0) @ W.caps
+    rhs = np.full(n, inst.d_bar)
+    ub = np.maximum(C, 0.0) @ caps
     best, best_h, best_w = -np.inf, None, None
     k = int(np.argmax(ub))
     while True:
-        lp = LinearProgram.from_arrays("max", C[k], W.B.T, ["<="] * n, rhs)
+        lp = LinearProgram.from_arrays("max", C[k], inst.B.T, ["<="] * n, rhs)
         sol = solve_lp(lp)
         if sol.status != "optimal":
             raise SeparationError(f"separation LP came back {sol.status}")
@@ -272,8 +216,9 @@ def _separate_vrep(inst: Instance, x_hat):
             best, best_h, best_w = vals[j], j, sol.x.copy()
         y = np.maximum(sol.duals, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(C > 0.0, C / (W.B @ y), 0.0).max(axis=1)
-            np.minimum(ub, t * (W.d_bar * y.sum()), out=ub, where=t < np.inf)
+            t = np.where(C > 0.0, C / (inst.B @ y), 0.0).max(axis=1)
+            np.minimum(ub, t * (inst.d_bar * y.sum()), out=ub,
+                       where=t < np.inf)
         ub[k] = -np.inf    # solved
         k = int(np.argmax(ub))
         if ub[k] <= best + 1e-9 * (1.0 + abs(best)):
@@ -330,12 +275,12 @@ class AdjustableResult:
     status: str                  # optimal | stalled | iteration_limit
     z_ar: float
     x: np.ndarray
-    cuts: CutPool
+    cuts: list[Cut]
     iterations: int
     bracket: tuple[float, float]
 
 
-def _solve_master(inst: Instance, cuts: CutPool):
+def _solve_master(inst: Instance, cuts: list[Cut]):
     n = inst.n
     nrows = len(cuts)
     G = np.zeros((nrows, n + 1))
@@ -367,20 +312,19 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
     iteration-capped run reports the bracket [master, master + last
     unresolved violation] instead.
     """
-    inst.validate()
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
 
-    cuts = CutPool()
     # w = 0 is always in W and bounds the master below by min c.x >= 0
     h0 = (np.zeros(inst.m) if inst.uncertainty.is_hrep
           else inst.uncertainty.vertices[0].copy())
-    cuts.add(h0, np.zeros(inst.m), 0.0)
+    cuts = [Cut(h0, np.zeros(inst.m), 0.0)]
     root = _RootStart()
-    cuts.add(*separate(inst, np.zeros(inst.n), -math.inf, dig,
-                       mip_tol=mip_tol, node_limit=node_limit, root=root))
+    cuts.append(Cut(*separate(inst, np.zeros(inst.n), -math.inf, dig,
+                              mip_tol=mip_tol, node_limit=node_limit,
+                              root=root)))
 
     # separation undershoots the true bilinear max by at most this much
     sep_slack = (dig.eps_total + mip_tol) if dig is not None else 1e-7
@@ -400,10 +344,11 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
         h, w, value = hit
         # z_AR <= c.x_hat + (true bilinear max at x_hat) for any x_hat
         upper = float(inst.c @ x_hat) + value + sep_slack
-        if cuts.contains(h, w):
+        if any(np.max(np.abs(c.h - h)) <= 1e-9
+               and np.max(np.abs(c.w - w)) <= 1e-9 for c in cuts):
             return AdjustableResult("stalled", master, x_hat, cuts, it,
                                     (master, max(master, upper)))
-        cuts.add(h, w, value)
+        cuts.append(Cut(h, w, value))
     return AdjustableResult("iteration_limit", master, x_hat, cuts, max_iters,
                             (master, max(master, upper)))
 
@@ -413,7 +358,6 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
                             node_limit: int | None = None) -> float:
     """z_AR for A = 0, c = 0: one separation at x = 0 already maximizes
     the bilinear form, so no master loop is needed."""
-    inst.validate()
     if inst.A.max(initial=0.0) > 0 or inst.c.max(initial=0.0) > 0:
         raise InstanceError("special case needs A = 0 and c = 0")
     dig = (Digitization.from_instance(inst, eps)
@@ -426,7 +370,6 @@ def adjustable_special_case(inst: Instance, eps: float = 1e-3,
 def solve_adjustable_vertex_oracle(inst: Instance) -> float:
     """Exact z_AR as one LP with a recourse copy per vertex of U: the
     vertex LP of the affine policy with each vertex its own anchor."""
-    inst.validate()
     uset = inst.uncertainty
     if uset.is_hrep:
         uset = enumerate_vertices(uset)

@@ -46,10 +46,6 @@ class AffineResult:
     iterations: int = 0
 
 
-def evaluate_policy(P: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return P @ np.asarray(h, dtype=float) + q
-
-
 def build_affine_lp(inst: Instance) -> LinearProgram:
     """Compact LP whose optimum is the best affine-policy value (HRep sets).
 
@@ -60,7 +56,6 @@ def build_affine_lp(inst: Instance) -> LinearProgram:
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("compact affine LP needs an HRep uncertainty set")
-    inst.validate()
     m, n = inst.m, inst.n
     R, r = inst.uncertainty.R, inst.uncertainty.r
     L = R.shape[0]
@@ -209,7 +204,6 @@ def _solve_vrep(inst: Instance) -> AffineResult:
 
 def solve_affine(inst: Instance) -> AffineResult:
     """Best affine-policy value for either uncertainty representation."""
-    inst.validate()
     if inst.uncertainty.is_hrep:
         return _solve_hrep(inst)
     return _solve_vrep(inst)
@@ -226,7 +220,6 @@ def solve_affine_dualized(inst: Instance) -> AffineResult:
     """
     if not inst.uncertainty.is_hrep:
         raise InstanceError("dualized affine path needs an HRep uncertainty set")
-    inst.validate()
     m, n = inst.m, inst.n
     R, r = inst.uncertainty.R, inst.uncertainty.r
     L = R.shape[0]

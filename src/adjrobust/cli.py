@@ -49,7 +49,7 @@ def _env_seed(fallback: int = 0) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"ADJROBUST_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"ADJROBUST_SEED must be an integer, got {raw!r}")
 
 
 def _build_parser() -> _Parser:
@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     be.add_argument("--n", type=int, action="append", default=None,
                     help="repeatable, pairs with --m; defaults to n=m")
     be.add_argument("--count", type=int, default=20)
-    be.add_argument("--eps", type=float, default=1e-3)
     be.add_argument("--p", type=float, default=0.5)
     be.add_argument("--time-limit", type=float, default=None)
     be.add_argument("--seed", type=int, default=None, help="seed base")
@@ -119,6 +118,12 @@ def _build_parser() -> _Parser:
     wc.add_argument("--m", type=int, action="append", required=True,
                     help="repeatable")
     return p
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _cmd_generate(args) -> int:
@@ -142,11 +147,9 @@ def _cmd_solve_affine(args) -> int:
         return 2
     print(f"z_aff={res.objective!r} t_s={t:.3f}")
     if args.policy_out:
-        doc = {"z_aff": res.objective, "x": res.x.tolist(),
-               "P": res.P.tolist(), "q": res.q.tolist()}
-        with open(args.policy_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.policy_out, {
+            "z_aff": res.objective, "x": res.x.tolist(),
+            "P": res.P.tolist(), "q": res.q.tolist()})
     return 0
 
 
@@ -170,7 +173,9 @@ def _cmd_solve_adjustable(args) -> int:
     print(f"z_ar={res.z_ar!r} engine=auto status={res.status} "
           f"iterations={res.iterations} cuts={len(res.cuts)} t_s={t:.3f}")
     if args.cuts_out:
-        res.cuts.save(args.cuts_out)
+        _write_json(args.cuts_out, {"cuts": [
+            {"h": c.h.tolist(), "w": c.w.tolist(), "value": c.value}
+            for c in res.cuts]})
     if res.status != "optimal":
         lo, hi = res.bracket
         print(f"bracket=[{lo!r}, {hi!r}]", file=sys.stderr)
@@ -215,7 +220,7 @@ def _cmd_bench(args) -> int:
     config = BenchConfig(
         kind=args.dist, m_list=tuple(args.m),
         n_list=None if args.n is None else tuple(args.n),
-        count=args.count, eps=args.eps, time_limit_s=args.time_limit,
+        count=args.count, time_limit_s=args.time_limit,
         seed_base=seed, output_path=args.out,
         p=args.p if args.dist == "bernoulli" else None, jobs=args.jobs)
     rows, summaries = run_benchmark(config)
@@ -232,13 +237,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_worst_case(args) -> int:
-    for m in args.m:
+    # rejects every m < 2 before the first solve
+    bounds = [worstcase_lower_bound(m) for m in args.m]
+    for m, bound in zip(args.m, bounds):
         inst = gen_worst_case(m)
         z_ar = solve_adjustable_vertex_oracle(inst)
         res = solve_affine(inst)
         ratio = res.objective / z_ar
         print(f"m={m} z_ar={z_ar!r} z_aff={res.objective!r} "
-              f"ratio={ratio!r} lower_bound={worstcase_lower_bound(m)!r}")
+              f"ratio={ratio!r} lower_bound={bound!r}")
     return 0
 
 

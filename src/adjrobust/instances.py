@@ -6,9 +6,11 @@ An instance describes
 
 with d = d_bar * ones(n).  The uncertainty set U lives in the
 nonnegative orthant and is either an HRep {h >= 0 : R h <= r} with
-nonnegative R, r, or a VRep convex hull of nonnegative vertices.
-Generators are pure functions of (shape, distribution, seed); see
-`rng` for the exact substream convention that makes them portable.
+nonnegative R, r, or a VRep convex hull of nonnegative vertices.  Sets
+and instances check these invariants when built (InstanceError), so a
+built one is valid.  Generators are pure functions of (shape,
+distribution, seed); see `rng` for the exact substream convention that
+makes them portable.
 """
 
 from __future__ import annotations
@@ -53,18 +55,12 @@ class UncertaintySet:
 
     @classmethod
     def hrep(cls, R, r) -> "UncertaintySet":
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        r = np.asarray(r, dtype=float).ravel()
-        u = cls(R=R, r=r)
-        u.validate()
-        return u
+        return cls(R=np.atleast_2d(np.asarray(R, dtype=float)),
+                   r=np.asarray(r, dtype=float).ravel())
 
     @classmethod
     def vrep(cls, vertices) -> "UncertaintySet":
-        V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        u = cls(vertices=V)
-        u.validate()
-        return u
+        return cls(vertices=np.atleast_2d(np.asarray(vertices, dtype=float)))
 
     @property
     def is_hrep(self) -> bool:
@@ -74,7 +70,7 @@ class UncertaintySet:
     def dim(self) -> int:
         return self.R.shape[1] if self.is_hrep else self.vertices.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.is_hrep:
             if self.r.size != self.R.shape[0]:
                 raise InstanceError("uncertainty r length must match R rows")
@@ -219,7 +215,7 @@ class Instance:
     def d(self) -> np.ndarray:
         return self.d_bar * np.ones(self.n)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.c.shape != (self.n,):
             raise InstanceError("c must have shape (n,)")
         if self.A.shape != (self.m, self.n):
@@ -235,7 +231,6 @@ class Instance:
             raise InstanceError("d_bar must be positive")
         if self.uncertainty.dim != self.m:
             raise InstanceError("uncertainty set dimension must equal m")
-        self.uncertainty.validate()
 
     def with_uncertainty(self, uset: UncertaintySet) -> "Instance":
         return replace(self, uncertainty=uset)
@@ -303,10 +298,8 @@ def gen_iid(m: int, n: int, spec: RandomSpec, seed: int) -> Instance:
     for i in range(m):
         for j in range(n):
             B[i, j] = _draw_entry(spec, _rng.substream(seed, i * n + j))
-    inst = Instance(m=m, n=n, c=np.zeros(n), A=np.zeros((m, n)), B=B,
+    return Instance(m=m, n=n, c=np.zeros(n), A=np.zeros((m, n)), B=B,
                     d_bar=1.0, uncertainty=budget_set(m), seed=seed)
-    inst.validate()
-    return inst
 
 
 def gen_worst_case(m: int, randomized: bool = False,
@@ -337,10 +330,8 @@ def gen_worst_case(m: int, randomized: bool = False,
             kept.append(v)
     uset = UncertaintySet.vrep(np.asarray(kept))
 
-    inst = Instance(m=m, n=m, c=np.zeros(m), A=np.zeros((m, m)), B=B,
+    return Instance(m=m, n=m, c=np.zeros(m), A=np.zeros((m, m)), B=B,
                     d_bar=1.0, uncertainty=uset, seed=seed)
-    inst.validate()
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +366,7 @@ def instance_from_dict(doc: dict) -> Instance:
     else:
         raise InstanceFormatError(f"unknown uncertainty type {utype!r}")
     try:
-        inst = Instance(m=int(need("m")), n=int(need("n")),
+        return Instance(m=int(need("m")), n=int(need("n")),
                         c=np.asarray(need("c"), dtype=float),
                         A=np.asarray(need("A"), dtype=float),
                         B=np.asarray(need("B"), dtype=float),
@@ -385,8 +376,6 @@ def instance_from_dict(doc: dict) -> Instance:
         if isinstance(e, (InstanceFormatError, InstanceError)):
             raise
         raise InstanceFormatError(f"malformed numeric field: {e}") from e
-    inst.validate()
-    return inst
 
 
 def write_instance(inst: Instance, path) -> None:

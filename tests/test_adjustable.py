@@ -1,12 +1,11 @@
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adjrobust import adjustable
-from adjrobust.adjustable import (CutPool, Digitization, DualizedSet,
-                                  InconclusiveSeparationError, SeparationError,
+from adjrobust.adjustable import (Digitization, InconclusiveSeparationError,
+                                  SeparationError,
                                   _separate_vrep, adjustable_special_case,
                                   build_separation_mip, separate,
                                   solve_adjustable,
@@ -71,21 +70,19 @@ def test_digitization_unbounded_w():
 
 
 def test_dualized_set():
-    inst = mixed_instance(3, 2, seed=0)
-    W = DualizedSet.of(inst)
-    assert W.is_bounded
-    uset = W.uncertainty()
-    assert uset.is_hrep
-    assert uset.R.shape == (2, 3)          # one row per second-stage column
-    np.testing.assert_allclose(uset.R, inst.B.T)
-    np.testing.assert_allclose(uset.r, np.ones(2))
-    # closed-form caps agree with one LP per coordinate
-    ref = [solve_lp(LinearProgram.from_arrays("max", np.eye(3)[i], uset.R,
-                                              ["<="] * 2, uset.r)).objective
-           for i in range(3)]
-    np.testing.assert_allclose(W.caps, ref, rtol=1e-9)
-    bad = DualizedSet(np.array([[1.0], [0.0]]), 1.0)
-    assert not bad.is_bounded
+    # the caps of W = {w >= 0 : B^T w <= d_bar e} in closed form agree
+    # with one LP per coordinate
+    inst = replace(mixed_instance(3, 2, seed=0), d_bar=0.7)
+    ref = [solve_lp(LinearProgram.from_arrays("max", np.eye(3)[i], inst.B.T,
+                                              ["<="] * 2, np.full(2, 0.7))
+                    ).objective for i in range(3)]
+    np.testing.assert_allclose(adjustable._w_caps(inst), ref, rtol=1e-9)
+    # a zero row of B leaves W unbounded
+    bad = Instance(m=2, n=1, c=np.zeros(1), A=np.zeros((2, 1)),
+                   B=np.array([[1.0], [0.0]]), d_bar=1.0,
+                   uncertainty=budget_set(2))
+    with pytest.raises(SeparationError, match="W is unbounded"):
+        adjustable._w_caps(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def test_separation_mip_one_sided_bound_and_size():
             sol = solve_mip(prob, mip_tol=tol)
             assert sol.status == "optimal"
             UV = enumerate_vertices(inst.uncertainty).vertices
-            W = DualizedSet.of(inst).uncertainty()
+            W = UncertaintySet.hrep(inst.B.T, np.full(inst.n, inst.d_bar))
             WV = enumerate_vertices(W).vertices
             true = float(((UV - inst.A @ x_hat) @ WV.T).max())
             under = m * 2.0 ** (dig.delta_w - dig.s)
@@ -295,25 +292,6 @@ def test_vrep_separation_lp_count_is_stable(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cut pool
-
-
-def test_cut_pool_roundtrip(tmp_path):
-    pool = CutPool()
-    pool.add([0.5, 0.0], [1.0, 1.0], 0.5)
-    pool.add([0.0, 1.0], [0.0, 1.0], 1.0)
-    assert len(pool) == 2
-    assert pool.contains([0.5, 0.0], [1.0, 1.0])
-    assert pool.contains([0.5 + 1e-10, 0.0], [1.0, 1.0])
-    assert not pool.contains([0.5, 0.1], [1.0, 1.0])
-    path = tmp_path / "cuts.json"
-    pool.save(path)
-    data = json.loads(path.read_text())
-    assert [c["value"] for c in data["cuts"]] == [0.5, 1.0]
-    assert data["cuts"][0]["h"] == [0.5, 0.0]
-
-
-# ---------------------------------------------------------------------------
 # cutting-plane solver
 
 
@@ -380,6 +358,29 @@ def test_adjustable_iteration_limit_brackets_oracle():
     if res.status == "iteration_limit":
         lo, hi = res.bracket
         assert lo - 1e-7 <= z <= hi + 1e-7
+
+
+def test_adjustable_stalls_on_a_repeated_pair(monkeypatch):
+    # separation keeps returning the loop's first separated pair with h
+    # shifted: within 1e-9 of a cut the loop stops as stalled at once;
+    # further off, the pair becomes a cut and is found on the next round
+    real = adjustable.separate
+    for shift, iters in ((1e-10, 1), (1e-8, 2)):
+        first = []
+
+        def fake(inst, x_hat, z_hat, dig, **kw):
+            if not first:
+                first.append(real(inst, x_hat, z_hat, dig, **kw))
+                return first[0]
+            h = first[0][0] + shift
+            w = first[0][1]
+            return h, w, float((h - inst.A @ x_hat) @ w)
+
+        monkeypatch.setattr(adjustable, "separate", fake)
+        res = solve_adjustable(mixed_instance(3, 3, seed=0, vrep=True))
+        assert res.status == "stalled" and res.iterations == iters
+        assert len(res.cuts) == 1 + iters
+        assert res.bracket[0] <= res.bracket[1]
 
 
 def test_adjustable_rejects_bad_max_iters():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adjrobust import adjustable, affine
-from adjrobust.affine import (build_affine_lp, evaluate_policy, solve_affine,
+from adjrobust.affine import (build_affine_lp, solve_affine,
                               solve_affine_dualized,
                               solve_affine_symmetric_worstcase)
 from adjrobust.instances import (Instance, InstanceError, UncertaintySet,
@@ -29,12 +29,6 @@ def test_build_affine_lp_dimensions():
     assert lp.num_vars == n + 1 + n * m + n + L * (1 + m + n)
     # alpha- and beta-rows of the objective, covering and sign families
     assert lp.num_rows == 1 + 2 * m + m * m + n + n * m
-
-
-def test_evaluate_policy():
-    P = np.array([[1.0, 0.0], [0.0, 2.0]])
-    q = np.array([0.5, -1.0])
-    np.testing.assert_allclose(evaluate_policy(P, q, [1.0, 1.0]), [1.5, 1.0])
 
 
 def test_identity_budget_affine_value():
@@ -68,7 +62,7 @@ def test_symmetric_lp_matches_general_affine():
     q = np.full(m, lam)
     inst = gen_worst_case(m)
     for h in inst.uncertainty.vertices:
-        y = evaluate_policy(P, q, h)
+        y = P @ h + q
         assert (y >= -1e-9).all()
         assert (inst.B @ y >= h - 1e-9).all()
         assert y.sum() <= val + 1e-9
@@ -109,7 +103,7 @@ def test_vrep_generic_no_anchor():
         assert res.status == "optimal"
         # policy must cover every vertex of the square
         for h in V:
-            y = evaluate_policy(res.P, res.q, h)
+            y = res.P @ h + res.q
             assert (y >= -1e-8).all()
             assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
 
@@ -129,7 +123,7 @@ def test_affine_exact_on_simplices():
         assert res.objective == pytest.approx(
             solve_adjustable_vertex_oracle(inst), abs=1e-7)
         for h in V:
-            y = evaluate_policy(res.P, res.q, h)
+            y = res.P @ h + res.q
             assert (y >= -1e-8).all()
             assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
             assert inst.c @ res.x + inst.d @ y <= res.objective + 1e-8
@@ -155,7 +149,7 @@ def test_policy_feasible_at_vertices():
     res = solve_affine(inst)
     worst = -np.inf
     for h in inst.uncertainty.vertices:
-        y = evaluate_policy(res.P, res.q, h)
+        y = res.P @ h + res.q
         assert (y >= -1e-8).all()
         assert (inst.A @ res.x + inst.B @ y >= h - 1e-8).all()
         worst = max(worst, inst.d @ y)

@@ -59,6 +59,8 @@ def test_generate_bad_env_seed(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "generate", "--m", "2",
                        "--out", str(tmp_path / "x.json"))
     assert code == 1
+    assert err == ("error: ADJROBUST_SEED must be an integer, "
+                   "got 'not-a-number'\n")
 
 
 def test_solve_affine_with_policy(capsys, tmp_path):
@@ -95,7 +97,15 @@ def test_solve_adjustable_auto_with_cuts(capsys, tmp_path):
                        "--eps", "0.5", "--cuts-out", str(cuts))
     assert code == 0
     assert "engine=auto status=optimal" in out
-    assert cuts.exists() and json.loads(cuts.read_text())
+    data = json.loads(cuts.read_text())["cuts"]
+    assert len(data) == int(grab(r"cuts=(\d+)", out)) >= 2
+    # the loop starts from the w = 0 cut; every cut's value is h.w, as
+    # the generated instance has A = 0
+    assert data[0] == {"h": [0.0, 0.0], "w": [0.0, 0.0], "value": 0.0}
+    for cut in data:
+        assert len(cut["h"]) == len(cut["w"]) == 2
+        assert cut["value"] == pytest.approx(np.dot(cut["h"], cut["w"]),
+                                             abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +167,19 @@ def test_worst_case_ratios_increase(capsys):
     assert float(grab(r"lower_bound=([\d.e+-]+)", lines[0])) == 0.25
 
 
+def test_worst_case_checks_every_m_before_solving(capsys):
+    code, out, err = run(capsys, "worst-case", "--m", "4", "--m", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "m must be at least 2" in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
 
 def test_bench_stdout_csv(capsys):
     code, out, _ = run(capsys, "bench", "--m", "2", "--count", "2",
-                       "--eps", "0.5", "--seed", "3")
+                       "--seed", "3")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -173,7 +189,7 @@ def test_bench_stdout_csv(capsys):
 
 def test_bench_rederivable_via_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "bench", "--m", "2", "--count", "1",
-                       "--eps", "0.5", "--seed", "6")
+                       "--seed", "6")
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[2] == "6"
@@ -186,7 +202,7 @@ def test_bench_rederivable_via_cli(capsys, tmp_path):
 def test_bench_out_file(capsys, tmp_path):
     csv = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "bench", "--m", "2", "--count", "2",
-                       "--eps", "0.5", "--out", str(csv))
+                       "--out", str(csv))
     assert code == 0
     assert re.search(r"m=2 completed=2/2 r_avg=", out)
     assert csv.read_text().startswith(CSV_HEADER)

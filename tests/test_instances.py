@@ -254,9 +254,18 @@ def test_reader_rejects_unbounded_set(tmp_path):
 
 
 def test_validate_catches_shape_mismatch():
-    inst = Instance(
-        m=2, n=2, c=np.zeros(2), A=np.zeros((2, 2)), B=np.zeros((3, 2)),
-        d_bar=1.0, uncertainty=budget_set(2),
-    )
+    # instances and sets are checked when built, by every constructor
     with pytest.raises(InstanceError, match="B must have shape"):
-        inst.validate()
+        Instance(m=2, n=2, c=np.zeros(2), A=np.zeros((2, 2)),
+                 B=np.zeros((3, 2)), d_bar=1.0, uncertainty=budget_set(2))
+    inst = gen_iid(2, 2, RandomSpec("uniform"), 0)
+    with pytest.raises(InstanceError, match="dimension"):
+        inst.with_uncertainty(budget_set(3))
+    with pytest.raises(InstanceError, match="r length"):
+        UncertaintySet(R=np.eye(2), r=np.ones(3))
+    with pytest.raises(InstanceError, match="nonnegative"):
+        UncertaintySet.hrep([[1.0, -1.0]], [1.0])
+    with pytest.raises(InstanceError, match="vertices"):
+        UncertaintySet()
+    with pytest.raises(InstanceError, match="finite"):
+        UncertaintySet.vrep([[0.0, np.inf]])
