@@ -50,10 +50,6 @@ class SeparationError(Exception):
     """Separation cannot run (unbounded W, digitization overflow)."""
 
 
-class InconclusiveSeparationError(SeparationError):
-    """The separation MIP hit its node limit before proving anything."""
-
-
 def _w_caps(inst: Instance) -> np.ndarray:
     """max w_i over W = {w >= 0 : B^T w <= d_bar e}: d_bar / max_j B_ij.
 
@@ -228,9 +224,10 @@ def _separate_vrep(inst: Instance, x_hat):
 
 
 class _RootStart:
-    """The optimal root basis of the last separation MIP of a cut loop.
-    The separation MIPs of one loop share rows and bounds and differ only
-    in the objective, so it is primal feasible for the next root."""
+    """The optimal root LP solution of the last separation MIP of a cut
+    loop.  The separation MIPs of one loop share rows and bounds and
+    differ only in the objective, so its basis is primal feasible for
+    the next root."""
     __slots__ = ("start",)
 
     def __init__(self):
@@ -238,28 +235,24 @@ class _RootStart:
 
 
 def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
-             mip_tol: float = 1e-6, node_limit: int | None = None,
-             root: _RootStart | None = None):
+             mip_tol: float = 1e-6, root: _RootStart | None = None):
     """Most violated (h, w) pair, or None when nothing beats z_hat.
 
     The pair's value is recomputed from the returned vectors, so it is
     exact for them even though the MIP search is approximate.  Returns
     (h, w, value) when value > z_hat + 10*mip_tol.  With ``root``, the
     separation MIP's root LP starts from ``root.start``, which then
-    takes this root's optimal basis.
+    takes this root's optimal solution.
     """
     sep_tol = 10.0 * mip_tol
     if inst.uncertainty.is_hrep:
         if dig is None:
             raise SeparationError("HRep separation needs a Digitization")
         prob = build_separation_mip(inst, x_hat, dig)
-        sol = solve_mip(prob, mip_tol=mip_tol, node_limit=node_limit,
+        sol = solve_mip(prob, mip_tol=mip_tol, node_limit=None,
                         start=None if root is None else root.start)
         if root is not None:
             root.start = sol.root_start
-        if sol.status == "node_limit":
-            raise InconclusiveSeparationError(
-                f"separation stopped at {sol.nodes} nodes with gap {sol.gap:.3g}")
         if sol.status != "optimal":
             raise SeparationError(f"separation MIP came back {sol.status}")
         h, w, value = _recover_pair(inst, x_hat, sol.x, dig)
@@ -300,8 +293,7 @@ def _solve_master(inst: Instance, cuts: list[Cut]):
 
 
 def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
-                     mip_tol: float = 1e-6,
-                     node_limit: int | None = None) -> AdjustableResult:
+                     mip_tol: float = 1e-6) -> AdjustableResult:
     """Cutting-plane computation of the adjustable optimum.
 
     The master value never decreases and always bounds z_AR from below.
@@ -323,8 +315,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
     cuts = [Cut(h0, np.zeros(inst.m), 0.0)]
     root = _RootStart()
     cuts.append(Cut(*separate(inst, np.zeros(inst.n), -math.inf, dig,
-                              mip_tol=mip_tol, node_limit=node_limit,
-                              root=root)))
+                              mip_tol=mip_tol, root=root)))
 
     # separation undershoots the true bilinear max by at most this much
     sep_slack = (dig.eps_total + mip_tol) if dig is not None else 1e-7
@@ -336,8 +327,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
             raise SeparationError(
                 f"master value regressed from {prev} to {master}")
         prev = max(prev, master)
-        hit = separate(inst, x_hat, z_hat, dig, mip_tol=mip_tol,
-                       node_limit=node_limit, root=root)
+        hit = separate(inst, x_hat, z_hat, dig, mip_tol=mip_tol, root=root)
         if hit is None:
             return AdjustableResult("optimal", master, x_hat, cuts, it,
                                     (master, master))
@@ -354,16 +344,14 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
 
 
 def adjustable_special_case(inst: Instance, eps: float = 1e-3,
-                            mip_tol: float = 1e-6,
-                            node_limit: int | None = None) -> float:
+                            mip_tol: float = 1e-6) -> float:
     """z_AR for A = 0, c = 0: one separation at x = 0 already maximizes
     the bilinear form, so no master loop is needed."""
     if inst.A.max(initial=0.0) > 0 or inst.c.max(initial=0.0) > 0:
         raise InstanceError("special case needs A = 0 and c = 0")
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
-    hit = separate(inst, np.zeros(inst.n), -math.inf, dig, mip_tol=mip_tol,
-                   node_limit=node_limit)
+    hit = separate(inst, np.zeros(inst.n), -math.inf, dig, mip_tol=mip_tol)
     return hit[2]
 
 

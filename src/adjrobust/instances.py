@@ -55,12 +55,11 @@ class UncertaintySet:
 
     @classmethod
     def hrep(cls, R, r) -> "UncertaintySet":
-        return cls(R=np.atleast_2d(np.asarray(R, dtype=float)),
-                   r=np.asarray(r, dtype=float).ravel())
+        return cls(R=R, r=r)
 
     @classmethod
     def vrep(cls, vertices) -> "UncertaintySet":
-        return cls(vertices=np.atleast_2d(np.asarray(vertices, dtype=float)))
+        return cls(vertices=vertices)
 
     @property
     def is_hrep(self) -> bool:
@@ -71,7 +70,13 @@ class UncertaintySet:
         return self.R.shape[1] if self.is_hrep else self.vertices.shape[1]
 
     def __post_init__(self) -> None:
+        # arrays of floats, whatever array-likes were given
+        def keep(name, a):
+            object.__setattr__(self, name, a)
+
         if self.is_hrep:
+            keep("R", np.atleast_2d(np.asarray(self.R, dtype=float)))
+            keep("r", np.asarray(self.r, dtype=float).ravel())
             if self.r.size != self.R.shape[0]:
                 raise InstanceError("uncertainty r length must match R rows")
             if not np.all(np.isfinite(self.R)) or not np.all(np.isfinite(self.r)):
@@ -81,8 +86,10 @@ class UncertaintySet:
             if self.r.min(initial=0.0) < 0:
                 raise InstanceError("uncertainty r must be nonnegative")
         else:
-            V = self.vertices
-            if V is None or V.size == 0:
+            V = np.atleast_2d(np.asarray(
+                [] if self.vertices is None else self.vertices, dtype=float))
+            keep("vertices", V)
+            if V.size == 0:
                 raise InstanceError("uncertainty needs an HRep or vertices")
             if not np.all(np.isfinite(V)):
                 raise InstanceError("uncertainty vertices must be finite")
@@ -216,6 +223,9 @@ class Instance:
         return self.d_bar * np.ones(self.n)
 
     def __post_init__(self) -> None:
+        for name in ("c", "A", "B"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
         if self.c.shape != (self.n,):
             raise InstanceError("c must have shape (n,)")
         if self.A.shape != (self.m, self.n):
@@ -359,18 +369,14 @@ def instance_from_dict(doc: dict) -> Instance:
 
     unc_doc = need("uncertainty")
     utype = need("type", unc_doc)
-    if utype == "hrep":
-        uset = UncertaintySet.hrep(need("R", unc_doc), need("r", unc_doc))
-    elif utype == "vrep":
-        uset = UncertaintySet.vrep(need("vertices", unc_doc))
-    else:
+    if utype not in ("hrep", "vrep"):
         raise InstanceFormatError(f"unknown uncertainty type {utype!r}")
     try:
-        return Instance(m=int(need("m")), n=int(need("n")),
-                        c=np.asarray(need("c"), dtype=float),
-                        A=np.asarray(need("A"), dtype=float),
-                        B=np.asarray(need("B"), dtype=float),
-                        d_bar=float(need("d_bar")),
+        uset = (UncertaintySet.hrep(need("R", unc_doc), need("r", unc_doc))
+                if utype == "hrep"
+                else UncertaintySet.vrep(need("vertices", unc_doc)))
+        return Instance(m=int(need("m")), n=int(need("n")), c=need("c"),
+                        A=need("A"), B=need("B"), d_bar=float(need("d_bar")),
                         uncertainty=uset, seed=doc.get("seed"))
     except (TypeError, ValueError) as e:
         if isinstance(e, (InstanceFormatError, InstanceError)):

@@ -65,10 +65,10 @@ tiny affine LPs of the m=n=2 cut-loop instances did they take fewer
 
 Warm start
 ----------
-``solve_lp(lp, start=basis)`` starts from a basis that an earlier solve
-returned (``LpSolution.basis``), typically of an LP with the same rows
-and objective whose bounds moved.  The tableau is then built on
-``[G | I]`` through that basis.  A dual simplex phase restores primal
+``solve_lp(lp, start=sol)`` starts from ``sol``, the optimal solution of
+an earlier solve, typically of an LP with the same rows and objective
+whose bounds moved.  The tableau is then built on ``[G | I]`` through
+``sol.basis``.  A dual simplex phase restores primal
 feasibility: the leaving row has the most negative right-hand side,
 the entering column comes from a
 Harris two-pass test on ``|z_j / a_pj|`` over ``a_pj < 0`` (the largest
@@ -81,18 +81,18 @@ that is singular, or neither primal nor dual feasible, is solved cold,
 by the rule above.  Warm or cold, a solve ends in the same
 certificates.
 
-A start may also be the pair ``(basis, block)`` for an LP with the same
-rows, where ``block`` is the inverse of the basis's s x s structural
-block (``_Form.block``): the tableau is then rebuilt at that basis
-without an inversion.  The residual check on the new LP's own
-right-hand side still judges the block, and a block that fails it
-leaves the LP to a cold solve.  Branch and bound hands each child its
-parent's pair, and a separation MIP's root the previous root's.  A node
-LP differs from the root only in its bound values, so a search builds
-the standard form's ``G``, ``c`` and row and column maps once
-(``_Form``), and each node computes only ``g``, the shift, the constant
-and the fixed columns.  A one-off LP takes the same path with a form of
-its own.
+A solution keeps the standard form it was solved on (``_Form``), and
+the first start that asks for it computes the inverse of its basis's
+s x s structural block (``_Form.block``), which the solution then
+keeps: the tableau is rebuilt at that basis without an inversion.  The
+residual check on the new LP's own right-hand side still judges the
+block, and a block that fails it leaves the LP to a cold solve.  An LP
+with the start's rows and objective (the same arrays, as
+``LinearProgram.with_bounds`` shares them) and finite bounds in the
+same places is solved through the start's form, so a branch-and-bound
+search builds the standard form's ``G``, ``c`` and row and column maps
+once, and each node computes only ``g``, the shift, the constant and
+the fixed columns.  Any other LP builds a form of its own.
 
 Allocation
 ----------
@@ -203,7 +203,6 @@ class LinearProgram:
         self.A = np.zeros((0, nv))
         self.rel = np.zeros(0, dtype=np.int8)
         self.b = np.zeros(0)
-        self._form = None   # set by _Form.with_bounds
 
     @classmethod
     def from_arrays(cls, sense, obj, A, rel, b, lower=None, upper=None):
@@ -233,10 +232,13 @@ class LinearProgram:
         return self.A.shape[0]
 
     def with_bounds(self, lower, upper) -> "LinearProgram":
-        """Same rows and objective, new bounds; row data is shared."""
+        """Same rows and objective, new bounds; their arrays are shared."""
         lp = LinearProgram(self.sense, self.obj, lower, upper)
-        lp.A, lp.rel, lp.b = self.A, self.rel, self.b
+        lp.obj, lp.A, lp.rel, lp.b = self.obj, self.A, self.rel, self.b
         return lp
+
+
+_UNSET = object()   # an inverse block no start has asked for yet
 
 
 @dataclass
@@ -251,6 +253,17 @@ class LpSolution:
     farkas: np.ndarray | None = field(default=None, repr=False)
     # final basis: one standard-form column index per standard-form row
     basis: np.ndarray | None = field(default=None, repr=False)
+    # of an optimal solution: the standard form it was solved on, and the
+    # inverse block of its basis there, computed when a start first asks
+    _form: _Form | None = field(default=None, repr=False, compare=False)
+    _block: object = field(default=_UNSET, init=False, repr=False,
+                           compare=False)
+
+    def _start_block(self) -> np.ndarray | None:
+        """``_Form.block`` of the basis, computed once."""
+        if self._block is _UNSET:
+            self._block = self._form.block(self.basis)
+        return self._block
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,7 @@ class _Form:
     rows, the objective and which bounds are finite.  ``standardize``
     adds what the bound values move: ``g``, the shift, the constant and
     the fixed columns.  A branch-and-bound search builds one form for
-    its root and solves every node through it (``with_bounds``)."""
+    its root and solves every node through it (``serves``)."""
 
     def __init__(self, lp: LinearProgram):
         if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
@@ -314,28 +327,18 @@ class _Form:
         self.c, self.G = self.c0[co] * cs, G
         self.col_orig, self.col_sign, self.row_sign = co, cs, sgn
 
-    def with_bounds(self, lower, upper) -> LinearProgram:
-        """``lp.with_bounds(lower, upper)`` for the form's LP, solved
-        through this form when its bounds are finite in the same
-        places."""
-        node = self.lp.with_bounds(lower, upper)
-        if (np.array_equal(np.isfinite(node.lower), self.has_lo)
-                and np.array_equal(np.isfinite(node.upper), self.has_up)):
-            node._form = self
-        return node
-
-    def fits(self, start) -> bool:
-        """Whether the basis of ``start``, as ``solve_lp`` takes it,
-        holds one column index of ``[G | I]`` per row of ``G``."""
-        basis = _split_start(start)[0]
-        nr, nc = self.G.shape
-        return basis.shape == (nr,) and (
-            nr == 0 or (basis.min() >= 0 and basis.max() < nc + nr))
+    def serves(self, lp: LinearProgram) -> bool:
+        """Whether ``lp`` has this form: the same row and objective
+        arrays and sense, and finite bounds in the same places."""
+        own = self.lp
+        return (lp.A is own.A and lp.rel is own.rel and lp.b is own.b
+                and lp.obj is own.obj and lp.sense == own.sense
+                and np.array_equal(np.isfinite(lp.lower), self.has_lo)
+                and np.array_equal(np.isfinite(lp.upper), self.has_up))
 
     def block(self, basis: np.ndarray) -> np.ndarray | None:
-        """``inv(G[N, S])`` for ``basis`` (see ``_partition``): with the
-        basis, the start ``(basis, block)`` that rebuilds a tableau of
-        this form at that basis with no inversion
+        """``inv(G[N, S])`` for ``basis`` (see ``_partition``), which
+        rebuilds a tableau of this form at that basis with no inversion
         (``_Tableau._basis_inverse``).  None when the basis is
         singular."""
         part = _partition(basis, self.G.shape[1])
@@ -387,17 +390,6 @@ def _partition(basis: np.ndarray, nc: int):
     if N.size != S.size:
         return None
     return S, K, rows, N
-
-
-def _split_start(start):
-    """``solve_lp``'s ``start`` as a basis array and an inverse block,
-    either of which may be None."""
-    if start is None:
-        return None, None
-    block = None
-    if isinstance(start, tuple):
-        start, block = start
-    return np.asarray(start, dtype=np.intp), block
 
 
 class _BoundInfeasible(Exception):
@@ -785,35 +777,41 @@ def _simplex(c, G, g, fixed, start=None, block=None):
 
 
 def solve_lp(lp: LinearProgram,
-             start: np.ndarray | tuple | None = None) -> LpSolution:
+             start: LpSolution | None = None) -> LpSolution:
     """Solve lp; statuses 'optimal', 'infeasible', 'unbounded'.
 
     Optimal solutions come with duals (marginals per original row) and
     are certified: primal residuals, complementary slackness, and the
     primal/dual objective gap are all checked before returning.
 
-    ``start`` is a basis to start from, as ``LpSolution.basis`` returns
-    it for an LP whose bounds are finite in the same places (one
-    standard-form column per standard-form row), or the pair
-    ``(basis, block)`` of such a basis and its inverse block
-    (``_Form.block``) when its LP had the same rows, which spares the
-    start an inversion.
-    A start that is singular, or neither primal nor dual feasible, is
-    ignored.
+    ``start`` is the optimal solution of an earlier solve, whose basis
+    the solve starts from (module docstring, "Warm start"): typically
+    of an LP with the same rows and objective whose bounds moved, as
+    ``LinearProgram.with_bounds`` makes it.  A start that is not
+    optimal, or whose basis does not hold one column index of this LP's
+    ``[G | I]`` per row of ``G``, raises ValueError; one that is
+    singular, or neither primal nor dual feasible, is ignored.
     """
-    form = lp._form or _Form(lp)
+    if start is not None and (start.status != OPTIMAL or start._form is None):
+        raise ValueError("start must be an optimal solution of solve_lp")
+    form = (start._form if start is not None and start._form.serves(lp)
+            else _Form(lp))
     try:
         st = form.standardize(lp.lower, lp.upper)
     except _BoundInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
     nr, nc = form.G.shape
-    if start is not None and not form.fits(start):
-        raise ValueError(f"start must hold {nr} column indices "
-                         f"below {nc + nr}")
-    start, block = _split_start(start)
+    basis = block = None
+    if start is not None:
+        basis = start.basis
+        if basis.shape != (nr,) or (nr and (basis.min() < 0
+                                            or basis.max() >= nc + nr)):
+            raise ValueError(f"start must hold {nr} column indices "
+                             f"below {nc + nr}")
+        block = start._start_block()
     status, tb, farkas = _simplex(form.c, form.G, st.g, st.fixed_cols,
-                                  start, block)
+                                  basis, block)
 
     if status == INFEASIBLE:
         # a fixed column was never priced, so the combination may weigh
@@ -852,7 +850,7 @@ def solve_lp(lp: LinearProgram,
     sol = LpSolution(OPTIMAL, x, duals, float(sense * obj_min),
                      tb.iterations,
                      dual_objective=float(sense * dual_min),
-                     basis=tb.basis.copy())
+                     basis=tb.basis.copy(), _form=form)
     _validate_optimal(lp, st.g, sol, y[nc:], y_int, obj_min, dual_min)
     return sol
 

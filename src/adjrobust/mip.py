@@ -9,20 +9,21 @@ incumbents are the integral node LPs.  Everything is deterministic.
 
 The root LP is solved cold unless a ``start`` is given, as
 ``solve_lp`` takes it: the cut loop starts each separation MIP's root
-from the previous root's optimal basis (``MipSolution.root_start``),
-which is primal feasible because the MIPs share rows and bounds.  Every
-child starts from its parent's optimal basis and that basis's inverse
-block (``solve_lp(..., start=(basis, block))``): it differs from the
-parent only in bounds, which keeps that basis dual feasible, so the LP
-kernel's dual simplex phase re-solves it in a few pivots, with no
-inversion to start.  All LPs of a search share one
-standard form (the LP kernel's ``_Form``), built once for the root, and
-the search asks that form for the block (``_Form.block``): one s x s
-inversion, for s basic structural columns, per node that has children
-or is the root.  An open node keeps only that block, not the full basis
-inverse.  Where the parent's LP has alternative optima, a warm re-solve
-can end at a different one than a cold solve would, so the node count
-can differ from that of a cold search; values agree to the tolerances.
+from the previous root's optimal solution (``MipSolution.root_start``),
+whose basis is primal feasible because the MIPs share rows and bounds.
+Every child starts from its parent's optimal solution
+(``solve_lp(child, start=parent)``): it differs from the parent only in
+bounds, which keeps that basis dual feasible, so the LP kernel's dual
+simplex phase re-solves it in a few pivots.  Node LPs are made by
+``LinearProgram.with_bounds``, so they share the root's arrays and the
+LP kernel solves them all through the root's standard form, and the
+parent's solution hands them its basis's inverse block, computed once
+when its first child starts: one s x s inversion, for s basic
+structural columns, per node whose children are solved, and none to
+start a child.  An open node keeps its parent's solution.  Where the
+parent's LP has alternative optima, a warm re-solve can end at a
+different one than a cold solve would, so the node count can differ
+from that of a cold search; values agree to the tolerances.
 ``MipSolution.pivots`` counts the LP pivots of the whole search.
 
 The reported bound never lies below the optimum (up to mip_tol, the
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, _Form, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 
 INT_TOL = 1e-6
 _TIE_TOL = 1e-9
@@ -74,10 +75,10 @@ class MipSolution:
     gap: float
     nodes: int
     pivots: int                      # LP pivots, root included
-    # the root LP's optimal basis and inverse block: a start for the root
-    # of a MIP with the same rows and bounds; None if the root was not
-    # solved to optimality
-    root_start: tuple | None = field(default=None, repr=False)
+    # the root LP's optimal solution: a start for the root of a MIP with
+    # the same rows and bounds; None if the root was not solved to
+    # optimality
+    root_start: LpSolution | None = field(default=None, repr=False)
 
 
 def _fractionality(x, binaries):
@@ -94,7 +95,7 @@ def _most_fractional(frac):
 
 def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
               node_limit: int | None = 1_000_000,
-              start: np.ndarray | tuple | None = None) -> MipSolution:
+              start: LpSolution | None = None) -> MipSolution:
     """Solve max/min c.x over the LP's rows with the given columns binary.
 
     `mip_tol` is the absolute optimality gap at which nodes are pruned
@@ -103,8 +104,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     that many LP relaxations and reports the surviving bound and gap.
     `start` starts the root LP, as `solve_lp` takes it; a MIP with the
     same rows and bounds returns one in `MipSolution.root_start`.  A
-    start of the wrong shape is dropped, and one that is singular or
-    unusable leaves the root to a cold solve.
+    start of the wrong shape raises ValueError, and one that is singular
+    or unusable leaves the root to a cold solve.
     """
     lp = prob.lp
     binaries = np.asarray(prob.binary_vars, dtype=np.intp)
@@ -115,17 +116,13 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     # binaries live in {0,1}; intersect with any caller bounds
     lower[binaries] = np.maximum(lower[binaries], 0.0)
     upper[binaries] = np.minimum(upper[binaries], 1.0)
-    # every node LP differs from the root in bound values only
-    form = _Form(lp.with_bounds(lower, upper))
-    root = start if start is not None and form.fits(start) else None
-
     nodes = pivots = 0
     incumbent_x = None
     incumbent_val = None          # in sgn-units (larger is better)
     root_start = None
 
-    # (-bound, tiebreak, lo, up, the parent's (basis, block))
-    heap: list = [(-np.inf, 0, lower, upper, root)]
+    # (-bound, tiebreak, lo, up, the parent's LpSolution)
+    heap: list = [(-np.inf, 0, lower, upper, start)]
     tie = 1
 
     def finish(status: str, bound: float) -> MipSolution:
@@ -137,7 +134,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
                            root_start)
 
     while heap:
-        negb, _, lo, up, start = heapq.heappop(heap)
+        negb, _, lo, up, parent = heapq.heappop(heap)
         if incumbent_val is not None and -negb <= incumbent_val + mip_tol:
             continue
 
@@ -147,7 +144,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
                         -np.inf if incumbent_val is None else incumbent_val)
             return finish("node_limit", bound)
         nodes += 1
-        sol = solve_lp(form.with_bounds(lo, up), start=start)
+        # every node LP differs from the root in bound values only
+        sol = solve_lp(lp.with_bounds(lo, up), start=parent)
         pivots += sol.iterations
         if sol.status == "infeasible":
             continue
@@ -155,7 +153,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             return MipSolution("unbounded", None, None, sgn * np.inf, np.inf,
                                nodes, pivots)
         if nodes == 1:
-            root_start = (sol.basis, form.block(sol.basis))
+            root_start = sol
         val = sgn * sol.objective
 
         if incumbent_val is not None and val <= incumbent_val + mip_tol:
@@ -168,16 +166,12 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             incumbent_x[binaries] = np.round(incumbent_x[binaries])
             continue
 
-        # the start of the children: this basis and its inverse block
-        warm = root_start if nodes == 1 else (sol.basis,
-                                              form.block(sol.basis))
-
         j = int(binaries[_most_fractional(frac)])
         pref = float(np.round(sol.x[j]))
         for value in (pref, 1.0 - pref):
             clo, cup = lo.copy(), up.copy()
             clo[j] = cup[j] = value
-            heapq.heappush(heap, (-val, tie, clo, cup, warm))
+            heapq.heappush(heap, (-val, tie, clo, cup, sol))
             tie += 1
 
     # exhausted: every open node was solved or pruned against the incumbent

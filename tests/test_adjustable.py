@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from adjrobust import adjustable
-from adjrobust.adjustable import (Digitization, InconclusiveSeparationError,
-                                  SeparationError,
+from adjrobust.adjustable import (Digitization, SeparationError,
                                   _separate_vrep, adjustable_special_case,
                                   build_separation_mip, separate,
                                   solve_adjustable,
@@ -192,13 +191,6 @@ def test_separation_needs_hrep():
     dig = Digitization(epsilon=0.1, s=4, delta_u=0, delta_w=0)
     with pytest.raises(InstanceError):
         build_separation_mip(inst, np.zeros(2), dig)
-
-
-def test_separation_node_limit_inconclusive():
-    inst = identity_instance()
-    dig = Digitization.from_instance(inst, 0.25)
-    with pytest.raises(InconclusiveSeparationError):
-        separate(inst, np.zeros(2), -np.inf, dig, mip_tol=0.1, node_limit=1)
 
 
 # ---------------------------------------------------------------------------

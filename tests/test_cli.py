@@ -225,6 +225,17 @@ def test_missing_and_malformed_files_exit_1(capsys, tmp_path):
     assert run(capsys, "solve-affine", str(bad))[0] == 1
 
 
+def test_non_numeric_set_data_exits_1(capsys, tmp_path):
+    doc = {"m": 2, "n": 1, "d_bar": 1.0, "c": [0.0],
+           "A": [[0.0], [0.0]], "B": [[1.0], [1.0]],
+           "uncertainty": {"type": "hrep", "R": "zero", "r": [1, 1]}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve-affine", str(path))
+    assert code == 1
+    assert err.startswith("error: malformed numeric field")
+
+
 def test_unbounded_set_exits_1(capsys, tmp_path):
     # h_2 has no cap on {h >= 0 : h_1 <= 1}: an input error
     uset = UncertaintySet.hrep([[1.0, 0.0]], [1.0])

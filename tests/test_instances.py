@@ -269,3 +269,32 @@ def test_validate_catches_shape_mismatch():
         UncertaintySet()
     with pytest.raises(InstanceError, match="finite"):
         UncertaintySet.vrep([[0.0, np.inf]])
+
+
+def test_malformed_set_data_is_a_format_error():
+    doc = {
+        "m": 2, "n": 1, "d_bar": 1.0, "c": [0.0],
+        "A": [[0.0], [0.0]], "B": [[1.0], [1.0]],
+        "uncertainty": {"type": "hrep", "R": "zero", "r": [1, 1]},
+    }
+    with pytest.raises(InstanceFormatError, match="numeric"):
+        instance_from_dict(doc)
+    doc["uncertainty"] = {"type": "vrep", "vertices": [[0.0, 1.0], [1.0]]}
+    with pytest.raises(InstanceFormatError, match="numeric"):
+        instance_from_dict(doc)
+
+
+def test_sets_and_instances_take_lists():
+    hrep = UncertaintySet(R=[[1.0, 0.0], [0.0, 1.0]], r=[1.0, 1.0])
+    vrep = UncertaintySet(vertices=[[0.0, 0.0], [1.0, 1.0]])
+    assert hrep.R.shape == (2, 2) and hrep.r.shape == (2,)
+    assert vrep.vertices.shape == (2, 2)
+    inst = Instance(m=2, n=1, c=[0.0], A=[[0.0], [0.0]], B=[[1.0], [1.0]],
+                    d_bar=1.0, uncertainty=hrep)
+    assert inst.c.dtype == inst.A.dtype == inst.B.dtype == float
+    assert inst.B.shape == (2, 1)
+    with pytest.raises(InstanceError, match="c must have shape"):
+        Instance(m=2, n=1, c=[0.0, 1.0], A=[[0.0], [0.0]], B=[[1.0], [1.0]],
+                 d_bar=1.0, uncertainty=vrep)
+    with pytest.raises(InstanceError, match="nonnegative"):
+        UncertaintySet(vertices=[[-1.0, 0.0]])

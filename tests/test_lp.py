@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ def test_deterministic_iteration_count():
 def test_with_bounds_shares_rows():
     lp = small_lp()
     child = lp.with_bounds(lower=[0.0, 0.5], upper=[np.inf, 0.5])
-    assert child.A is lp.A
+    assert child.A is lp.A and child.rel is lp.rel and child.b is lp.b
+    assert child.obj is lp.obj
     sol = solve_lp(child)
     np.testing.assert_allclose(sol.x[1], 0.5, atol=1e-12)
 
@@ -463,8 +465,10 @@ def test_basis_of_a_solution_restarts_without_pivots():
     lp = _bounded_lp()
     sol = solve_lp(lp)
     assert sol.basis.shape == (_Form(lp).G.shape[0],)
-    again = solve_lp(lp, start=sol.basis)
+    again = solve_lp(lp, start=sol)
     assert again.status == "optimal" and again.iterations == 0
+    # the same LP: solved through the start's standard form
+    assert again._form is sol._form
     np.testing.assert_array_equal(again.basis, sol.basis)
     np.testing.assert_allclose(again.x, sol.x, atol=1e-12)
 
@@ -482,7 +486,7 @@ def test_warm_start_proves_child_infeasible(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "run_dual", spy)
-    sol = solve_lp(child, start=parent.basis)
+    sol = solve_lp(child, start=parent)
     assert seen == ["infeasible"]
     assert sol.status == "infeasible"
     form, st = _standard(child)
@@ -494,20 +498,28 @@ def test_warm_start_proves_child_infeasible(monkeypatch):
 
 def test_warm_start_of_wrong_length_is_rejected():
     lp = _bounded_lp()
-    basis = solve_lp(lp).basis
-    with pytest.raises(ValueError):
-        solve_lp(lp, start=basis[:-1])
-    with pytest.raises(ValueError):
-        solve_lp(lp, start=np.append(basis, 0))
-    with pytest.raises(ValueError):
-        solve_lp(lp, start=np.full(basis.size, 99))
+    sol = solve_lp(lp)
+    basis = sol.basis
+    for bad in (basis[:-1], np.append(basis, 0), np.full(basis.size, 99)):
+        with pytest.raises(ValueError, match="column indices"):
+            solve_lp(lp, start=replace(sol, basis=bad))
+
+
+def test_only_an_optimal_solution_starts():
+    lp = _bounded_lp()
+    # fixing x = 0 leaves x + y <= 1 < 1.5
+    infeasible = solve_lp(lp.with_bounds([0.0, 0.0], [0.0, 1.0]))
+    assert infeasible.status == "infeasible"
+    with pytest.raises(ValueError, match="optimal"):
+        solve_lp(lp, start=infeasible)
 
 
 def test_singular_warm_start_gives_the_cold_answer():
     lp = _bounded_lp()
     cold = solve_lp(lp)
     # one column twice: the basis matrix is singular
-    warm = solve_lp(lp, start=np.zeros(cold.basis.size, dtype=int))
+    singular = replace(cold, basis=np.zeros(cold.basis.size, dtype=int))
+    warm = solve_lp(lp, start=singular)
     assert warm.status == cold.status
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.x, cold.x)
@@ -530,12 +542,42 @@ def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "start_warm", spy)
-    solve_lp(child, start=(parent.basis, block))
+    solve_lp(child, start=parent)
     assert seen == [True]
+    # the start computed its block on first use
+    np.testing.assert_array_equal(parent._block, block)
     seen.clear()
-    sol = solve_lp(child, start=(parent.basis, 2.0 * block))
+    corrupted = replace(parent)
+    corrupted._block = 2.0 * block
+    sol = solve_lp(child, start=corrupted)
     assert seen == [False]
     cold = solve_lp(child)
+    assert sol.status == cold.status == "optimal"
+    assert sol.iterations == cold.iterations
+    np.testing.assert_array_equal(sol.x, cold.x)
+    np.testing.assert_array_equal(sol.basis, cold.basis)
+
+
+def test_start_from_other_rows_builds_its_own_form(monkeypatch):
+    # the start's block inverts its basis on its own rows, not on these
+    # (scaled by 2): the residual check turns it down and the LP,
+    # solved through a form of its own, gets the cold answer
+    lp = _dense_lp(monkeypatch)
+    parent = solve_lp(lp)
+    other = LinearProgram.from_arrays(lp.sense, lp.obj, 2.0 * lp.A, lp.rel,
+                                      lp.b)
+    start_warm = _Tableau.start_warm
+    seen = []
+
+    def spy(self, priced, block=None):
+        seen.append(start_warm(self, priced, block))
+        return seen[-1]
+
+    monkeypatch.setattr(_Tableau, "start_warm", spy)
+    sol = solve_lp(other, start=parent)
+    assert seen == [False]
+    assert sol._form is not parent._form and sol._form.lp is other
+    cold = solve_lp(other)
     assert sol.status == cold.status == "optimal"
     assert sol.iterations == cold.iterations
     np.testing.assert_array_equal(sol.x, cold.x)

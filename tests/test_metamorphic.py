@@ -7,6 +7,9 @@ z_ar unchanged, and scaling B by alpha divides both by alpha.  A
 permutation reorders the LPs' rows and columns, which changes the pivot
 path, the ratio-test ties and the refresh points, so a defect that
 depends on the path shows as a mismatch.
+
+The values also obey z_ar <= z_aff <= static: an affine policy is
+adjustable, and the static policy y(h) = q is affine.
 """
 
 from dataclasses import replace
@@ -19,6 +22,7 @@ from adjrobust.adjustable import (adjustable_special_case,
 from adjrobust.affine import solve_affine
 from adjrobust.instances import (RandomSpec, budget_vertices, gen_iid,
                                  gen_worst_case)
+from adjrobust.lp import LinearProgram, solve_lp
 
 ALPHA = 1.7
 
@@ -47,6 +51,30 @@ def test_budget_table_values_scale_and_permute(kind):
         assert_scaled(
             adjustable_special_case(inst.with_uncertainty(verts)),
             adjustable_special_case(other.with_uncertainty(verts)))
+
+
+def static_value(inst):
+    """The static policy's value for A = 0, c = 0: min d.q s.t.
+    B q >= caps(U), q >= 0, as B q >= h must hold for every h in U."""
+    lp = LinearProgram.from_arrays("min", inst.d, inst.B, [">="] * inst.m,
+                                   inst.uncertainty.caps)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+@pytest.mark.parametrize("kind", ["uniform", "folded-normal"])
+def test_budget_table_values_are_sandwiched(kind):
+    # z_ar <= z_aff <= static; some seeds are tight on either side
+    m = 10
+    verts = budget_vertices(m)
+    for seed in range(10):
+        inst = gen_iid(m, m, RandomSpec(kind), seed)
+        z_aff = solve_affine(inst).objective
+        z_ar = adjustable_special_case(inst.with_uncertainty(verts))
+        static = static_value(inst)
+        assert z_ar <= z_aff + 1e-9 * (1.0 + abs(z_aff)), seed
+        assert z_aff <= static + 1e-9 * (1.0 + abs(static)), seed
 
 
 def test_worst_case_values_scale_and_permute():

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from adjrobust import adjustable, mip
 from adjrobust.adjustable import (Digitization, build_separation_mip,
                                   solve_adjustable)
 from adjrobust.instances import Instance, budget_set
-from adjrobust.lp import LinearProgram, _Form, _Tableau, solve_lp
+from adjrobust.lp import LinearProgram, LpSolution, _Form, _Tableau, solve_lp
 from adjrobust.mip import MipError, MixedBinaryProgram, solve_mip
 from adjrobust.rng import SplitMix64
 
@@ -291,11 +292,13 @@ def test_warm_started_search_pivots_per_node(monkeypatch):
 @pytest.mark.parametrize("searches", ["fuzz", "cut_loops"])
 def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
                                                              monkeypatch):
-    # every LP of a search goes through the root's standard form and,
-    # below the root, its parent's inverse block; solved on its own from
-    # the same basis it must give the same bits
-    inverses, handed = [], []
-    inv, start_warm = np.linalg.inv, _Tableau.start_warm
+    # every LP of a search goes through the root's standard form and
+    # starts from its parent's solution, which hands it its inverse
+    # block; solved through a form of its own from the same basis, with
+    # its own inversion, it must give the same bits
+    inverses, handed, forms, per_search = [], [], [], []
+    inv, start_warm, form_init = (np.linalg.inv, _Tableau.start_warm,
+                                  _Form.__init__)
 
     def counted_inv(a):
         inverses.append(a.shape)
@@ -308,11 +311,24 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
             handed.append(len(inverses) - before)
         return ok
 
+    def spy_form(self, lp):
+        form_init(self, lp)
+        forms.append(lp)
+
     def checked(lp, start=None, **kw):
         sol = solve_lp(lp, start=start, **kw)
-        assert lp._form is not None
-        basis = start[0] if isinstance(start, tuple) else start
-        ref = solve_lp(lp.with_bounds(lp.lower, lp.upper), start=basis, **kw)
+        made = len(forms)
+        ref_lp = LinearProgram.from_arrays(lp.sense, lp.obj.copy(),
+                                           lp.A.copy(), lp.rel.copy(),
+                                           lp.b.copy(), lp.lower, lp.upper)
+        ref_start = None
+        if start is not None:
+            # no block: the reference inverts its start basis itself
+            ref_start = replace(start)
+            ref_start._block = None
+        ref = solve_lp(ref_lp, start=ref_start, **kw)
+        assert forms[made:] == [ref_lp]
+        del forms[made:]
         assert sol.status == ref.status
         assert sol.iterations == ref.iterations
         if ref.status == "optimal":
@@ -321,21 +337,32 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
             assert sol.objective == ref.objective
         return sol
 
+    def search(prob, **kw):
+        made = len(forms)
+        sol = solve_mip(prob, **kw)
+        per_search.append(len(forms) - made)
+        return sol
+
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(_Tableau, "start_warm", spy_start)
+    monkeypatch.setattr(_Form, "__init__", spy_form)
     monkeypatch.setattr(mip, "solve_lp", checked)
     if searches == "fuzz":
         for _, _, prob in _fuzz_mips():
-            solve_mip(prob)
+            search(prob)
     else:
+        monkeypatch.setattr(adjustable, "solve_mip", search)
         _run_cut_loops()
-    # a handed block replaces the inversion of the start basis
+    # one standard form per search, and a handed block in place of the
+    # inversion of every start basis
+    assert len(per_search) > 10 and set(per_search) == {1}
     assert len(handed) > 100 and not any(handed)
 
 
 def test_open_nodes_hold_the_square_block(monkeypatch):
-    # a heap entry keeps inv(M0[N, S]) of its parent's basis, s x s for
-    # the s basic structural columns, never the nr x nr basis inverse
+    # a heap entry keeps its parent's optimal solution, whose block is
+    # inv(M0[N, S]) of its basis, s x s for the s basic structural
+    # columns, never the nr x nr basis inverse
     inst = _cut_loop_instance(2)
     prob = build_separation_mip(inst, np.zeros(2),
                                 Digitization.from_instance(inst, 0.1))
@@ -350,7 +377,19 @@ def test_open_nodes_hold_the_square_block(monkeypatch):
     monkeypatch.setattr(heapq, "heappush", spy)
     assert solve_mip(prob, mip_tol=0.05).status == "optimal"
     assert len(pushed) > 50
-    for _, _, lo, up, (basis, block) in pushed:
+    for _, _, lo, up, parent in pushed:
+        assert isinstance(parent, LpSolution) and parent.status == "optimal"
+        basis, block = parent.basis, parent._start_block()
         s = int((basis < nc).sum())
         assert basis.shape == (nr,) and block.shape == (s, s) and s < nr
         assert lo.size == up.size == prob.lp.num_vars
+
+
+def test_start_of_the_wrong_shape_is_rejected():
+    # an optimal solution of an LP with two rows, not the knapsack's one
+    start = solve_lp(LinearProgram.from_arrays(
+        "max", [1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        ["<=", "<="], [1.0, 1.0], upper=[1.0, 1.0, 1.0]))
+    assert start.status == "optimal"
+    with pytest.raises(ValueError, match="column indices"):
+        solve_mip(knapsack(), start=start)

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -41,3 +43,20 @@ def test_package_imports_without_ctypes_util(probe):
     # the LP kernel reaches mallopt through ctypes.CDLL(None);
     # ctypes.util.find_library would run ldconfig, about 16 ms per import
     assert probe[1] == "False"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's private names are its own: `from .lp import _Form` or
+    # `from adjrobust.lp import _Form` fails; `from . import rng as _rng`
+    # imports a module under a private alias and is fine
+    bad = []
+    for path in sorted(pathlib.Path(adjrobust.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != (
+                    "adjrobust"):
+                continue
+            bad += [f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names if alias.name.startswith("_")]
+    assert bad == []
