@@ -1,16 +1,19 @@
 """Dense linear-programming kernel.
 
-Simplex on a dense tableau of ``[G | I]``: a dual simplex phase reaches
-a primal feasible basis, then a primal simplex phase reaches an optimal
-one.  Pricing is Dantzig (most negative reduced cost) and switches to
+Bounded-variable simplex on a dense tableau of ``[G | I]``: a dual
+simplex phase reaches a primal feasible basis, then a primal simplex
+phase reaches an optimal one.  A nonbasic column sits at a finite
+bound, or at 0 when free.  Pricing is Dantzig (the largest reduced
+cost of a column that may move the way it improves) and switches to
 Bland's rule after 5*(columns+rows) iterations so cycling cannot occur.
-Under Dantzig the
-ratio test is Harris's two-pass test: among the rows whose ratio is
-within a feasibility tolerance of the smallest, it takes the largest
-pivot, and right-hand sides that the step leaves within that tolerance
-below zero are clipped to zero.  Under Bland it is the exact min-ratio
-test with ties to the smallest basic variable index, the tie-break
-Bland's termination argument needs.
+Under Dantzig the ratio test is Harris's two-pass test: among the basic
+columns whose ratio is within a feasibility tolerance of the smallest,
+it takes the largest pivot, and basic values that the step leaves
+within that tolerance outside their bounds are clipped onto them.
+Under Bland it is the exact min-ratio test with ties to the smallest
+basic variable index, the tie-break Bland's termination argument needs.
+An entering column whose bounds are closer than the step flips to its
+other bound with no change of basis.
 
 A pivot does not rewrite the tableau: it appends one rank-one factor,
 and a column or row is read through the pending factors.  The
@@ -40,59 +43,46 @@ sends it to the block inverse instead.
 Cold start
 ----------
 A cold solve starts from the slack basis of ``[G | I]``, where the
-tableau is current with no inverse, and needs no artificial column.
-When the standard-form costs are nonnegative on every priced column,
-that basis is dual feasible (with zero basic costs its reduced costs
-are the costs themselves), so the dual phase runs on the LP's own
-costs; the primal phase then cannot end unbounded, as ``c >= 0`` and
-``y >= 0`` bound the objective below.  This covers the vertex LPs and
-the cut-loop master.  Otherwise the dual phase runs on all-zero costs,
-for which every basis is dual feasible: it is a phase 1 that ends at a
-primal feasible basis or at a row that proves the LP infeasible
-(Koberstein, "The dual simplex method, techniques for a fast and
-stable implementation", PhD thesis, Paderborn 2005), and the primal
-phase then optimizes the LP's own costs and can end unbounded.  With
-zero costs every dual ratio is zero, so the Harris test takes the
-largest ``|a_pj|``; the phase is fully dual degenerate, and the switch
-to Bland's rule is its termination guarantee.  Shifting the costs to
-``max(c, 0)`` would keep the dual phase on nonzero costs, but the HRep
-affine LP's free columns (z, P, q) are split in two, so many dual
-pivots only swap a column for its mirror: on the affine LPs of the m=10
-ratio table (uniform, seeds 200-259) shifted costs took 45,381 pivots
-against 25,030 for zero costs, and 1.9 times the CPU time.  Only on the
-tiny affine LPs of the m=n=2 cut-loop instances did they take fewer
-(930 against 1,175 over 80 seeds).
+tableau is current with no inverse, and needs no artificial column;
+each structural column sits at its lower bound, else its upper one,
+else 0.  When no cost improves on its column's side (``c_j >= 0`` at a
+lower bound, ``<= 0`` at an upper one, 0 when free), that basis is dual
+feasible (its reduced costs are the costs themselves), so the dual
+phase runs on the LP's own costs, and the primal phase cannot end
+unbounded.  This covers the vertex LPs and the cut-loop master.
+Otherwise the dual phase runs on all-zero costs, for which every basis
+is dual feasible: it is a phase 1 that ends at a primal feasible basis
+or at a row that proves the LP infeasible (Koberstein, "The dual
+simplex method, techniques for a fast and stable implementation", PhD
+thesis, Paderborn 2005), and the primal phase then optimizes the LP's
+own costs and can end unbounded.  With zero costs every dual ratio is
+zero, so the Harris test takes the largest ``|a_pj|``; the phase is
+fully dual degenerate, and the switch to Bland's rule is its
+termination guarantee.
 
 Warm start
 ----------
 ``solve_lp(lp, start=sol)`` starts from ``sol``, the optimal solution of
 an earlier solve, typically of an LP with the same rows and objective
 whose bounds moved.  The tableau is then built on ``[G | I]`` through
-``sol.basis``.  A dual simplex phase restores primal
-feasibility: the leaving row has the most negative right-hand side,
-the entering column comes from a
-Harris two-pass test on ``|z_j / a_pj|`` over ``a_pj < 0`` (the largest
-``|a_pj|`` among the near-smallest ratios), and past the Bland threshold
-both choices go to the smallest index.  A row with a negative right-hand
-side and no negative entry proves infeasibility, and its slack block
-(that row of the basis inverse) is the Farkas vector.  The primal phase
-then removes any dual infeasibility left at tolerance level.  A start
-that is singular, or neither primal nor dual feasible, is solved cold,
-by the rule above.  Warm or cold, a solve ends in the same
-certificates.
+``sol.basis``, each nonbasic column back at its upper bound if it sat
+there in ``sol`` and the bound is still finite, else where a cold start
+puts it.  The dual simplex phase (``_Tableau.run_dual``) restores
+primal feasibility, or ends at a row that proves infeasibility, whose
+slack block (that row of the basis inverse) is the Farkas vector.  The
+primal phase then removes any dual infeasibility left at tolerance
+level.  A start that is singular, or neither primal nor dual feasible,
+is solved cold, by the rule above.  Warm or cold, a solve ends in the
+same certificates.
 
 A solution keeps the standard form it was solved on (``_Form``), and
 the first start that asks for it computes the inverse of its basis's
 s x s structural block (``_Form.block``), which the solution then
-keeps: the tableau is rebuilt at that basis without an inversion.  The
-residual check on the new LP's own right-hand side still judges the
-block, and a block that fails it leaves the LP to a cold solve.  An LP
-with the start's rows and objective (the same arrays, as
-``LinearProgram.with_bounds`` shares them) and finite bounds in the
-same places is solved through the start's form, so a branch-and-bound
-search builds the standard form's ``G``, ``c`` and row and column maps
-once, and each node computes only ``g``, the shift, the constant and
-the fixed columns.  Any other LP builds a form of its own.
+keeps: the tableau is rebuilt at that basis without an inversion, and
+the residual check on the new LP's right-hand side still judges the
+block.  An LP with the start's row and objective arrays (as
+``LinearProgram.with_bounds`` shares them) is solved through the
+start's form, so a branch-and-bound search builds ``G`` once.
 
 Allocation
 ----------
@@ -114,23 +104,24 @@ the import changes nothing.
 Conventions
 -----------
 - Rows are <= or >=; there are no equality rows.  Variables have
-  per-coordinate bounds [lower, upper], default [0, inf).
-  Internally every problem becomes  min c.y  s.t.  G y <= g, y >= 0:
-  >= rows are negated, finite lower bounds are shifted out, free
-  variables split into a difference of two nonnegatives, and finite
-  upper bounds become extra rows, so row i of the LP is row i of G.  A
-  fixed variable (finite lower == upper) keeps its column, with an
-  upper-bound row whose right-hand side is 0, so the columns and rows
-  of the standard form depend only on which bounds are finite; the
-  bound values move only ``g`` and the shift.  A fixed column is never
-  priced: it could enter only by a degenerate step, and a Farkas vector
-  covers it through its bound row.
+  per-coordinate bounds [lower, upper], default [0, inf); nan, a lower
+  bound of +inf and an upper bound of -inf are rejected.  The standard
+  form is the LP itself: min c.x s.t. G x <= g, lower <= x <= upper,
+  with the >= rows negated (``G = row_sign * A``) and ``c = obj`` for
+  min, ``-obj`` for max; the bounds stay on the columns.  A fixed
+  column (lower == upper) is never priced, and a free one, once basic,
+  never leaves the basis: no bound stops it.
 - ``duals[i]`` is the marginal d(objective)/d(rhs_i) of original row i.
-- A solution claiming Optimal is certified before it is returned
-  (primal feasibility, complementary slackness, duality gap); Infeasible
-  carries a validated Farkas combination and Unbounded a validated
-  improving ray.  Certification failure raises LpBreakdownError rather
-  than returning a silently wrong answer.
+- A solution claiming Optimal is certified on the LP's own data before
+  it is returned: primal feasibility, complementary slackness of the
+  rows, the duality gap, and dual feasibility (one product
+  ``A^T duals``): each row dual has its relation's sign, and each
+  reduced cost the sign its column's position allows (none at a
+  column between its bounds or free, any when fixed).  Infeasible
+  carries a Farkas combination of the rows, validated against the rows
+  and the bounds, and Unbounded a validated improving ray.
+  Certification failure raises LpBreakdownError rather than returning
+  a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -150,8 +141,9 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
-# Harris ratio-test tolerance; right-hand sides above -_FEAS_TOL are
-# clipped to zero, which removes the overshoot the Harris step allows
+# Harris ratio-test tolerance; basic values within _FEAS_TOL outside
+# their bounds are clipped onto them, which removes the overshoot the
+# Harris step allows
 _FEAS_TOL = 1e-9
 # scale of the certificate thresholds (see _validate_optimal)
 _CERT_TOL = 1e-8
@@ -200,6 +192,8 @@ class LinearProgram:
                       else np.asarray(upper, dtype=float).copy())
         if self.lower.size != nv or self.upper.size != nv:
             raise ValueError("bounds length mismatch with objective")
+        if not ((self.lower < np.inf).all() and (self.upper > -np.inf).all()):
+            raise ValueError("no bound may be nan, +inf below or -inf above")
         self.A = np.zeros((0, nv))
         self.rel = np.zeros(0, dtype=np.int8)
         self.b = np.zeros(0)
@@ -250,9 +244,15 @@ class LpSolution:
     iterations: int
     dual_objective: float | None = None
     ray: np.ndarray | None = None
+    # of an infeasible LP: row weights, >= 0 on <= rows and <= 0 on >=
+    # rows, with lam.A x above lam.b on the bounds (None if they cross)
     farkas: np.ndarray | None = field(default=None, repr=False)
-    # final basis: one standard-form column index per standard-form row
+    # final basis: one column index of [G | I] per row, where column
+    # num_vars + i is the slack of row i
     basis: np.ndarray | None = field(default=None, repr=False)
+    # the nonbasic columns at their upper bound, where a start puts them
+    _upper: np.ndarray | None = field(default=None, repr=False,
+                                      compare=False)
     # of an optimal solution: the standard form it was solved on, and the
     # inverse block of its basis there, computed when a start first asks
     _form: _Form | None = field(default=None, repr=False, compare=False)
@@ -267,74 +267,40 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# standard-form conversion
+# standard form
 # ---------------------------------------------------------------------------
 
-class _Standard:
-    """What the bound values move in a ``_Form``'s standard form."""
-    __slots__ = ("g", "const", "shift", "fixed_cols", "fixed_rows")
-
-
 class _Form:
-    """The standard form of an LP up to the values of its bounds.
-
-    ``G``, ``c``, the column map and the row signs depend only on the
-    rows, the objective and which bounds are finite.  ``standardize``
-    adds what the bound values move: ``g``, the shift, the constant and
-    the fixed columns.  A branch-and-bound search builds one form for
+    """The standard form of an LP (module docstring, "Conventions"):
+    ``G``, ``g`` and the costs.  It depends on the rows, the objective and
+    the sense alone, so a branch-and-bound search builds one form for
     its root and solves every node through it (``serves``)."""
 
     def __init__(self, lp: LinearProgram):
         if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
                 and np.all(np.isfinite(lp.obj))):
             raise ValueError("non-finite data in LP")
-        A = lp.A
         self.lp = lp
         self.sense_mult = 1.0 if lp.sense == "min" else -1.0
-        self.c0 = self.sense_mult * lp.obj
-
-        # one column per variable, two (y+ then y-) for a free one
-        has_lo, has_up = np.isfinite(lp.lower), np.isfinite(lp.upper)
-        free = ~(has_lo | has_up)
-        width = free + 1
-        co = np.arange(lp.num_vars).repeat(width)
-        first = width.cumsum() - width
-        cs = np.ones(co.size)
-        cs[first[~has_lo & has_up]] = -1.0   # mirrored: x_j = up - y
-        cs[first[free] + 1] = -1.0
-        # y <= up - lo on every column with both bounds; 0 for a fixed one
-        boxed = (has_lo & has_up).nonzero()[0]
-
-        # >= rows negated
-        sgn = _ROW_SIGN[lp.rel]
-        nrow = A.shape[0]
-        # G = [A[:, co] * cs * sgn[:, None]; bound rows], filled in place:
-        # the signs are +-1, so the order of the products is exact
-        G = np.empty((nrow + boxed.size, co.size))
-        top = G[:nrow]
-        if co.size == A.shape[1]:
-            np.multiply(A, sgn[:, None], out=top)   # no column split
-        else:
-            np.take(A, co, axis=1, out=top)
-            top *= sgn[:, None]
-        if (cs < 0).any():
-            top *= cs
-        G[nrow:] = 0.0
-        G[nrow + np.arange(boxed.size), first[boxed]] = 1.0
-
-        self.has_lo, self.has_up = has_lo, has_up
-        self.first, self.boxed, self.nrow = first, boxed, nrow
-        self.c, self.G = self.c0[co] * cs, G
-        self.col_orig, self.col_sign, self.row_sign = co, cs, sgn
+        self.row_sign = _ROW_SIGN[lp.rel]
+        # the signs are +-1, so the products are exact
+        self.G = lp.A * self.row_sign[:, None]
+        self.g = lp.b * self.row_sign
+        # the costs of [G | I], zero on the slacks
+        self.cost = np.concatenate((self.sense_mult * lp.obj,
+                                    np.zeros(lp.num_rows)))
+        # scales of the certificates (``_validate_optimal``)
+        self.row_tol = 10 * _CERT_TOL * (1.0 + np.abs(lp.b))
+        self.cs_tol = 10 * float(self.row_tol.max(initial=10 * _CERT_TOL))
+        self.peak_obj = _peak(lp.obj)
+        self.peak_A = max(lp.A.max(initial=0.0), -lp.A.min(initial=0.0))
 
     def serves(self, lp: LinearProgram) -> bool:
         """Whether ``lp`` has this form: the same row and objective
-        arrays and sense, and finite bounds in the same places."""
+        arrays and the same sense."""
         own = self.lp
         return (lp.A is own.A and lp.rel is own.rel and lp.b is own.b
-                and lp.obj is own.obj and lp.sense == own.sense
-                and np.array_equal(np.isfinite(lp.lower), self.has_lo)
-                and np.array_equal(np.isfinite(lp.upper), self.has_up))
+                and lp.obj is own.obj and lp.sense == own.sense)
 
     def block(self, basis: np.ndarray) -> np.ndarray | None:
         """``inv(G[N, S])`` for ``basis`` (see ``_partition``), which
@@ -351,22 +317,6 @@ class _Form:
             return np.linalg.inv(self.G[:, basis[S]][N])
         except np.linalg.LinAlgError:
             return None
-
-    def standardize(self, lo: np.ndarray, up: np.ndarray) -> _Standard:
-        if (lo > up).any():
-            raise _BoundInfeasible
-        lp, boxed = self.lp, self.boxed
-        shift = np.where(self.has_lo, lo, np.where(self.has_up, up, 0.0))
-        fixed = (lo[boxed] == up[boxed]).nonzero()[0]
-        st = _Standard()
-        st.g = np.concatenate(((lp.b - lp.A @ shift) * self.row_sign,
-                               (up - lo)[boxed]))
-        st.const = float(self.c0 @ shift)
-        st.shift = shift
-        # fixed columns and their bound rows
-        st.fixed_cols = self.first[boxed[fixed]]
-        st.fixed_rows = self.nrow + fixed
-        return st
 
 
 def _peak(a: np.ndarray) -> float:
@@ -392,44 +342,62 @@ def _partition(basis: np.ndarray, nc: int):
     return S, K, rows, N
 
 
-class _BoundInfeasible(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# simplex core on  min c.y, G y <= g, y >= 0
+# simplex core on  min c.x, G x + s = g, lower <= x <= upper, s >= 0
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Tableau of  min c.y, G y <= g, y >= 0  in deferred product form.
+    """Tableau of  min c.x, G x + s = g, lower <= x <= upper, s >= 0  in
+    deferred product form.
 
     The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last
     rebuilt (or materialized) at some basis, and each pivot since has
-    appended one rank-one factor instead of rewriting ``T``.  The
-    right-hand side ``rhs`` and the reduced-cost row ``z`` (last entry
-    minus the objective) are kept current on every pivot.  The columns
-    are those of ``[G | I]``: column ``nc + i`` is the slack of row i.
-    The pristine data ``M0`` is ``G`` alone; the identity is implicit.
+    appended one rank-one factor instead of rewriting ``T``.  The basic
+    values ``rhs`` and the reduced-cost row ``z`` are kept current on
+    every pivot.  Column ``nc + i`` of ``[G | I]`` is the slack of row i,
+    in [0, inf).  ``xn`` holds the nonbasic values (0 on basic columns),
+    and ``rise`` and ``fall`` are 1.0 on the nonbasic columns that may
+    rise and fall, else 0.0: a fixed column does neither.  The pristine
+    data ``M0`` is ``G`` alone; the identity is implicit.
     """
 
-    def __init__(self, c: np.ndarray, G: np.ndarray, g: np.ndarray,
-                 bland_after: int, max_iters: int,
-                 start: np.ndarray | None = None):
+    def __init__(self, form: _Form, lp: LinearProgram,
+                 start: LpSolution | None = None):
+        G, lower, upper = form.G, lp.lower, lp.upper
         nr, nc = G.shape
         self.nc = nc
         ncols = nc + nr
 
         # pristine data, so the tableau can be rebuilt through any basis;
         # the slack block of [G | I] is implicit
-        self.M0 = G
-        self.g0 = g.copy()
-        self.scale = 1.0 + _peak(g)
+        self.M0, self.g0 = G, form.g
+        self.lo = np.concatenate((lower, np.zeros(nr)))
+        self.up = np.concatenate((upper, np.full(nr, np.inf)))
+        has_up = np.isfinite(upper)
+        self.has_up = bool(has_up.any())
+        # a nonbasic column sits at its lower bound, else its upper one,
+        # else at 0; a start's columns at their upper bound go back there
+        xn = np.where(np.isfinite(lower), lower, np.where(has_up, upper, 0.0))
+        if start is not None:
+            xn = np.where(start._upper & has_up, upper, xn)
+        self.xn = np.concatenate((xn, np.zeros(nr)))
+        self.basis = (nc + np.arange(nr) if start is None
+                      else start.basis.copy())
+        self.xn[self.basis] = 0.0
+        self.rise = (self.xn < self.up).astype(float)
+        self.fall = (self.xn > self.lo).astype(float)
+        self.rise[self.basis] = self.fall[self.basis] = 0.0
+        # whether a nonbasic column may ever fall (at an upper bound, free)
+        self.falls = self.has_up or bool(self.fall.any())
+        self.lo_b, self.up_b = self.lo[self.basis], self.up[self.basis]
         # current at the slack basis; a warm start rebuilds it
+        self.rhs = self._rhs0()
+        self.scale = 1.0 + _peak(self.rhs)
         self.T = np.empty((nr, ncols))
-        self.T[:, :nc] = G
-        self.T[:, nc:] = 0.0
-        self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
-        self.rhs = g.copy()
+        if start is None:
+            self.T[:, :nc] = G
+            self.T[:, nc:] = 0.0
+            self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
 
         # pending rank-one factors, one per pivot since T was last current.
         # Past nr factors, reading one row costs more than an eager
@@ -440,16 +408,17 @@ class _Tableau:
         self.V = np.empty((block, ncols))
         self.k = 0
 
-        self.basis = nc + np.arange(nr) if start is None else start.copy()
-
         # costs (zero on slacks) and their reduced row
-        self.z = np.zeros(ncols + 1)
-        self.z[:nc] = c
-        self.cost = self.z[:-1].copy()
+        self.cost = form.cost
+        self.z = self.cost.copy()
 
         self.iterations = 0
-        self.bland_after = bland_after
-        self.max_iters = max_iters
+        self.bland_after = 5 * ncols
+        self.max_iters = max(200 * ncols, 20000)
+
+    def _rhs0(self) -> np.ndarray:
+        """``g - N xn``: what the rows leave to the basic columns."""
+        return self.g0 - self.M0 @ self.xn[:self.nc]
 
     def column(self, q: int) -> np.ndarray:
         k = self.k
@@ -470,10 +439,37 @@ class _Tableau:
             self.T -= self.U[:, :k] @ self.V[:k]
             self.k = 0
 
-    def pivot(self, p: int, q: int, col: np.ndarray | None = None,
+    def gain(self) -> np.ndarray:
+        """Per column, the improvement per unit of a move it may make."""
+        z = self.z
+        return np.maximum(-z * self.rise, z * self.fall)
+
+    def _rest(self, j: int, at: float) -> None:
+        """Put column j, now nonbasic, at its bound ``at``."""
+        self.xn[j] = at
+        self.rise[j] = at < self.up[j]
+        self.fall[j] = at > self.lo[j]
+
+    def _excess(self, xb: np.ndarray) -> np.ndarray:
+        """How far each basic value lies outside its bounds (<= 0 inside)."""
+        out = self.lo_b - xb
+        if self.has_up:
+            np.maximum(out, xb - self.up_b, out=out)
+        return out
+
+    def _clip(self, xb: np.ndarray) -> None:
+        """Snap basic values within _FEAS_TOL outside their bounds back."""
+        lo, up = self.lo_b, self.up_b
+        np.copyto(xb, lo, where=(xb < lo) & (xb > lo - _FEAS_TOL))
+        if self.has_up:
+            np.copyto(xb, up, where=(xb > up) & (xb < up + _FEAS_TOL))
+
+    def pivot(self, p: int, q: int, at: float,
+              col: np.ndarray | None = None,
               row: np.ndarray | None = None) -> None:
-        """Pivot on (p, q); ``col`` is column q and ``row`` row p of the
-        current tableau."""
+        """Pivot on (p, q): column q enters, moving as far as brings the
+        column basic in row p to its bound ``at``, where it leaves.
+        ``col`` is column q and ``row`` row p of the current tableau."""
         if col is None:
             col = self.column(q)
         piv = col[p]
@@ -491,97 +487,126 @@ class _Tableau:
         u[p] -= 1.0
         self.k = k + 1
         rhs = self.rhs
-        t = rhs[p] / piv
-        rhs -= t * col
-        rhs[p] = t
+        delta = (rhs[p] - at) / piv
+        rhs -= delta * col
+        rhs[p] = self.xn[q] + delta
         z = self.z
         zq = z[q]
         if zq != 0.0:
-            z[:-1] -= zq * v
-            z[-1] -= zq * t
+            z -= zq * v
             z[q] = 0.0
+        self._rest(self.basis[p], at)
+        self.xn[q] = 0.0
+        self.rise[q] = self.fall[q] = 0.0
         self.basis[p] = q
-        # keep right-hand sides from drifting slightly negative
-        np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -_FEAS_TOL))
+        self.lo_b[p], self.up_b[p] = self.lo[q], self.up[q]
+        # keep basic values from drifting slightly out of their bounds
+        self._clip(rhs)
 
-    def run(self, z: np.ndarray, allowed: np.ndarray) -> str:
-        """Pivot until optimal ('optimal') or unbounded ('unbounded')."""
+    def _tick(self, primal: bool) -> bool:
+        """Stop at the iteration limit, and refresh every
+        ``refresh_every`` pivots; whether pricing is still Dantzig's."""
+        if self.iterations >= self.max_iters:
+            raise LpBreakdownError(f"iteration limit {self.max_iters} reached")
+        if self.iterations and self.iterations % self.refresh_every == 0:
+            self.refresh(primal)
+        return self.iterations < self.bland_after
+
+    def run(self) -> str:
+        """Pivot until optimal ('optimal') or unbounded ('unbounded'; the
+        improving ray over all columns is left in ``_ray``)."""
         while True:
-            if self.iterations >= self.max_iters:
-                raise LpBreakdownError(
-                    f"iteration limit {self.max_iters} exceeded")
-            if self.iterations and self.iterations % self.refresh_every == 0:
-                self.refresh()
-            rc = z[:-1]
-            dantzig = self.iterations < self.bland_after
+            dantzig = self._tick(primal=True)
+            gain = self.gain()
             if dantzig:
-                priced = np.where(allowed, rc, np.inf)
-                q = int(np.argmin(priced))
-                if priced[q] >= -_RC_TOL:
+                q = int(np.argmax(gain))
+                if gain[q] <= _RC_TOL:
                     return OPTIMAL
             else:
-                neg_idx = np.flatnonzero(allowed & (rc < -_RC_TOL))
-                if neg_idx.size == 0:
+                cand = np.flatnonzero(gain > _RC_TOL)
+                if cand.size == 0:
                     return OPTIMAL
-                q = int(neg_idx[0])
+                q = int(cand[0])
             col = self.column(q)
-            rows = (col > PIVOT_TOL).nonzero()[0]
-            if rows.size == 0:
-                self._entering = q
+            sign = 1.0 if self.z[q] < 0.0 else -1.0
+            # a step t of column q moves the basic values by -t * d
+            d = col if sign > 0.0 else -col
+            lo, up, rhs = self.lo_b, self.up_b, self.rhs
+            room = np.where(d > 0.0, rhs - lo, up - rhs)
+            rows = ((np.abs(d) > PIVOT_TOL) & (room < np.inf)).nonzero()[0]
+            step = np.inf
+            if rows.size:
+                a = np.abs(d[rows])
+                b = room[rows]
+                ratios = b / a
+                if dantzig:
+                    # Harris: the largest pivot among the rows whose ratio
+                    # is within the feasibility tolerance of the smallest
+                    near = (ratios <= ((b + _FEAS_TOL) / a).min()).nonzero()[0]
+                    i = int(near[a[near].argmax()])
+                else:
+                    # exact min ratio, ties to the smallest basic index
+                    cand = (ratios == ratios.min()).nonzero()[0]
+                    i = int(cand[self.basis[rows[cand]].argmin()])
+                step = ratios[i]
+            span = self.up[q] - self.lo[q]
+            if span < np.inf and span <= step:
+                # the column reaches its other bound first
+                self.rhs -= (sign * span) * col
+                self._rest(q, self.up[q] if sign > 0.0 else self.lo[q])
+                self._clip(self.rhs)
+            elif not rows.size:
+                self._ray = np.zeros(self.xn.size)
+                self._ray[self.basis] = -sign * col
+                self._ray[q] = sign
                 return UNBOUNDED
-            a = col[rows]
-            b = self.rhs[rows]
-            ratios = b / a
-            if dantzig:
-                # Harris: the largest pivot among the rows whose ratio is
-                # within the feasibility tolerance of the smallest one
-                near = (ratios <= ((b + _FEAS_TOL) / a).min()).nonzero()[0]
-                p = int(rows[near[a[near].argmax()]])
             else:
-                # exact min ratio, ties to the smallest basic index
-                cand = rows[ratios == ratios.min()]
-                p = int(cand[self.basis[cand].argmin()])
-            self.pivot(p, q, col)
+                p = int(rows[i])
+                self.pivot(p, q, lo[p] if d[p] > 0.0 else up[p], col)
             self.iterations += 1
 
-    def run_dual(self, z: np.ndarray, priced: np.ndarray) -> str:
+    def run_dual(self, z: np.ndarray) -> str:
         """Dual simplex on the reduced-cost row ``z``, which is ``self.z``
-        or all zeros, until the basis is primal feasible ('optimal') or
-        a row proves the LP infeasible ('infeasible'; the row is left in
-        ``_leaving``).  The leaving row has the most negative right-hand
-        side.  The entering column comes from the ``priced`` columns with
-        ``a_pj < 0`` by a Harris two-pass test on ``|z_j / a_pj|``: the
-        largest ``|a_pj|`` among the ratios within ``_RC_TOL`` of the
-        smallest, so reduced costs stay above ``-_RC_TOL``.  Past
-        ``bland_after`` pivots both choices fall back to the smallest
-        index: the infeasible row of the smallest basic index and, among
-        the columns of exactly smallest ratio, the smallest one."""
+        or all zeros, until every basic value is within its bounds
+        ('optimal') or a row proves the LP infeasible ('infeasible'; its
+        Farkas weights on the rows of G are left in ``_farkas``).  The
+        leaving column lies farthest outside its bounds and leaves at the
+        one it violates.  The entering column, among those that can move
+        the way that brings it back, comes from a Harris two-pass test on
+        ``|z_j / a_pj|``: the largest ``|a_pj|`` among the ratios within
+        ``_RC_TOL`` of the smallest.  Past ``bland_after`` pivots both
+        choices fall back to the smallest index: the infeasible row of
+        the smallest basic index and, among the columns of exactly
+        smallest ratio, the smallest one."""
         if not self.rhs.size:   # no rows, nothing to restore
             return OPTIMAL
-        z = z[:-1]
         while True:
-            if self.iterations >= self.max_iters:
-                raise LpBreakdownError(
-                    f"iteration limit {self.max_iters} exceeded")
-            if self.iterations and self.iterations % self.refresh_every == 0:
-                self.refresh(primal=False)
-            rhs = self.rhs
-            dantzig = self.iterations < self.bland_after
+            dantzig = self._tick(primal=False)
+            rhs, lo, up = self.rhs, self.lo_b, self.up_b
+            out = self._excess(rhs)
             if dantzig:
-                p = int(rhs.argmin())
-                if rhs[p] >= -_FEAS_TOL:
+                p = int(out.argmax())
+                if out[p] <= _FEAS_TOL:
                     return OPTIMAL
             else:
-                rows = np.flatnonzero(rhs < -_FEAS_TOL)
+                rows = np.flatnonzero(out > _FEAS_TOL)
                 if rows.size == 0:
                     return OPTIMAL
                 p = int(rows[self.basis[rows].argmin()])
             row = self.row(p)
-            cols = ((row < -PIVOT_TOL) & priced).nonzero()[0]
+            # the basic column of row p must rise (below its lower bound)
+            # or fall: r < 0 where a column rising helps, r > 0 falling
+            low = rhs[p] < lo[p]
+            r = row if low else -row
+            cols = r * self.rise < -PIVOT_TOL
+            if self.falls:
+                cols |= r * self.fall > PIVOT_TOL
+            cols = cols.nonzero()[0]
             if cols.size == 0:
-                self._leaving = p
+                # the signed slack block of row p weighs the rows
+                self._farkas = r[self.nc:]
                 return INFEASIBLE
-            a = -row[cols]
+            a = np.abs(row[cols])
             zc = np.abs(z[cols])
             if dantzig:
                 # Harris: the largest |a_pj| among the columns whose ratio
@@ -591,7 +616,7 @@ class _Tableau:
             else:
                 # exact min ratio; argmin takes the smallest column on ties
                 q = int(cols[(zc / a).argmin()])
-            self.pivot(p, q, row=row)
+            self.pivot(p, q, lo[p] if low else up[p], row=row)
             self.iterations += 1
 
     def _basis_inverse(self, block: np.ndarray | None = None):
@@ -606,21 +631,22 @@ class _Tableau:
         positions, columns: rows of M0) is the unit column of basis
         position K[i] in column ``rows[i]``, and ``BN = Binv[:, N]``
         elsewhere: ``inv(M0[N, S])`` on S and ``-M0[K, S] inv(M0[N, S])``
-        on K.  Returns ``BN``, the basic values, N, K and ``rows``; the
-        nr x nr ``Binv`` is never assembled.
+        on K.  Returns ``BN``, the basic values ``Binv (g - N xn)``, N, K
+        and ``rows``; the nr x nr ``Binv`` is never assembled.
 
         ``block`` is ``inv(M0[N, S])`` if the caller already has it, as
         a branch-and-bound child has its parent's (``_Form.block``): it
         takes the place of the inversion, and the residual check still
         judges it.
         """
-        nc, basis, g0 = self.nc, self.basis, self.g0
+        nc, basis = self.nc, self.basis
         part = _partition(basis, nc)
         if part is None:
             return None
         S, K, rows, N = part
+        g = self._rhs0()
         if S.size == 0:
-            return np.empty((basis.size, 0)), g0[rows], N, K, rows
+            return np.empty((basis.size, 0)), g[rows], N, K, rows
         MS = self.M0[:, basis[S]]
         if block is not None and block.shape == (S.size, S.size):
             Ainv = block
@@ -632,19 +658,23 @@ class _Tableau:
         BN = np.empty((basis.size, S.size))
         BN[S] = Ainv
         BN[K] = -MS[rows] @ Ainv
-        xb = BN @ g0[N]
-        xb[K] += g0[rows]
+        xb = BN @ g[N]
+        xb[K] += g[rows]
         if _peak(self._residual(xb)) > 1e-7 * self.scale:
             return None
         return BN, xb, N, K, rows
 
+    def _values(self, xb: np.ndarray) -> np.ndarray:
+        """Every column's value, with ``xb`` on the basic ones."""
+        x = self.xn.copy()
+        x[self.basis] = xb
+        return x
+
     def _residual(self, xb: np.ndarray) -> np.ndarray:
-        """``B xb - g0`` for the basis matrix B = ``[M0 | I][:, basis]``."""
-        nc, basis = self.nc, self.basis
-        y = np.zeros(nc + basis.size)
-        y[basis] = xb
-        resid = self.M0 @ y[:nc] - self.g0
-        resid += y[nc:]
+        """``[M0 | I] x - g0`` at the basic values ``xb``."""
+        x = self._values(xb)
+        resid = self.M0 @ x[:self.nc] - self.g0
+        resid += x[self.nc:]
         return resid
 
     def _reduced(self, y: np.ndarray) -> np.ndarray:
@@ -659,34 +689,32 @@ class _Tableau:
         ill-conditioned to reproduce the right-hand side is left alone
         (its factors folded into T) so the certificates judge the raw
         tableau instead.  In the primal phase (``primal``) a basis
-        whose values are clearly negative is a breakdown; the dual phase
-        expects them."""
+        whose values lie clearly outside their bounds is a breakdown;
+        the dual phase expects them."""
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
             return
         if primal:
             xb = inv[1]
-            if float(xb.min(initial=0.0)) < -1e-7 * self.scale:
+            if float(self._excess(xb).max(initial=0.0)) > 1e-7 * self.scale:
                 raise LpBreakdownError("basis lost primal feasibility")
-            np.copyto(xb, 0.0, where=xb < 0.0)
+            np.clip(xb, self.lo_b, self.up_b, out=xb)
         self._rebuild(*inv)
 
-    def start_warm(self, priced: np.ndarray,
-                   block: np.ndarray | None = None) -> bool:
+    def start_warm(self, block: np.ndarray | None = None) -> bool:
         """Rebuild the tableau at the start basis, through ``block`` if
         given (see ``_basis_inverse``).  False when the basis is
-        singular, or neither primal feasible nor dual feasible on the
-        ``priced`` columns (up to the slack that the certified optimum of
-        a related LP leaves)."""
+        singular, or neither primal feasible nor dual feasible (up to the
+        slack that the certified optimum of a related LP leaves)."""
         inv = self._basis_inverse(block)
         if inv is None:
             return False
         self._rebuild(*inv)
-        if float(self.rhs.min(initial=0.0)) >= -_FEAS_TOL:
+        if float(self._excess(self.rhs).max(initial=0.0)) <= _FEAS_TOL:
             return True
         slack = 1e-7 * (1.0 + _peak(self.cost))
-        return float(self.z[:-1][priced].min(initial=0.0)) >= -slack
+        return float(self.gain().max(initial=0.0)) <= slack
 
     def _rebuild(self, BN, xb, N, K, rows) -> None:
         """Write ``Binv [M0 | I]`` into T, column blocks straight from
@@ -702,7 +730,7 @@ class _Tableau:
         slack[:, rows] = 0.0
         slack[K, rows] = 1.0
         self.k = 0
-        np.copyto(xb, 0.0, where=(xb < 0) & (xb > -_FEAS_TOL))
+        self._clip(xb)
         self._price(BN, xb, N)
 
     def _price(self, BN, xb, N) -> None:
@@ -711,147 +739,105 @@ class _Tableau:
         on the rows of the basic slacks, whose costs are zero."""
         y = np.zeros(xb.size)
         y[N] = self.cost[self.basis] @ BN
-        self._settle(xb, self._reduced(y))
-
-    def _settle(self, xb, rc) -> None:
-        """Take the basic values ``xb`` and the reduced costs ``rc``."""
         self.rhs = xb
-        self.z[:-1] = rc
-        self.z[-1] = -float(self.cost[self.basis] @ xb)
+        self.z[:] = self._reduced(y)
 
     def refine_optimal(self) -> None:
-        """Re-derive basic values, reduced costs, and the objective from
-        the pristine data through the final basis.  Hundreds of pivot
-        updates accumulate enough roundoff to trip the optimality
-        certificates.  One step of iterative refinement removes it: the
-        residuals of the basic values (``B xb - g0``) and of the duals
-        (the reduced costs of the basic columns) are taken from the
-        pristine data and corrected through the inverse that the slack
-        columns of the tableau hold, read through the pending factors;
-        that inverse is never assembled.  If a refined residual still
-        exceeds the bound of ``_basis_inverse``, the block inverse
-        re-derives them instead."""
+        """Re-derive basic values and reduced costs from the pristine
+        data through the final basis.  Hundreds of pivot updates
+        accumulate enough roundoff to trip the optimality certificates.
+        One step of iterative refinement removes it: the residuals of the
+        basic values (``[M0 | I] x - g0``) and of the duals (the reduced
+        costs of the basic columns) are taken from the pristine data and
+        corrected through the inverse that the slack columns of the
+        tableau hold, read through the pending factors; that inverse is
+        never assembled.  If a refined residual still exceeds the bound
+        of ``_basis_inverse``, the block inverse re-derives them
+        instead."""
         nc, basis, k = self.nc, self.basis, self.k
         slack, U, V = self.T[:, nc:], self.U[:, :k], self.V[:k, nc:]
         r = self._residual(self.rhs)
         xb = self.rhs - (slack @ r - U @ (V @ r))
-        y = -self.z[nc:-1]
+        y = -self.z[nc:]
         d = self._reduced(y)[basis]
         y = y + (d @ slack - (d @ U) @ V)
         rc = self._reduced(y)
         if (_peak(self._residual(xb)) <= 1e-7 * self.scale
                 and _peak(rc[basis]) <= 1e-7 * (1.0 + _peak(self.cost))):
-            self._settle(xb, rc)
+            self.rhs = xb
+            self.z[:] = rc
             return
         inv = self._basis_inverse()
         if inv is not None:
             self._price(*inv[:3])
 
 
-def _simplex(c, G, g, fixed, start=None, block=None):
-    """Simplex on  min c.y, G y <= g, y >= 0: a dual phase from a basis
-    that is dual feasible on the costs it prices, then a primal phase.
-    A usable warm start is primal feasible, or dual feasible on the
-    costs.  The slack basis of a cold start is dual feasible on the
-    costs if no priced one is negative, and on zero costs always
-    (module docstring, "Cold start").  The ``fixed`` columns (held at
-    zero by a bound row with right-hand side 0) are never priced:
-    entering, they could only take a degenerate step, and their reduced
-    costs have no sign to keep.  ``block`` is the start's
-    ``inv(M0[N, S])`` if known (``_Tableau._basis_inverse``)."""
-    nr, nc = G.shape
-    bland_after = 5 * (nc + nr)
-    max_iters = max(200 * (nc + nr), 20000)
-    priced = np.ones(nc + nr, dtype=bool)
-    priced[fixed] = False
-    tb = _Tableau(c, G, g, bland_after, max_iters, start)
-    if start is not None and not tb.start_warm(priced, block):
-        tb, start = _Tableau(c, G, g, bland_after, max_iters), None
-    cold_phase1 = start is None and (c[priced[:nc]] < 0.0).any()
-    if tb.run_dual(np.zeros_like(tb.z) if cold_phase1 else tb.z,
-                   priced) == INFEASIBLE:
-        # row p reads Binv[p] G y + Binv[p] s = Binv[p] g < 0 with no
-        # negative coefficient: Binv[p] is a Farkas vector
-        return INFEASIBLE, tb, tb.row(tb._leaving)[nc:]
-    return tb.run(tb.z, priced), tb, None
-
-
 def solve_lp(lp: LinearProgram,
              start: LpSolution | None = None) -> LpSolution:
     """Solve lp; statuses 'optimal', 'infeasible', 'unbounded'.
 
-    Optimal solutions come with duals (marginals per original row) and
-    are certified: primal residuals, complementary slackness, and the
-    primal/dual objective gap are all checked before returning.
-
+    Optimal solutions come with duals (marginals per original row); each
+    status the simplex ends in is certified (module docstring, "Conventions").
     ``start`` is the optimal solution of an earlier solve, whose basis
-    the solve starts from (module docstring, "Warm start"): typically
-    of an LP with the same rows and objective whose bounds moved, as
-    ``LinearProgram.with_bounds`` makes it.  A start that is not
-    optimal, or whose basis does not hold one column index of this LP's
-    ``[G | I]`` per row of ``G``, raises ValueError; one that is
-    singular, or neither primal nor dual feasible, is ignored.
+    the solve starts from (module docstring, "Warm start").  A start
+    that is not optimal, or does not fit this LP's ``[G | I]``, raises
+    ValueError; one that is singular, or neither primal nor dual
+    feasible, is ignored.
     """
     if start is not None and (start.status != OPTIMAL or start._form is None):
         raise ValueError("start must be an optimal solution of solve_lp")
     form = (start._form if start is not None and start._form.serves(lp)
             else _Form(lp))
-    try:
-        st = form.standardize(lp.lower, lp.upper)
-    except _BoundInfeasible:
+    if (lp.lower > lp.upper).any():
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
     nr, nc = form.G.shape
-    basis = block = None
+    tb = None
     if start is not None:
         basis = start.basis
-        if basis.shape != (nr,) or (nr and (basis.min() < 0
-                                            or basis.max() >= nc + nr)):
+        if (basis.shape != (nr,) or start._upper.shape != (nc,)
+                or (nr and (basis.min() < 0 or basis.max() >= nc + nr))):
             raise ValueError(f"start must hold {nr} column indices "
-                             f"below {nc + nr}")
-        block = start._start_block()
-    status, tb, farkas = _simplex(form.c, form.G, st.g, st.fixed_cols,
-                                  basis, block)
-
-    if status == INFEASIBLE:
-        # a fixed column was never priced, so the combination may weigh
-        # it negatively; its bound row (rhs 0) makes up the difference
-        short = farkas @ form.G[:, st.fixed_cols]
-        farkas[st.fixed_rows] += np.maximum(-short, 0.0)
-        _validate_farkas(form.G, st.g, farkas)
+                             f"below {nc + nr}, from {nc} columns")
+        tb = _Tableau(form, lp, start)
+        if not tb.start_warm(start._start_block()):
+            tb = None
+    # a usable start is primal feasible, or dual feasible on the costs;
+    # a cold slack basis is dual feasible on the costs if none improves
+    # on its column's side, and on zero costs always ("Cold start")
+    phase1 = False
+    if tb is None:
+        tb = _Tableau(form, lp)
+        phase1 = float(tb.gain().max(initial=0.0)) > 0.0
+    if tb.run_dual(np.zeros_like(tb.z) if phase1 else tb.z) == INFEASIBLE:
+        # row p reads x_B[p] + Binv[p] (N x_N + s) = Binv[p] g, and no
+        # nonbasic column can bring x_B[p] back within its bounds:
+        # Binv[p], negated above an upper bound, weighs the rows of G
+        farkas = form.row_sign * tb._farkas
+        _validate_farkas(lp, farkas)
         return LpSolution(INFEASIBLE, None, None, None, tb.iterations,
                           farkas=farkas)
-    if status == OPTIMAL:
-        tb.refine_optimal()
 
-    # internal primal point
-    y = np.zeros(nc + nr)
-    y[tb.basis] = tb.rhs
-    x = st.shift.copy()
-    np.add.at(x, form.col_orig, form.col_sign * y[:nc])
-
-    if status == UNBOUNDED:
-        d = np.zeros(nc + nr)
-        d[tb._entering] = 1.0
-        d[tb.basis] = -tb.column(tb._entering)
-        ray = np.zeros(lp.num_vars)
-        np.add.at(ray, form.col_orig, form.col_sign * d[:nc])
-        _validate_ray(lp, ray, d[:nc])
+    if tb.run() == UNBOUNDED:
+        ray = tb._ray[:nc]
+        _validate_ray(lp, ray)
         return LpSolution(UNBOUNDED, None, None, None, tb.iterations,
                           ray=ray, basis=tb.basis.copy())
 
-    sense = form.sense_mult
-    obj_min = -tb.z[-1] + st.const
+    tb.refine_optimal()
+    x = tb._values(tb.rhs)
     # duals: rc of slack columns give -d(obj)/d(g_i)
-    y_int = -tb.z[nc:nc + nr]
-    dual_min = float(y_int @ st.g) + st.const
-    duals = sense * form.row_sign * y_int[:form.nrow]
-
-    sol = LpSolution(OPTIMAL, x, duals, float(sense * obj_min),
-                     tb.iterations,
-                     dual_objective=float(sense * dual_min),
-                     basis=tb.basis.copy(), _form=form)
-    _validate_optimal(lp, st.g, sol, y[nc:], y_int, obj_min, dual_min)
+    y = -tb.z[nc:]
+    sense = form.sense_mult
+    # a nonbasic column at its upper bound, and a fixed one whose reduced
+    # cost would take it there; a start reads it on nonbasic columns only
+    at_up = (tb.rise[:nc] == 0.0) & ((tb.fall[:nc] > 0.0) | (tb.z[:nc] < 0.0))
+    sol = LpSolution(OPTIMAL, x[:nc], sense * form.row_sign * y,
+                     sense * float(form.cost @ x), tb.iterations,
+                     dual_objective=sense * float(
+                         y @ form.g + tb.z[:nc] @ tb.xn[:nc]),
+                     basis=tb.basis.copy(), _upper=at_up, _form=form)
+    _validate_optimal(lp, form, sol)
     return sol
 
 
@@ -859,51 +845,63 @@ def solve_lp(lp: LinearProgram,
 # certificate validation
 # ---------------------------------------------------------------------------
 
-def _validate_optimal(lp, g, sol, slack, y_int, obj_min, dual_min) -> None:
+def _validate_optimal(lp, form, sol) -> None:
     # validation thresholds sit one to two orders above the pivot/feas
     # tolerances so honest float accumulation does not masquerade as
     # breakdown; property tests assert the tight bounds on small LPs.
     tol = _CERT_TOL
-    x, A, b = sol.x, lp.A, lp.b
-    if A.size:
-        bad = _ROW_SIGN[lp.rel] * (A @ x - b) > 10 * tol * (1 + np.abs(b))
-        if bad.any():
-            raise LpBreakdownError(
-                f"optimal point violates row {int(np.flatnonzero(bad)[0])}")
-    lo_pad = 10 * tol * (1.0 + np.abs(np.where(np.isfinite(lp.lower),
-                                               lp.lower, 0.0)))
-    up_pad = 10 * tol * (1.0 + np.abs(np.where(np.isfinite(lp.upper),
-                                               lp.upper, 0.0)))
-    if np.any(x < lp.lower - lo_pad) or np.any(x > lp.upper + up_pad):
+    x, duals = sol.x, sol.duals
+    resid = lp.A @ x - lp.b
+    bad = form.row_sign * resid > form.row_tol
+    if np.count_nonzero(bad):
+        raise LpBreakdownError(
+            f"optimal point violates row {int(np.flatnonzero(bad)[0])}")
+    pad = 10 * tol * (1.0 + np.abs(x))
+    above, below = x - lp.lower, lp.upper - x
+    if np.count_nonzero(above < -pad) or np.count_nonzero(below < -pad):
         raise LpBreakdownError("optimal point violates variable bounds")
-    gap = abs(obj_min - dual_min)
-    if gap > 100 * tol * (1.0 + abs(obj_min)):
+    gap = abs(sol.objective - sol.dual_objective)
+    if gap > 100 * tol * (1.0 + abs(sol.objective)):
         raise LpBreakdownError(f"duality gap {gap:.3e} failed certification")
-    cs = np.abs(y_int * slack)
-    if cs.size and cs.max() > 100 * tol * (1.0 + np.abs(g)).max():
+    if _peak(duals * resid) > form.cs_tol:
         raise LpBreakdownError("complementary slackness failed")
+    # dual feasibility, read as for a min LP: no row dual or reduced
+    # cost improves on a side its row or column can move to
+    dtol = 100 * tol * (1.0 + form.peak_obj + form.peak_A * _peak(duals))
+    if (form.sense_mult * form.row_sign * duals).max(initial=0.0) > dtol:
+        raise LpBreakdownError("a row dual has the wrong sign")
+    r = form.sense_mult * (lp.obj - duals @ lp.A)
+    if (np.count_nonzero((r < -dtol) & (below > pad))
+            or np.count_nonzero((r > dtol) & (above > pad))):
+        raise LpBreakdownError("a reduced cost has the wrong sign: the "
+                               "basis is not optimal")
 
 
-def _validate_farkas(G, g, lam) -> None:
-    """``lam >= 0`` with ``lam G >= 0`` and ``lam g < 0`` proves that
-    ``G y <= g, y >= 0`` has no solution."""
+def _validate_farkas(lp, lam) -> None:
+    """``lam`` (see ``LpSolution.farkas``) proves the rows and bounds of
+    ``lp`` inconsistent: no x within the bounds brings ``lam.A x`` down
+    to ``lam.b``."""
     tol = _CERT_TOL
-    if lam.min(initial=0.0) < -10 * tol:
-        raise LpBreakdownError("Farkas multipliers not nonnegative")
-    comb = lam @ G
-    scale = 1.0 + _peak(G) * _peak(lam)
-    if comb.size and comb.min() < -100 * tol * scale:
-        raise LpBreakdownError("Farkas combination not nonnegative")
-    if float(lam @ g) >= -1e-10 * (1.0 + _peak(g)):
+    if (_ROW_SIGN[lp.rel] * lam).min(initial=0.0) < -10 * tol:
+        raise LpBreakdownError("Farkas multipliers of the wrong sign")
+    v = lam @ lp.A
+    # entries at roundoff level count as 0, whatever the bound
+    v[np.abs(v) <= 100 * tol * (1.0 + _peak(lp.A) * _peak(lam))] = 0.0
+    move = v != 0.0
+    least = float(v[move] @ np.where(v[move] > 0.0, lp.lower[move],
+                                     lp.upper[move]))
+    lam_b = float(lam @ lp.b)
+    if not least - lam_b > 1e-10 * (1.0 + abs(lam_b)):
         raise LpBreakdownError("Farkas combination fails to cut off rhs")
 
 
-def _validate_ray(lp, ray, d_struct) -> None:
-    scale = 1.0 + _peak(d_struct)
-    if lp.A.size:
-        bad = _ROW_SIGN[lp.rel] * (lp.A @ ray) > 100 * _CERT_TOL * scale
-        if bad.any():
-            raise LpBreakdownError("improving ray leaves the feasible cone")
+def _validate_ray(lp, ray) -> None:
+    tol = 100 * _CERT_TOL * (1.0 + _peak(ray))
+    leaves = (_ROW_SIGN[lp.rel] * (lp.A @ ray) > tol).any() or (
+        (ray < -tol) & np.isfinite(lp.lower)
+        | (ray > tol) & np.isfinite(lp.upper)).any()
+    if leaves:
+        raise LpBreakdownError("improving ray leaves the feasible cone")
     drop = (1.0 if lp.sense == "min" else -1.0) * float(lp.obj @ ray)
-    if drop > -1e-9 * scale:
+    if drop > -1e-9 * (1.0 + _peak(ray)):
         raise LpBreakdownError("ray fails to improve the objective")

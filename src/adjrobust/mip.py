@@ -11,19 +11,20 @@ The root LP is solved cold unless a ``start`` is given, as
 ``solve_lp`` takes it: the cut loop starts each separation MIP's root
 from the previous root's optimal solution (``MipSolution.root_start``),
 whose basis is primal feasible because the MIPs share rows and bounds.
-Every child starts from its parent's optimal solution
-(``solve_lp(child, start=parent)``): it differs from the parent only in
-bounds, which keeps that basis dual feasible, so the LP kernel's dual
-simplex phase re-solves it in a few pivots.  Node LPs are made by
-``LinearProgram.with_bounds``, so they share the root's arrays and the
-LP kernel solves them all through the root's standard form, and the
-parent's solution hands them its basis's inverse block, computed once
-when its first child starts: one s x s inversion, for s basic
-structural columns, per node whose children are solved, and none to
-start a child.  An open node keeps its parent's solution.  Where the
-parent's LP has alternative optima, a warm re-solve can end at a
-different one than a cold solve would, so the node count can differ
-from that of a cold search; values agree to the tolerances.
+A binary's [0, 1] and a branch's fixing are bounds of its column, not
+rows, so every node LP has the root's rows.  Every child starts from
+its parent's optimal solution (``solve_lp(child, start=parent)``): it
+differs from the parent only in one column's bounds, which keeps that
+basis, with each nonbasic column on its side, dual feasible, so the LP
+kernel's dual simplex phase re-solves it in a few pivots.  Node LPs are
+made by ``LinearProgram.with_bounds``, so they share the root's arrays
+and the LP kernel solves them all through the root's standard form,
+and the parent's solution hands them its basis's inverse block: one
+s x s inversion, for s basic structural columns, per node whose
+children are solved.  An open node keeps its parent's solution.  Where
+the parent's LP has alternative optima, a warm re-solve can end at
+another one than a cold solve, so the node count can differ from that
+of a cold search; values agree to the tolerances.
 ``MipSolution.pivots`` counts the LP pivots of the whole search.
 
 The reported bound never lies below the optimum (up to mip_tol, the

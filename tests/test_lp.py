@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from dataclasses import replace
 
@@ -17,17 +18,71 @@ from adjrobust.lp import (
     LpBreakdownError,
     _Form,
     _Tableau,
-    _validate_farkas,
     solve_lp,
 )
 from adjrobust.rng import SplitMix64
 
 
-def _standard(lp):
-    """The standard form of ``lp``: its ``_Form`` and what its bound
-    values move."""
-    form = _Form(lp)
-    return form, form.standardize(lp.lower, lp.upper)
+def _assert_farkas(lp, lam):
+    """``lam`` proves ``lp`` infeasible on its own rows and bounds: with
+    the sign of each relation (>= 0 on <= rows), ``lam.A x <= lam.b``
+    holds wherever the rows hold, and the bounds keep ``lam.A x`` above
+    ``lam.b``."""
+    assert lam.shape == (lp.num_rows,)
+    eps = 1e-12 * (1.0 + np.abs(lam).max())
+    assert (lam[lp.rel == LE] >= -eps).all()
+    assert (lam[lp.rel == GE] <= eps).all()
+    v = lam @ lp.A
+    v[np.abs(v) <= eps * (1.0 + np.abs(lp.A).max())] = 0.0
+    least = sum(vj * (lo if vj > 0 else up)
+                for vj, lo, up in zip(v, lp.lower, lp.upper) if vj)
+    assert least > lam @ lp.b + 1e-9
+
+
+def _assert_improving_ray(lp, ray):
+    """``ray`` keeps every row and bound of ``lp`` and improves its
+    objective."""
+    tol = 1e-9 * (1.0 + np.abs(ray).max())
+    move = lp.A @ ray
+    assert (move[lp.rel == LE] <= tol).all()
+    assert (move[lp.rel == GE] >= -tol).all()
+    assert (ray[np.isfinite(lp.lower)] >= -tol).all()
+    assert (ray[np.isfinite(lp.upper)] <= tol).all()
+    assert (1.0 if lp.sense == "min" else -1.0) * (lp.obj @ ray) < -tol
+
+
+def _assert_certified(lp, sol, tol=1e-9):
+    """Check ``sol`` on the LP's own data: an optimal point whose duals
+    prove its value, a Farkas vector, or an improving ray."""
+    if sol.status == "infeasible":
+        return _assert_farkas(lp, sol.farkas)
+    if sol.status == "unbounded":
+        return _assert_improving_ray(lp, sol.ray)
+    assert sol.status == "optimal"
+    x, lam = sol.x, sol.duals
+    eps = tol * (1.0 + np.abs(x).max(initial=0.0)
+                 + np.abs(lam).max(initial=0.0))
+    move = lp.A @ x - lp.b
+    assert (move[lp.rel == LE] <= eps).all()
+    assert (move[lp.rel == GE] >= -eps).all()
+    assert (x >= lp.lower - eps).all() and (x <= lp.upper + eps).all()
+    # read as a min LP: row duals <= 0 on <= rows and >= 0 on >= rows,
+    # and a reduced cost leans only on a bound its column sits at
+    s = 1.0 if lp.sense == "min" else -1.0
+    y = s * lam
+    assert (y[lp.rel == LE] <= eps).all() and (y[lp.rel == GE] >= -eps).all()
+    r = s * lp.obj - y @ lp.A
+    assert ((r >= -eps) | (x >= lp.upper - eps)).all()
+    assert ((r <= eps) | (x <= lp.lower + eps)).all()
+    # so y.b + r.(the bound each reduced cost leans on) bounds the
+    # objective, and it equals it
+    at = np.where(np.abs(r) <= eps, x, np.where(r > 0, lp.lower, lp.upper))
+    assert sol.objective == pytest.approx(lp.obj @ x, rel=tol, abs=eps)
+    assert y @ lp.b + r @ at == pytest.approx(s * sol.objective, rel=tol,
+                                              abs=10 * eps)
+    # one basic column of [A | I] per row, and no other column
+    assert sol.basis.shape == (lp.num_rows,)
+    assert (sol.basis < lp.num_vars + lp.num_rows).all()
 
 
 def small_lp():
@@ -44,6 +99,7 @@ def test_small_lp_primal_and_dual():
     np.testing.assert_allclose(sol.x, [0.8, 0.6], atol=1e-9)
     np.testing.assert_allclose(sol.duals, [0.4, 0.2], atol=1e-9)
     np.testing.assert_allclose(sol.dual_objective, 1.4, atol=1e-9)
+    _assert_certified(small_lp(), sol)
 
 
 def test_row_scaling_leaves_solution_unchanged():
@@ -91,7 +147,7 @@ def test_free_and_bounded_variables():
 
 
 def test_fixed_variable_substitution():
-    # l == u keeps the column, pinned by an upper-bound row with rhs 0
+    # l == u keeps the column at its value; it is never priced
     lp = LinearProgram.from_arrays(
         "min",
         [1.0, 5.0],
@@ -108,7 +164,9 @@ def test_fixed_variable_substitution():
 
 def test_standard_form_layout():
     # one variable of each bound kind (free, lower only, upper only, both,
-    # fixed) and rows of each relation, the last two an equality as a pair
+    # fixed) and rows of each relation, the last two an equality as a
+    # pair: the bounds stay on the columns, so the basis holds one column
+    # of [A | I] per row of the LP
     lp = LinearProgram.from_arrays(
         "min",
         [1.0, 2.0, 3.0, 4.0, 5.0],
@@ -121,29 +179,12 @@ def test_standard_form_layout():
         lower=[-np.inf, 1.0, -np.inf, -1.0, 2.0],
         upper=[np.inf, np.inf, 2.0, 3.0, 2.0],
     )
-    form, st = _standard(lp)
-    # the free variable splits into y+ and y-, the upper-only one is
-    # mirrored, and the boxed and fixed ones keep a column each
-    np.testing.assert_array_equal(form.col_orig, [0, 0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(form.col_sign, [1, -1, 1, -1, 1, 1])
-    np.testing.assert_array_equal(st.shift, [0, 1, 2, -1, 2])
-    # >= negated, then one upper-bound row per boxed column; the fixed
-    # one's right-hand side is 0
-    np.testing.assert_array_equal(form.row_sign, [1, -1, 1, -1])
-    np.testing.assert_array_equal(form.G, [
-        [1, -1, 2, -3, 4, 5],
-        [-6, 6, -7, 8, -9, -10],
-        [11, -11, 12, -13, 14, 15],
-        [-11, 11, -12, 13, -14, -15],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ])
-    # b - A @ shift with A @ shift = (14, 34, 54); upper - lower = 4, 0
-    np.testing.assert_array_equal(st.g, [-4, 14, -24, 24, 4, 0])
-    np.testing.assert_array_equal(form.c, [1, -1, 2, -3, 4, 5])
-    assert st.const == 14.0
-    np.testing.assert_array_equal(st.fixed_cols, [5])
-    np.testing.assert_array_equal(st.fixed_rows, [5])
+    sol = solve_lp(lp)
+    ref = _highs(lp)
+    assert ref.status == 0 and sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert sol.x[4] == 2.0
+    _assert_certified(lp, sol)
 
 
 def test_crossed_bounds_is_infeasible():
@@ -160,8 +201,18 @@ def test_infeasible_with_farkas_certificate():
     )
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
-    lam = sol.farkas
-    assert lam is not None and lam.min() >= -1e-9
+    _assert_farkas(lp, sol.farkas)
+
+
+def test_farkas_vector_leans_on_the_bounds():
+    # x + y >= 3 with x <= 1 and 0 <= y <= 1.5: the one row is satisfiable
+    # on its own, and only the bounds rule it out
+    lp = LinearProgram.from_arrays("max", [1.0, 1.0], [[1.0, 1.0]], [">="],
+                                   [3.0], upper=[1.0, 1.5])
+    sol = solve_lp(lp)
+    assert sol.status == "infeasible"
+    _assert_farkas(lp, sol.farkas)
+    assert sol.farkas[0] < 0.0
 
 
 def test_unbounded_with_ray():
@@ -207,11 +258,26 @@ def test_beale_cycling_lp_terminates():
     np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     # the Harris test alone, and a switch to Bland's rule after any
     # number of its pivots, ends at the same optimum
-    form, st = _standard(lp)
     for bland_after in [*range(8), 10**6]:
-        tb = _Tableau(form.c, form.G, st.g, bland_after, 200)
-        assert tb.run(tb.z, np.ones(tb.T.shape[1], dtype=bool)) == "optimal"
-        np.testing.assert_allclose(-tb.z[-1], -1.25, atol=1e-12)
+        with _bland_after(bland_after, max_iters=200):
+            again = solve_lp(lp)
+        assert again.objective == pytest.approx(-1.25, abs=1e-12)
+        _assert_certified(lp, again)
+
+
+@contextlib.contextmanager
+def _bland_after(pivots, max_iters=10**4):
+    """Every tableau built inside switches to Bland's rule after
+    ``pivots`` pivots and stops at ``max_iters``."""
+    init = _Tableau.__init__
+
+    def patched(self, *args, **kw):
+        init(self, *args, **kw)
+        self.bland_after, self.max_iters = pivots, max_iters
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "__init__", patched)
+        yield
 
 
 def test_deterministic_iteration_count():
@@ -353,17 +419,19 @@ def _large_dense_lp(monkeypatch):
     return _dense_lp(monkeypatch, n=80, rows=60)
 
 
-def _dual_costs(tb, form):
-    """The row ``_simplex`` prices in a cold dual phase."""
-    return tb.z if (form.c >= 0).all() else np.zeros_like(tb.z)
+def _dual_costs(tb):
+    """The row ``solve_lp`` prices in a cold dual phase: the costs if the
+    slack basis is dual feasible on them, else zeros."""
+    return tb.z if tb.gain().max() <= 0.0 else np.zeros_like(tb.z)
 
 
 @pytest.mark.parametrize("make_lp,block", [(_oracle_lp, 4),
                                            (_large_dense_lp, 4),
                                            (_dense_lp, 1)])
 def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
-    form, st = _standard(make_lp(monkeypatch))
-    tb = _Tableau(form.c, form.G, st.g, 10**6, 10**6)
+    # every column of these LPs sits at its lower bound 0, so the basic
+    # values are the right-hand side of the eager tableau
+    tb = _tableau(make_lp(monkeypatch))
     assert (tb.rhs < 0).any()
     # a small factor block, so that pivots also fold full blocks into T;
     # without refreshes only those folds make T current
@@ -373,19 +441,19 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     pivot = _Tableau.pivot
     folds = []
 
-    def spy(self, p, q, col=None, row=None):
+    def spy(self, p, q, at, col=None, row=None):
         np.testing.assert_allclose(self.column(q), ref[:, q], atol=1e-12)
         np.testing.assert_allclose(self.row(p), ref[p, :-1], atol=1e-12)
         folds.append(self.k == block)
-        pivot(self, p, q, col, row)
+        assert at == 0.0
+        pivot(self, p, q, at, col, row)
         _dense_pivot(ref, p, q)
         np.testing.assert_allclose(self.rhs, ref[:, -1], atol=1e-12)
 
     monkeypatch.setattr(_Tableau, "pivot", spy)
-    priced = np.ones(tb.T.shape[1], dtype=bool)
-    assert tb.run_dual(_dual_costs(tb, form), priced) == "optimal"
+    assert tb.run_dual(_dual_costs(tb)) == "optimal"
     assert tb.iterations > 0 and (tb.rhs >= 0).all()
-    assert tb.run(tb.z, priced) == "optimal"
+    assert tb.run() == "optimal"
     assert any(folds)
     tb.materialize()
     assert tb.k == 0
@@ -394,9 +462,11 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
 
 
 def _tableau(lp):
-    """The cold tableau of ``lp`` at the slack basis, and its form."""
-    form, st = _standard(lp)
-    return _Tableau(form.c, form.G, st.g, 10**6, 10**6), form
+    """The cold tableau of ``lp`` at the slack basis, with no Bland
+    switch and no iteration limit."""
+    tb = _Tableau(_Form(lp), lp)
+    tb.bland_after = tb.max_iters = 10**6
+    return tb
 
 
 def _pivot_up_to(tb, run, pivots):
@@ -413,7 +483,8 @@ def _basis_matrix(tb):
 
 def _assert_dense_inverse(tb):
     # the block inverse returns Binv[:, N]; the other columns of Binv are
-    # unit columns, basis position K[i] in column rows[i]
+    # unit columns, basis position K[i] in column rows[i].  The nonbasic
+    # columns of these LPs sit at 0, so the basic values are Binv g
     ref = np.linalg.inv(_basis_matrix(tb))
     BN, xb, N, K, rows = tb._basis_inverse()
     Binv = np.zeros_like(ref)
@@ -424,9 +495,8 @@ def _assert_dense_inverse(tb):
 
 
 def test_block_inverse_mid_dual_phase(monkeypatch):
-    tb, form = _tableau(_dense_lp(monkeypatch))
-    priced = np.ones(tb.T.shape[1], dtype=bool)
-    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb, form), priced), 1)
+    tb = _tableau(_dense_lp(monkeypatch))
+    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb)), 1)
     assert (tb.basis >= tb.nc).any() and (tb.basis < tb.nc).any()
     _assert_dense_inverse(tb)
     # a slack listed twice makes the basis singular
@@ -439,7 +509,7 @@ def test_block_inverse_mid_dual_phase(monkeypatch):
 
 def test_block_inverse_of_permuted_slack_basis(monkeypatch):
     # no structural column basic (s = 0), and slacks out of row order
-    tb, _ = _tableau(_dense_lp(monkeypatch))
+    tb = _tableau(_dense_lp(monkeypatch))
     tb.basis = tb.nc + np.arange(tb.basis.size)[::-1]
     _assert_dense_inverse(tb)
 
@@ -447,12 +517,87 @@ def test_block_inverse_of_permuted_slack_basis(monkeypatch):
 def test_block_inverse_mid_phase2_oracle(monkeypatch):
     # the oracle's costs are nonnegative, so the dual phase from the
     # slack basis prices them: 10 pivots into it
-    tb, form = _tableau(_oracle_lp(monkeypatch, m=16))
-    assert (form.c >= 0).all()
-    priced = np.ones(tb.T.shape[1], dtype=bool)
-    _pivot_up_to(tb, lambda: tb.run_dual(tb.z, priced), 10)
+    lp = _oracle_lp(monkeypatch, m=16)
+    assert (lp.obj >= 0).all()
+    tb = _tableau(lp)
+    _pivot_up_to(tb, lambda: tb.run_dual(tb.z), 10)
     assert 0 < (tb.basis < tb.nc).sum() < tb.basis.size
     _assert_dense_inverse(tb)
+
+
+def test_tableau_holds_one_column_per_variable_and_row(monkeypatch):
+    # the HRep affine LP of the m=10 table (free z, P and q), a separation
+    # MIP (bits in [0, 1]) and the vertex oracle's LP: every tableau is
+    # the LP's rows by its columns and one slack per row
+    inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
+    lps = [build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)),
+           build_separation_mip(inst, np.zeros(3),
+                                Digitization.from_instance(inst, 0.1)).lp,
+           _oracle_lp(monkeypatch, m=16)]
+    assert np.isinf(lps[0].lower).any() and np.isfinite(lps[1].upper).any()
+    shapes = []
+    init = _Tableau.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        shapes.append(self.T.shape)
+
+    monkeypatch.setattr(_Tableau, "__init__", spy)
+    for lp in lps:
+        _assert_certified(lp, solve_lp(lp))
+    assert shapes == [(lp.num_rows, lp.num_vars + lp.num_rows) for lp in lps]
+    assert shapes[0] == (231, 583)
+
+
+def test_an_early_stop_is_not_certified(monkeypatch):
+    # min -x1 - 2 x2 s.t. x1 + x2 <= 4: the slack basis x = 0 is feasible
+    # with duals 0, but the reduced costs -1 and -2 show that it is not
+    # optimal (the optimum is -8)
+    lp = LinearProgram.from_arrays("min", [-1.0, -2.0], [[1.0, 1.0]], ["<="],
+                                   [4.0])
+    assert solve_lp(lp).objective == pytest.approx(-8.0, abs=1e-12)
+    # (private: stands in for a primal phase that stops at once)
+    monkeypatch.setattr(_Tableau, "run", lambda self: "optimal")
+    with pytest.raises(LpBreakdownError, match="wrong sign"):
+        solve_lp(lp)
+
+
+def test_a_primal_phase_cut_short_is_not_certified(monkeypatch):
+    # the HRep affine LP at m=10, its primal phase stopped after 30 pivots
+    # and reported optimal: primal feasible, with a consistent dual
+    # objective, but not dual feasible
+    lp = build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0))
+    full = solve_lp(lp)
+    run, cut = _Tableau.run, []
+
+    def short(self):
+        # (private: the primal phase, run with an iteration limit)
+        self.max_iters = self.iterations + 30
+        try:
+            return run(self)
+        except LpBreakdownError:
+            cut.append(self.iterations)
+            return "optimal"
+
+    monkeypatch.setattr(_Tableau, "run", short)
+    with pytest.raises(LpBreakdownError, match="wrong sign"):
+        solve_lp(lp)
+    assert len(cut) == 1 and cut[0] < full.iterations
+
+
+def test_invalid_bounds_are_rejected():
+    # nan, a lower bound of +inf and an upper bound of -inf bound nothing:
+    # both constructors refuse them
+    for lower, upper in (([np.nan], None), ([np.inf], None),
+                         (None, [-np.inf]), (None, [np.nan]),
+                         ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="bound"):
+            LinearProgram.from_arrays("min", [1.0], [[1.0]], [">="], [-5.0],
+                                      lower=lower, upper=upper)
+        with pytest.raises(ValueError, match="bound"):
+            LinearProgram("min", [1.0]).with_bounds(
+                [0.0] if lower is None else lower,
+                [np.inf] if upper is None else upper)
 
 
 def _bounded_lp():
@@ -464,7 +609,8 @@ def _bounded_lp():
 def test_basis_of_a_solution_restarts_without_pivots():
     lp = _bounded_lp()
     sol = solve_lp(lp)
-    assert sol.basis.shape == (_Form(lp).G.shape[0],)
+    # one row: the bounds are no rows
+    assert sol.basis.shape == (lp.num_rows,) == (1,)
     again = solve_lp(lp, start=sol)
     assert again.status == "optimal" and again.iterations == 0
     # the same LP: solved through the start's standard form
@@ -481,19 +627,15 @@ def test_warm_start_proves_child_infeasible(monkeypatch):
     dual = _Tableau.run_dual
     seen = []
 
-    def spy(self, z, priced):
-        seen.append(dual(self, z, priced))
+    def spy(self, z):
+        seen.append(dual(self, z))
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "run_dual", spy)
     sol = solve_lp(child, start=parent)
     assert seen == ["infeasible"]
     assert sol.status == "infeasible"
-    form, st = _standard(child)
-    lam = sol.farkas
-    assert lam.min() >= 0.0
-    assert (lam @ form.G).min() >= -1e-12
-    assert lam @ st.g < -0.1
+    _assert_farkas(child, sol.farkas)
 
 
 def test_warm_start_of_wrong_length_is_rejected():
@@ -515,7 +657,7 @@ def test_only_an_optimal_solution_starts():
 
 
 def test_singular_warm_start_gives_the_cold_answer():
-    lp = _bounded_lp()
+    lp = small_lp()
     cold = solve_lp(lp)
     # one column twice: the basis matrix is singular
     singular = replace(cold, basis=np.zeros(cold.basis.size, dtype=int))
@@ -537,8 +679,8 @@ def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
     start_warm = _Tableau.start_warm
     seen = []
 
-    def spy(self, priced, block=None):
-        seen.append(start_warm(self, priced, block))
+    def spy(self, block=None):
+        seen.append(start_warm(self, block))
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "start_warm", spy)
@@ -569,8 +711,8 @@ def test_start_from_other_rows_builds_its_own_form(monkeypatch):
     start_warm = _Tableau.start_warm
     seen = []
 
-    def spy(self, priced, block=None):
-        seen.append(start_warm(self, priced, block))
+    def spy(self, block=None):
+        seen.append(start_warm(self, block))
         return seen[-1]
 
     monkeypatch.setattr(_Tableau, "start_warm", spy)
@@ -584,32 +726,17 @@ def test_start_from_other_rows_builds_its_own_form(monkeypatch):
     np.testing.assert_array_equal(sol.basis, cold.basis)
 
 
-def _spy_tableaux(monkeypatch):
-    """Every _Tableau built from now on, in order."""
-    made = []
-    init = _Tableau.__init__
-
-    def spy(self, *args, **kw):
-        init(self, *args, **kw)
-        made.append(self)
-
-    monkeypatch.setattr(_Tableau, "__init__", spy)
-    return made
-
-
-def _slack_width(lp):
-    """Columns of ``[G | I]`` for ``lp``: its standard-form columns and
-    one slack per row, with no artificial column."""
-    nr, nc = _Form(lp).G.shape
-    return nc + nr
+def _highs_status(lp):
+    """HiGHS's status and value for ``lp`` (a min LP)."""
+    ref = _highs(lp)
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_nonnegative_costs_start_at_the_slack_basis(seed, monkeypatch):
+def test_nonnegative_costs_start_at_the_slack_basis(seed):
     # >= rows with positive right-hand sides: the slack basis is primal
     # infeasible, but with c >= 0 it is dual feasible, so the dual phase
     # solves the LP with no artificial column
-    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(seed)
     n, k = 4 + seed % 5, 3 + seed % 4
     A = rng.uniform(-0.5, 1.0, (2 * k, n))
@@ -618,72 +745,74 @@ def test_nonnegative_costs_start_at_the_slack_basis(seed, monkeypatch):
     upper = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 3.0, n), np.inf)
     lp = LinearProgram.from_arrays("min", c, A, [">="] * k + ["<="] * k, b,
                                    upper=upper)
-    made = _spy_tableaux(monkeypatch)
     sol = solve_lp(lp)
-    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
-    ref = linprog(c, A_ub=np.vstack([-A[:k], A[k:]]),
-                  b_ub=np.concatenate([-b[:k], b[k:]]),
-                  bounds=[(0, None if np.isinf(u) else u) for u in upper],
-                  method="highs")
-    assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
-    if ref.status == 0:
-        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    status, value = _highs_status(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12)
+    _assert_certified(lp, sol)
 
 
-def test_nonnegative_costs_prove_infeasibility(monkeypatch):
+def test_nonnegative_costs_prove_infeasibility():
     # x1 + x2 >= 3 and x1 + x2 <= 1: the dual phase finds a row with a
     # negative right-hand side and no negative entry
     lp = LinearProgram.from_arrays("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]],
                                    [">=", "<="], [3.0, 1.0])
-    made = _spy_tableaux(monkeypatch)
     sol = solve_lp(lp)
-    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     assert sol.status == "infeasible"
-    form, st = _standard(lp)
-    _validate_farkas(form.G, st.g, sol.farkas)
-    assert sol.farkas.min() >= 0.0 and sol.farkas @ st.g < -1.0
+    _assert_farkas(lp, sol.farkas)
+    assert sol.farkas @ lp.b < -1.0
 
 
 def test_fixed_column_with_negative_cost_keeps_the_slack_start(monkeypatch):
     # x3 is fixed at 1, so its cost -5 is never priced: the slack basis is
-    # still dual feasible on every column that can enter
+    # still dual feasible on every column that can move, and the dual
+    # phase prices the costs
     rows = [[1.0, 1.0, 1.0]]
     lp = LinearProgram.from_arrays("min", [1.0, 2.0, -5.0], rows, [">="],
                                    [3.0], upper=[np.inf, np.inf, 1.0],
                                    lower=[0.0, 0.0, 1.0])
-    made = _spy_tableaux(monkeypatch)
+    dual, costs = _Tableau.run_dual, []
+
+    def spy(self, z):
+        costs.append(z is self.z)
+        return dual(self, z)
+
+    monkeypatch.setattr(_Tableau, "run_dual", spy)
     sol = solve_lp(lp)
-    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
+    assert costs == [True]
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [2.0, 0.0, 1.0], atol=1e-12)
     assert sol.objective == pytest.approx(-3.0, abs=1e-12)
+    _assert_certified(lp, sol)
     # x1 + x2 + 2 x3 <= 2 leaves x1 + x2 <= 0 < 2: the Farkas vector
-    # leans on the fixed column's bound row
+    # leans on the fixed column's bound
     bad = LinearProgram.from_arrays("min", [1.0, 2.0, -5.0],
                                     rows + [[1.0, 1.0, 2.0]], [">=", "<="],
                                     [3.0, 2.0], upper=[np.inf, np.inf, 1.0],
                                     lower=[0.0, 0.0, 1.0])
     sol = solve_lp(bad)
-    assert ([tb.T.shape[1] for tb in made]
-            == [_slack_width(lp), _slack_width(bad)])
     assert sol.status == "infeasible"
-    form, st = _standard(bad)
-    _validate_farkas(form.G, st.g, sol.farkas)
+    _assert_farkas(bad, sol.farkas)
 
 
 def _mixed_lp(seed):
     """Negative costs, >= and <= rows and an equality as a >=/<= pair,
-    and free, boxed and lower-bounded columns: the dual phase runs on
-    zero costs."""
+    and free, boxed, lower-bounded, upper-bounded and fixed columns: the
+    dual phase runs on zero costs."""
     rng = np.random.default_rng(seed)
     n, k = 4 + seed % 5, 2 + seed % 3
     A = rng.uniform(-0.5, 1.0, (2 * k + 1, n))
     b = np.concatenate([rng.uniform(0.2, 1.0, k), rng.uniform(-1.0, 1.0, 1),
                         rng.uniform(1.0, 4.0, k)])
     c = rng.uniform(-1.0, 1.0, n)
-    kind = rng.integers(0, 3, n)        # 0 free, 1 boxed, 2 lower only
+    # 0 free, 1 boxed, 2 lower only, 3 upper only, 4 fixed
+    kind = rng.integers(0, 5, n)
     lower = np.where(kind == 0, -np.inf, 0.0)
-    upper = np.where(kind == 1, rng.uniform(1.0, 3.0, n), np.inf)
+    upper = np.where((kind == 1) | (kind == 3), rng.uniform(1.0, 3.0, n),
+                     np.inf)
+    lower[kind == 3] = -np.inf
+    lower[kind == 4] = upper[kind == 4] = rng.uniform(-0.5, 0.5, n)[kind == 4]
     rows = np.r_[0:k + 1, k:2 * k + 1]  # row k twice
     return LinearProgram.from_arrays("min", c, A[rows], [">="] * (k + 1)
                                      + ["<="] * (k + 1), b[rows], lower, upper)
@@ -699,40 +828,84 @@ def _highs(lp):
                    method="highs")
 
 
-def _assert_improving_ray(lp, ray):
-    """``ray`` keeps every row and bound of the min ``lp`` and lowers
-    its objective."""
-    tol = 1e-9 * (1.0 + np.abs(ray).max())
-    move = lp.A @ ray
-    assert (move[lp.rel == LE] <= tol).all()
-    assert (move[lp.rel == GE] >= -tol).all()
-    assert (ray[np.isfinite(lp.lower)] >= -tol).all()
-    assert (ray[np.isfinite(lp.upper)] <= tol).all()
-    assert lp.obj @ ray < -tol
+def _cold_point(lp):
+    """Where a cold start puts the columns: at the lower bound, else at
+    the upper one, else at 0."""
+    return np.where(np.isfinite(lp.lower), lp.lower,
+                    np.where(np.isfinite(lp.upper), lp.upper, 0.0))
 
 
-def test_negative_costs_match_highs(monkeypatch):
-    outcomes = set()
-    made = _spy_tableaux(monkeypatch)
+def test_negative_costs_match_highs():
+    outcomes, zero_costs = set(), 0
     for seed in range(30):
         lp = _mixed_lp(seed)
-        form, st = _standard(lp)
-        assert (form.c < 0).any() and (st.g < 0).any()
-        made.clear()
+        # the slack basis breaks some row, and mostly some cost improves
+        # on its column's side, so the dual phase runs on zero costs
+        x0 = _cold_point(lp)
+        sign = np.where(lp.rel == GE, -1.0, 1.0)
+        assert (sign * (lp.A @ x0 - lp.b) > 0).any()
+        zero_costs += (((lp.obj < 0) & (x0 < lp.upper))
+                       | ((lp.obj > 0) & (x0 > lp.lower))).any()
         sol = solve_lp(lp)
-        assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
-        ref = _highs(lp)
-        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        status, value = _highs_status(lp)
         assert sol.status == status, f"seed {seed}"
         outcomes.add(status)
         if status == "optimal":
-            assert sol.objective == pytest.approx(ref.fun, rel=1e-9,
+            assert sol.objective == pytest.approx(value, rel=1e-9,
                                                   abs=1e-12), f"seed {seed}"
-        elif status == "infeasible":
-            _validate_farkas(form.G, st.g, sol.farkas)
-        else:
-            _assert_improving_ray(lp, sol.ray)
+        _assert_certified(lp, sol)
     assert outcomes == {"optimal", "infeasible", "unbounded"}
+    assert zero_costs >= 25
+
+
+@pytest.mark.parametrize("move", ["fix", "tighten", "shift", "cross"])
+def test_warm_bound_changes_match_highs(move, monkeypatch):
+    # the optimum of an LP with boxed columns starts the LP with one
+    # boxed column fixed at the middle of its box, the box tightened
+    # around that middle or shifted past the column's value, or its
+    # bounds crossed: the same answer as HiGHS, from the start's basis
+    start_warm, started = _Tableau.start_warm, []
+
+    def spy(self, block=None):
+        started.append(start_warm(self, block))
+        return started[-1]
+
+    monkeypatch.setattr(_Tableau, "start_warm", spy)
+    solved = 0
+    for seed in range(30):
+        lp = _mixed_lp(seed)
+        parent = solve_lp(lp)
+        boxed = np.isfinite(lp.lower) & np.isfinite(lp.upper)
+        boxed &= lp.lower < lp.upper
+        if parent.status != "optimal" or not boxed.any():
+            continue
+        j = int(np.flatnonzero(boxed)[0])
+        lo, up, v = lp.lower.copy(), lp.upper.copy(), parent.x[j]
+        span = up[j] - lo[j]
+        if move == "fix":
+            lo[j] = up[j] = lo[j] + 0.5 * span
+        elif move == "tighten":
+            lo[j], up[j] = lo[j] + 0.25 * span, up[j] - 0.25 * span
+        elif move == "shift":
+            lo[j], up[j] = v + 0.5, v + 0.5 + span
+        else:
+            lo[j], up[j] = v + 0.5, v - 0.5
+        child = lp.with_bounds(lo, up)
+        sol = solve_lp(child, start=parent)
+        if move == "cross":
+            assert sol.status == "infeasible" and sol.farkas is None
+            continue
+        status, value = _highs_status(child)
+        assert sol.status == status, f"seed {seed}"
+        if status == "optimal":
+            assert sol.objective == pytest.approx(value, rel=1e-9,
+                                                  abs=1e-12), f"seed {seed}"
+        _assert_certified(child, sol)
+        # solved through the parent's standard form
+        assert status != "optimal" or sol._form is parent._form
+        solved += 1
+    assert solved >= (0 if move == "cross" else 5)
+    assert started == [True] * solved
 
 
 def test_negative_costs_reach_an_unbounded_ray_after_the_dual_phase(
@@ -742,44 +915,45 @@ def test_negative_costs_reach_an_unbounded_ray_after_the_dual_phase(
     # the ray
     lp = LinearProgram.from_arrays("min", [-1.0, 0.0], [[1.0, 1.0]], [">="],
                                    [2.0])
-    made = _spy_tableaux(monkeypatch)
     phases = []
     dual, primal = _Tableau.run_dual, _Tableau.run
 
-    def spy_dual(self, z, priced):
-        phases.append(("dual", dual(self, z, priced)))
+    def spy_dual(self, z):
+        phases.append(("dual", dual(self, z)))
         return phases[-1][1]
 
-    def spy_primal(self, z, allowed):
-        phases.append(("primal", primal(self, z, allowed)))
+    def spy_primal(self):
+        phases.append(("primal", primal(self)))
         return phases[-1][1]
 
     monkeypatch.setattr(_Tableau, "run_dual", spy_dual)
     monkeypatch.setattr(_Tableau, "run", spy_primal)
     sol = solve_lp(lp)
     assert phases == [("dual", "optimal"), ("primal", "unbounded")]
-    assert [tb.T.shape[1] for tb in made] == [_slack_width(lp)]
     assert sol.status == "unbounded" and sol.iterations >= 1
     _assert_improving_ray(lp, sol.ray)
     assert sol.ray[0] > 0
 
 
-def test_zero_cost_dual_phase_ends_under_any_bland_switch():
+def test_zero_cost_dual_phase_ends_under_any_bland_switch(monkeypatch):
     # with zero costs every dual ratio ties, so Bland's rule is what
     # guarantees the phase ends: switch to it after 0-7 pivots, or never
     inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
+    lp = build_affine_lp(inst)
     want = solve_affine(inst).objective
-    form, st = _standard(build_affine_lp(inst))
-    assert (form.c < 0).any() and (st.g < 0).any()
-    priced = np.ones(sum(form.G.shape), dtype=bool)
-    priced[st.fixed_cols] = False
+    dual, zero = _Tableau.run_dual, []
+
+    def spy(self, z):
+        zero.append(not z.any())
+        return dual(self, z)
+
+    monkeypatch.setattr(_Tableau, "run_dual", spy)
     for bland_after in [*range(8), 10**6]:
-        tb = _Tableau(form.c, form.G, st.g, bland_after, 10**4)
-        assert tb.run_dual(np.zeros_like(tb.z), priced) == "optimal"
-        assert tb.run(tb.z, priced) == "optimal"
-        tb.refine_optimal()
-        value = form.sense_mult * (st.const - tb.z[-1])
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        with _bland_after(bland_after):
+            sol = solve_lp(lp)
+        assert sol.objective == pytest.approx(want, rel=1e-12, abs=1e-12)
+        _assert_certified(lp, sol)
+    assert zero == [True] * 9
 
 
 def test_nonnegative_costs_without_rows():
@@ -787,6 +961,17 @@ def test_nonnegative_costs_without_rows():
     sol = solve_lp(LinearProgram("min", [1.0, 0.0]))
     assert sol.status == "optimal" and sol.iterations == 0
     np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+
+
+def test_boxed_columns_without_rows_flip_to_their_bounds():
+    # max x1 - x2 + 0 x3 with x1, x2 in [-1, 2] and x3 free: x1 flips to
+    # its upper bound with no basis change, x2 stays at its lower one
+    sol = solve_lp(LinearProgram("max", [1.0, -1.0, 0.0],
+                                 lower=[-1.0, -1.0, -np.inf],
+                                 upper=[2.0, 2.0, np.inf]))
+    assert sol.status == "optimal" and sol.iterations == 1
+    np.testing.assert_array_equal(sol.x, [2.0, -1.0, 0.0])
+    assert sol.objective == 3.0
 
 
 def _spy_refinement(monkeypatch):
@@ -805,9 +990,9 @@ def _spy_refinement(monkeypatch):
         before = len(inverses)
         refine(self)
         assert len(inverses) == before
-        xb = self._basis_inverse()[1]
-        want = float(self.cost[self.basis] @ xb)
-        assert abs(-self.z[-1] - want) <= 1e-12 * max(abs(want), 1.0)
+        got = float(self.cost @ self._values(self.rhs))
+        want = float(self.cost @ self._values(self._basis_inverse()[1]))
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
         checked.append(want)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
@@ -846,7 +1031,7 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
 
     def drifted(self):
         self.rhs = self.rhs + 1e-5 * self.scale
-        self.z[:-1] += 1e-5
+        self.z += 1e-5
         if corrupt:
             self.T[:, self.nc:] *= 2.0
         before = len(calls)
@@ -865,30 +1050,3 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
     assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
     np.testing.assert_allclose(sol.x, clean.x, rtol=0, atol=1e-10)
     np.testing.assert_allclose(sol.duals, clean.duals, rtol=0, atol=1e-10)
-
-
-def _indexed_G(form):
-    """The standard form's ``G`` as one indexed product, the way it was
-    built before ``_Form`` filled it in place."""
-    lp, boxed, nrow = form.lp, form.boxed, form.nrow
-    G = np.zeros((nrow + boxed.size, form.col_orig.size))
-    G[:nrow] = (lp.A[:, form.col_orig] * form.col_sign
-                * form.row_sign[:, None])
-    G[nrow + np.arange(boxed.size), form.first[boxed]] = 1.0
-    return G
-
-
-def test_form_fills_G_in_place(monkeypatch):
-    # the HRep affine LP (free columns split), a separation MIP (bound
-    # rows) and the vertex LP (nothing duplicated)
-    inst = gen_iid(3, 3, RandomSpec("uniform"), 0)
-    lps = [build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)),
-           build_separation_mip(inst, np.zeros(3),
-                                Digitization.from_instance(inst, 0.1)).lp,
-           _oracle_lp(monkeypatch, m=16)]
-    forms = [_Form(lp) for lp in lps]
-    for form in forms:
-        np.testing.assert_array_equal(form.G, _indexed_G(form))
-    dup = [form.col_orig.size > form.lp.num_vars for form in forms]
-    assert dup == [True, False, False]
-    assert forms[1].boxed.size > 0

@@ -304,9 +304,9 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
         inverses.append(a.shape)
         return inv(a)
 
-    def spy_start(self, priced, block=None):
+    def spy_start(self, block=None):
         before = len(inverses)
-        ok = start_warm(self, priced, block)
+        ok = start_warm(self, block)
         if block is not None:
             handed.append(len(inverses) - before)
         return ok
@@ -362,11 +362,12 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
 def test_open_nodes_hold_the_square_block(monkeypatch):
     # a heap entry keeps its parent's optimal solution, whose block is
     # inv(M0[N, S]) of its basis, s x s for the s basic structural
-    # columns, never the nr x nr basis inverse
+    # columns, never the nr x nr basis inverse; the bits' bounds are no
+    # rows, so the basis holds one column per row of the LP
     inst = _cut_loop_instance(2)
     prob = build_separation_mip(inst, np.zeros(2),
                                 Digitization.from_instance(inst, 0.1))
-    nr, nc = _Form(prob.lp).G.shape
+    nr, nc = prob.lp.num_rows, prob.lp.num_vars
     pushed = []
     push = heapq.heappush
 
