@@ -214,6 +214,16 @@ def test_affine_lp_matches_highs_on_fragile_m10_seeds(seed):
                                           rel=1e-7, abs=1e-7)
 
 
+def test_affine_lp_matches_highs_at_m20():
+    # the size where the primal phase's bound shift saves the most
+    # pivots: 861 rows and 1,302 columns, most of the pivots degenerate
+    inst = generate_bench_instance("uniform", 20, 20, 0)
+    res = solve_affine(inst)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(_highs_value(build_affine_lp(inst)),
+                                          rel=1e-7)
+
+
 def _record_lps(monkeypatch):
     """The LPs that affine and adjustable solve from now on, in order."""
     seen = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adjrobust import adjustable
+from adjrobust import lp as lp_module
 from adjrobust.adjustable import Digitization, build_separation_mip
 from adjrobust.affine import build_affine_lp, solve_affine
 from adjrobust.bench import BenchConfig, run_benchmark
@@ -972,6 +973,97 @@ def test_boxed_columns_without_rows_flip_to_their_bounds():
     assert sol.status == "optimal" and sol.iterations == 1
     np.testing.assert_array_equal(sol.x, [2.0, -1.0, 0.0])
     assert sol.objective == 3.0
+
+
+def _count_dual_phases(monkeypatch):
+    """From now on, record each dual phase: True where it prices the
+    costs, False where it runs on zeros."""
+    dual, priced = _Tableau.run_dual, []
+
+    def spy(self, z):
+        priced.append(z is self.z)
+        return dual(self, z)
+
+    monkeypatch.setattr(_Tableau, "run_dual", spy)
+    return priced
+
+
+def test_unshifting_out_of_bounds_runs_the_dual_phase(monkeypatch):
+    # the HRep affine LP at m=8 shifts its slack bounds early in the
+    # primal phase.  Shifted by 1e-2, the optimum of the shifted LP puts
+    # basic slacks clearly below 0 once the shift is taken back, so a
+    # dual phase on the costs and a primal phase without a shift finish
+    # the solve, at the LP's own optimum
+    lp = build_affine_lp(gen_iid(8, 8, RandomSpec("uniform"), 3))
+    clean = solve_lp(lp)
+    monkeypatch.setattr(lp_module, "_SHIFT", 1e-2)
+    priced = _count_dual_phases(monkeypatch)
+    sol = solve_lp(lp)
+    assert priced == [False, True]
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(_highs(lp).fun, rel=1e-9)
+    assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
+    _assert_certified(lp, sol)
+
+
+@pytest.mark.parametrize("amount", [None, 1e-2])
+def test_shifting_at_the_first_zero_step_matches_highs(amount, monkeypatch):
+    # every primal phase that makes a zero step shifts the slack bounds,
+    # by the kernel's amount and by one large enough that unshifting
+    # often leaves a basic value out of bounds: the statuses, values and
+    # certificates stay those of the LPs themselves
+    monkeypatch.setattr(lp_module, "_SHIFT_AFTER", 0)
+    if amount is not None:
+        monkeypatch.setattr(lp_module, "_SHIFT", amount)
+    priced = _count_dual_phases(monkeypatch)
+    shift, shifts = _Tableau._shift, []
+
+    def spy(self):
+        shifts.append(self.iterations)
+        shift(self)
+
+    monkeypatch.setattr(_Tableau, "_shift", spy)
+    lps = [_mixed_lp(seed) for seed in range(30)]
+    lps += [build_affine_lp(gen_iid(m, m, RandomSpec("uniform"), seed))
+            for m in (4, 6, 8) for seed in range(4)]
+    for lp in lps:
+        sol = solve_lp(lp)
+        status, value = _highs_status(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12)
+        _assert_certified(lp, sol)
+    assert len(shifts) >= 12
+    # one dual phase per LP, and one more where an unshift left a basic
+    # value outside its bounds
+    if amount is not None:
+        assert len(priced) - len(lps) >= 5
+
+
+def test_a_refresh_keeps_the_slacks_at_their_shifted_bounds(monkeypatch):
+    # 100 pivots into the primal phase of the m=10 affine LP, shifted at
+    # its first zero step, some nonbasic slacks sit at their shifted
+    # bounds: the rows leave the basic columns g - N xn with those
+    # values, so a rebuild from the pristine data reproduces the basic
+    # values the pivots kept
+    monkeypatch.setattr(lp_module, "_SHIFT_AFTER", 0)
+    tb = _tableau(build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)))
+    assert tb.run_dual(np.zeros_like(tb.z)) == "optimal"
+    _pivot_up_to(tb, lambda: tb._primal(shift=True), 100)
+    assert tb.shifted and (tb.xn[tb.nc:] < 0.0).any()
+    before = tb.rhs.copy()
+    tb.refresh()
+    np.testing.assert_allclose(tb.rhs, before, rtol=0, atol=1e-10)
+
+
+def test_the_m10_affine_lp_solves_the_same_twice():
+    lp = build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0))
+    a, b = solve_lp(lp), solve_lp(lp)
+    assert a.iterations == b.iterations
+    assert a.objective == b.objective
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.duals, b.duals)
+    np.testing.assert_array_equal(a.basis, b.basis)
 
 
 def _spy_refinement(monkeypatch):
