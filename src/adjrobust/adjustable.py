@@ -83,6 +83,7 @@ class Digitization:
     def from_instance(cls, inst: Instance, epsilon: float) -> "Digitization":
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        inst.uncertainty.check_bounded()
         du = _exponent(float(inst.uncertainty.caps.max(initial=0.0)))
         dw = _exponent(float(_w_caps(inst).max(initial=0.0)))
         s = math.ceil(math.log2(inst.m * (1 + 2.0 ** du) / epsilon) - 1e-12)

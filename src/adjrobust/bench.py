@@ -48,7 +48,7 @@ class BenchConfig:
             object.__setattr__(self, "n_list",
                                tuple(int(n) for n in self.n_list))
         if self.count < 1:
-            raise ValueError("instances_per_size must be >= 1")
+            raise ValueError("count must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.jobs < 1:

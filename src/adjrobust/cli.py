@@ -260,7 +260,7 @@ _HANDLERS = {
 }
 
 
-def cli_main(argv=None) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -277,10 +277,6 @@ def cli_main(argv=None) -> int:
     except (LpError, MipError, SeparationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return cli_main(argv)
 
 
 if __name__ == "__main__":

@@ -367,6 +367,13 @@ def instance_from_dict(doc: dict) -> Instance:
             raise InstanceFormatError(f"missing field {key!r}")
         return src[key]
 
+    def size(key):
+        value = need(key)
+        if not float(value).is_integer():
+            raise InstanceFormatError(
+                f"{key} must be an integer, got {value!r}")
+        return int(value)
+
     unc_doc = need("uncertainty")
     utype = need("type", unc_doc)
     if utype not in ("hrep", "vrep"):
@@ -375,7 +382,7 @@ def instance_from_dict(doc: dict) -> Instance:
         uset = (UncertaintySet.hrep(need("R", unc_doc), need("r", unc_doc))
                 if utype == "hrep"
                 else UncertaintySet.vrep(need("vertices", unc_doc)))
-        return Instance(m=int(need("m")), n=int(need("n")), c=need("c"),
+        return Instance(m=size("m"), n=size("n"), c=need("c"),
                         A=need("A"), B=need("B"), d_bar=float(need("d_bar")),
                         uncertainty=uset, seed=doc.get("seed"))
     except (TypeError, ValueError) as e:

@@ -104,14 +104,13 @@ level.  A start that is singular, or neither primal nor dual feasible,
 is solved cold, by the rule above.  Warm or cold, a solve ends in the
 same certificates.
 
-A solution keeps the standard form it was solved on (``_Form``), and
-the first start that asks for it computes the inverse of its basis's
-s x s structural block (``_Form.block``), which the solution then
-keeps: the tableau is rebuilt at that basis without an inversion, and
-the residual check on the new LP's right-hand side still judges the
-block.  An LP with the start's row and objective arrays (as
+A solution keeps the standard form it was solved on (``_Form``).  An
+LP with the start's row and objective arrays (as
 ``LinearProgram.with_bounds`` shares them) is solved through the
-start's form, so a branch-and-bound search builds ``G`` once.
+start's form, so a branch-and-bound search builds ``G`` once.  The
+start hands over its basis alone: the tableau is rebuilt there through
+the block inverse, as every refresh rebuilds it, and the residual
+check judges that inverse on the new LP's right-hand side.
 
 Threads
 -------
@@ -124,6 +123,9 @@ the same value, and two threads were no faster (2.0-2.6 s wall against
 bundled OpenBLAS (``scipy_openblas``) on one thread and sets the
 caller's thread count back when it returns: a pivot count means the
 same in every process, and the rest of the process keeps its threads.
+The count is process-wide, so solves running on several threads share
+one pin: the first to enter sets one thread, and the last to leave sets
+the count it found back.
 Where numpy has no such library, the thread count is the environment's
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).
 
@@ -170,6 +172,7 @@ Conventions
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +238,12 @@ def _openblas_threads():
 
 
 _OPENBLAS_THREADS = _openblas_threads()
+# the solves running now, over all threads, and the thread count the
+# first of them found; the first pins one thread and the last sets the
+# count back (see "Threads" in the module docstring)
+_SOLVING_LOCK = threading.Lock()
+_solving = 0
+_caller_threads = 1
 
 
 class LpError(Exception):
@@ -300,9 +309,6 @@ class LinearProgram:
         return lp
 
 
-_UNSET = object()   # an inverse block no start has asked for yet
-
-
 @dataclass
 class LpSolution:
     status: str
@@ -321,17 +327,8 @@ class LpSolution:
     # the nonbasic columns at their upper bound, where a start puts them
     _upper: np.ndarray | None = field(default=None, repr=False,
                                       compare=False)
-    # of an optimal solution: the standard form it was solved on, and the
-    # inverse block of its basis there, computed when a start first asks
+    # of an optimal solution: the standard form it was solved on
     _form: _Form | None = field(default=None, repr=False, compare=False)
-    _block: object = field(default=_UNSET, init=False, repr=False,
-                           compare=False)
-
-    def _start_block(self) -> np.ndarray | None:
-        """``_Form.block`` of the basis, computed once."""
-        if self._block is _UNSET:
-            self._block = self._form.block(self.basis)
-        return self._block
 
 
 # ---------------------------------------------------------------------------
@@ -370,44 +367,10 @@ class _Form:
         return (lp.A is own.A and lp.rel is own.rel and lp.b is own.b
                 and lp.obj is own.obj and lp.sense == own.sense)
 
-    def block(self, basis: np.ndarray) -> np.ndarray | None:
-        """``inv(G[N, S])`` for ``basis`` (see ``_partition``), which
-        rebuilds a tableau of this form at that basis with no inversion
-        (``_Tableau._basis_inverse``).  None when the basis is
-        singular."""
-        part = _partition(basis, self.G.shape[1])
-        if part is None:
-            return None
-        S, _, _, N = part
-        if S.size == 0:
-            return np.empty((0, 0))
-        try:
-            return np.linalg.inv(self.G[:, basis[S]][N])
-        except np.linalg.LinAlgError:
-            return None
-
 
 def _peak(a: np.ndarray) -> float:
     """The largest absolute entry of ``a``, 0 if it is empty."""
     return float(np.abs(a).max(initial=0.0))
-
-
-def _partition(basis: np.ndarray, nc: int):
-    """The block structure of a basis of ``[G | I]`` with ``nc``
-    structural columns: the basis positions S of structural columns and
-    K of slacks, the rows of K's slacks, and the rows N that no basic
-    slack covers.  None when N and S differ in size, which makes the
-    basis singular (a slack listed twice)."""
-    unit = basis >= nc
-    S = (~unit).nonzero()[0]
-    K = unit.nonzero()[0]
-    rows = basis[K] - nc
-    free = np.ones(basis.size, dtype=bool)
-    free[rows] = False
-    N = free.nonzero()[0]
-    if N.size != S.size:
-        return None
-    return S, K, rows, N
 
 
 # ---------------------------------------------------------------------------
@@ -761,42 +724,42 @@ class _Tableau:
             self.pivot(p, q, lo[p] if low else up[p], row=row)
             self.iterations += 1
 
-    def _basis_inverse(self, block: np.ndarray | None = None):
+    def _basis_inverse(self):
         """The part of the basis inverse that is not a unit column, and
         the basic values it gives, or None when the basis is singular or
         cannot reproduce the right-hand side.
 
-        With S, K, ``rows`` and N as ``_partition`` returns them, the
-        basis permuted to (N, K) x (S, K) is
-        ``[[M0[N, S], 0], [M0[K, S], I]]``, so only the s x s block
-        ``M0[N, S]`` is inverted.  The inverse ``Binv`` (rows: basis
-        positions, columns: rows of M0) is the unit column of basis
-        position K[i] in column ``rows[i]``, and ``BN = Binv[:, N]``
-        elsewhere: ``inv(M0[N, S])`` on S and ``-M0[K, S] inv(M0[N, S])``
-        on K.  Returns ``BN``, the basic values ``Binv (g - N xn)``, N, K
-        and ``rows``; the nr x nr ``Binv`` is never assembled.
-
-        ``block`` is ``inv(M0[N, S])`` if the caller already has it, as
-        a branch-and-bound child has its parent's (``_Form.block``): it
-        takes the place of the inversion, and the residual check still
-        judges it.
+        S and K are the basis positions of structural columns and of
+        slacks, ``rows`` the rows of K's slacks, and N the rows that no
+        basic slack covers; N and S differ in size when a slack is listed
+        twice, which makes the basis singular.  The basis permuted to
+        (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], I]]``, so only
+        the s x s block ``M0[N, S]`` is inverted.  The inverse ``Binv``
+        (rows: basis positions, columns: rows of M0) is the unit column
+        of basis position K[i] in column ``rows[i]``, and
+        ``BN = Binv[:, N]`` elsewhere: ``inv(M0[N, S])`` on S and
+        ``-M0[K, S] inv(M0[N, S])`` on K.  Returns ``BN``, the basic
+        values ``Binv (g - N xn)``, N, K and ``rows``; the nr x nr
+        ``Binv`` is never assembled.
         """
         nc, basis = self.nc, self.basis
-        part = _partition(basis, nc)
-        if part is None:
+        unit = basis >= nc
+        S = (~unit).nonzero()[0]
+        K = unit.nonzero()[0]
+        rows = basis[K] - nc
+        free = np.ones(basis.size, dtype=bool)
+        free[rows] = False
+        N = free.nonzero()[0]
+        if N.size != S.size:
             return None
-        S, K, rows, N = part
         g = self._rhs0()
         if S.size == 0:
             return np.empty((basis.size, 0)), g[rows], N, K, rows
         MS = self.M0[:, basis[S]]
-        if block is not None and block.shape == (S.size, S.size):
-            Ainv = block
-        else:
-            try:
-                Ainv = np.linalg.inv(MS[N])
-            except np.linalg.LinAlgError:
-                return None
+        try:
+            Ainv = np.linalg.inv(MS[N])
+        except np.linalg.LinAlgError:
+            return None
         BN = np.empty((basis.size, S.size))
         BN[S] = Ainv
         BN[K] = -MS[rows] @ Ainv
@@ -844,12 +807,11 @@ class _Tableau:
             np.clip(xb, self.lo_b, self.up_b, out=xb)
         self._rebuild(*inv)
 
-    def start_warm(self, block: np.ndarray | None = None) -> bool:
-        """Rebuild the tableau at the start basis, through ``block`` if
-        given (see ``_basis_inverse``).  False when the basis is
-        singular, or neither primal feasible nor dual feasible (up to the
-        slack that the certified optimum of a related LP leaves)."""
-        inv = self._basis_inverse(block)
+    def start_warm(self) -> bool:
+        """Rebuild the tableau at the start basis.  False when the basis
+        is singular, or neither primal feasible nor dual feasible (up to
+        the slack that the certified optimum of a related LP leaves)."""
+        inv = self._basis_inverse()
         if inv is None:
             return False
         self._rebuild(*inv)
@@ -925,18 +887,26 @@ def solve_lp(lp: LinearProgram,
     that is not optimal, or does not fit this LP's ``[G | I]``, raises
     ValueError; one that is singular, or neither primal nor dual
     feasible, is ignored.  The solve runs numpy's bundled OpenBLAS on
-    one thread and then gives the caller's thread count back (module
-    docstring, "Threads").
+    one thread and the last solve running gives the caller's thread
+    count back (module docstring, "Threads").
     """
-    threads = _OPENBLAS_THREADS[0]() if _OPENBLAS_THREADS else 1
-    if threads == 1:
+    global _solving, _caller_threads
+    if _OPENBLAS_THREADS is None:
         return _solve(lp, start)
-    put = _OPENBLAS_THREADS[1]
-    put(1)
+    get, put = _OPENBLAS_THREADS
+    with _SOLVING_LOCK:
+        if not _solving:
+            _caller_threads = get()
+            if _caller_threads != 1:
+                put(1)
+        _solving += 1
     try:
         return _solve(lp, start)
     finally:
-        put(threads)
+        with _SOLVING_LOCK:
+            _solving -= 1
+            if not _solving and _caller_threads != 1:
+                put(_caller_threads)
 
 
 def _solve(lp: LinearProgram, start: LpSolution | None) -> LpSolution:
@@ -957,7 +927,7 @@ def _solve(lp: LinearProgram, start: LpSolution | None) -> LpSolution:
             raise ValueError(f"start must hold {nr} column indices "
                              f"below {nc + nr}, from {nc} columns")
         tb = _Tableau(form, lp, start)
-        if not tb.start_warm(start._start_block()):
+        if not tb.start_warm():
             tb = None
     # a usable start is primal feasible, or dual feasible on the costs;
     # a cold slack basis is dual feasible on the costs if none improves

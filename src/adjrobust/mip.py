@@ -18,13 +18,13 @@ differs from the parent only in one column's bounds, which keeps that
 basis, with each nonbasic column on its side, dual feasible, so the LP
 kernel's dual simplex phase re-solves it in a few pivots.  Node LPs are
 made by ``LinearProgram.with_bounds``, so they share the root's arrays
-and the LP kernel solves them all through the root's standard form,
-and the parent's solution hands them its basis's inverse block: one
-s x s inversion, for s basic structural columns, per node whose
-children are solved.  An open node keeps its parent's solution.  Where
-the parent's LP has alternative optima, a warm re-solve can end at
-another one than a cold solve, so the node count can differ from that
-of a cold search; values agree to the tolerances.
+and the LP kernel solves them all through the root's standard form.
+A child's solve rebuilds its tableau at the parent's basis with one
+s x s inversion, for s basic structural columns.  An open node keeps
+its parent's solution.  Where the parent's LP has alternative optima,
+a warm re-solve can end at another one than a cold solve, so the node
+count can differ from that of a cold search; values agree to the
+tolerances.
 ``MipSolution.pivots`` counts the LP pivots of the whole search.
 
 The reported bound never lies below the optimum (up to mip_tol, the

@@ -10,7 +10,8 @@ from adjrobust.adjustable import (Digitization, SeparationError,
                                   solve_adjustable,
                                   solve_adjustable_vertex_oracle)
 from adjrobust.instances import (Instance, InstanceError, RandomSpec,
-                                 UncertaintySet, budget_set, budget_vertices,
+                                 UnboundedSetError, UncertaintySet,
+                                 budget_set, budget_vertices,
                                  enumerate_vertices, gen_iid, gen_worst_case)
 from adjrobust.lp import LE, LinearProgram, solve_lp
 from adjrobust.mip import solve_mip
@@ -58,6 +59,16 @@ def test_digitization_fields():
 def test_digitization_rejects_bad_eps():
     with pytest.raises(ValueError):
         Digitization.from_instance(box_instance(), 0.0)
+
+
+def test_unbounded_set_is_a_typed_error():
+    # h_2 has no cap on {h >= 0 : h_1 <= 1}, so no bit layout exists
+    loose = UncertaintySet.hrep([[1.0, 0.0]], [1.0])
+    inst = Instance(m=2, n=1, c=np.zeros(1), A=np.zeros((2, 1)),
+                    B=np.ones((2, 1)), d_bar=1.0, uncertainty=loose, seed=0)
+    for solve in (solve_adjustable, adjustable_special_case):
+        with pytest.raises(UnboundedSetError, match="coordinate 1"):
+            solve(inst)
 
 
 def test_digitization_unbounded_w():

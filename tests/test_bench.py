@@ -23,7 +23,7 @@ def small_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be >= 1"):
         BenchConfig(kind="uniform", m_list=[2], count=0)
     with pytest.raises(ValueError):
         BenchConfig(kind="uniform", m_list=[2], eps=0.0)

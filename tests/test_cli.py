@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from adjrobust.bench import CSV_HEADER
-from adjrobust.cli import cli_main
+from adjrobust.cli import main
 from adjrobust.instances import Instance, UncertaintySet, write_instance
 
 
 def run(capsys, *argv):
-    code = cli_main(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -240,6 +240,13 @@ def test_reader_errors(tmp_path):
     with pytest.raises(InstanceFormatError, match="ball"):
         instance_from_dict(badtype)
 
+    # sizes are integers: 2.7 is no size, and 2.0 is 2
+    for key in ("m", "n"):
+        fractional = dict(doc, **{key: doc[key] + 0.7})
+        with pytest.raises(InstanceFormatError, match=f"{key} must be an int"):
+            instance_from_dict(fractional)
+    assert instance_from_dict(dict(doc, m=2.0)).m == 2
+
 
 def test_reader_rejects_unbounded_set(tmp_path):
     doc = {

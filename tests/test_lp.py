@@ -669,62 +669,21 @@ def test_singular_warm_start_gives_the_cold_answer():
     np.testing.assert_array_equal(warm.basis, cold.basis)
 
 
-def test_corrupted_inverse_block_gives_the_cold_answer(monkeypatch):
-    # a handed block that does not invert the start basis fails the
-    # residual check on the child's own right-hand side: cold solve
-    lp = _dense_lp(monkeypatch)
-    parent = solve_lp(lp)
-    block = _Form(lp).block(parent.basis)
-    assert parent.status == "optimal" and block.size
-    child = lp.with_bounds(np.full(lp.num_vars, 0.01), lp.upper)
-    start_warm = _Tableau.start_warm
-    seen = []
-
-    def spy(self, block=None):
-        seen.append(start_warm(self, block))
-        return seen[-1]
-
-    monkeypatch.setattr(_Tableau, "start_warm", spy)
-    solve_lp(child, start=parent)
-    assert seen == [True]
-    # the start computed its block on first use
-    np.testing.assert_array_equal(parent._block, block)
-    seen.clear()
-    corrupted = replace(parent)
-    corrupted._block = 2.0 * block
-    sol = solve_lp(child, start=corrupted)
-    assert seen == [False]
-    cold = solve_lp(child)
-    assert sol.status == cold.status == "optimal"
-    assert sol.iterations == cold.iterations
-    np.testing.assert_array_equal(sol.x, cold.x)
-    np.testing.assert_array_equal(sol.basis, cold.basis)
-
-
 def test_start_from_other_rows_builds_its_own_form(monkeypatch):
-    # the start's block inverts its basis on its own rows, not on these
-    # (scaled by 2): the residual check turns it down and the LP,
-    # solved through a form of its own, gets the cold answer
+    # the start was solved on other rows than these (scaled by 2): the
+    # LP is solved through a form of its own, from the start's basis,
+    # which scaling the rows leaves optimal, to a certified optimum
     lp = _dense_lp(monkeypatch)
     parent = solve_lp(lp)
     other = LinearProgram.from_arrays(lp.sense, lp.obj, 2.0 * lp.A, lp.rel,
                                       lp.b)
-    start_warm = _Tableau.start_warm
-    seen = []
-
-    def spy(self, block=None):
-        seen.append(start_warm(self, block))
-        return seen[-1]
-
-    monkeypatch.setattr(_Tableau, "start_warm", spy)
     sol = solve_lp(other, start=parent)
-    assert seen == [False]
     assert sol._form is not parent._form and sol._form.lp is other
+    assert sol.iterations == 0
     cold = solve_lp(other)
     assert sol.status == cold.status == "optimal"
-    assert sol.iterations == cold.iterations
-    np.testing.assert_array_equal(sol.x, cold.x)
-    np.testing.assert_array_equal(sol.basis, cold.basis)
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    _assert_certified(other, sol)
 
 
 def _highs_status(lp):
@@ -867,8 +826,8 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
     # bounds crossed: the same answer as HiGHS, from the start's basis
     start_warm, started = _Tableau.start_warm, []
 
-    def spy(self, block=None):
-        started.append(start_warm(self, block))
+    def spy(self):
+        started.append(start_warm(self))
         return started[-1]
 
     monkeypatch.setattr(_Tableau, "start_warm", spy)
@@ -1130,9 +1089,9 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
         refine(self)
         inversions.append(len(calls) - before)
 
-    def spy_inverse(self, block=None):
-        calls.append(block)
-        return basis_inverse(self, block)
+    def spy_inverse(self):
+        calls.append(None)
+        return basis_inverse(self)
 
     monkeypatch.setattr(_Tableau, "refine_optimal", drifted)
     monkeypatch.setattr(_Tableau, "_basis_inverse", spy_inverse)

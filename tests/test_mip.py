@@ -1,6 +1,5 @@
 import heapq
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,26 +289,12 @@ def test_warm_started_search_pivots_per_node(monkeypatch):
 
 
 @pytest.mark.parametrize("searches", ["fuzz", "cut_loops"])
-def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
-                                                             monkeypatch):
+def test_shared_form_matches_plain_warm_solves(searches, monkeypatch):
     # every LP of a search goes through the root's standard form and
-    # starts from its parent's solution, which hands it its inverse
-    # block; solved through a form of its own from the same basis, with
-    # its own inversion, it must give the same bits
-    inverses, handed, forms, per_search = [], [], [], []
-    inv, start_warm, form_init = (np.linalg.inv, _Tableau.start_warm,
-                                  _Form.__init__)
-
-    def counted_inv(a):
-        inverses.append(a.shape)
-        return inv(a)
-
-    def spy_start(self, block=None):
-        before = len(inverses)
-        ok = start_warm(self, block)
-        if block is not None:
-            handed.append(len(inverses) - before)
-        return ok
+    # starts from its parent's solution; solved through a form of its
+    # own from the same basis, it must give the same bits
+    forms, per_search = [], []
+    form_init = _Form.__init__
 
     def spy_form(self, lp):
         form_init(self, lp)
@@ -321,12 +306,7 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
         ref_lp = LinearProgram.from_arrays(lp.sense, lp.obj.copy(),
                                            lp.A.copy(), lp.rel.copy(),
                                            lp.b.copy(), lp.lower, lp.upper)
-        ref_start = None
-        if start is not None:
-            # no block: the reference inverts its start basis itself
-            ref_start = replace(start)
-            ref_start._block = None
-        ref = solve_lp(ref_lp, start=ref_start, **kw)
+        ref = solve_lp(ref_lp, start=start, **kw)
         assert forms[made:] == [ref_lp]
         del forms[made:]
         assert sol.status == ref.status
@@ -343,8 +323,6 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
         per_search.append(len(forms) - made)
         return sol
 
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    monkeypatch.setattr(_Tableau, "start_warm", spy_start)
     monkeypatch.setattr(_Form, "__init__", spy_form)
     monkeypatch.setattr(mip, "solve_lp", checked)
     if searches == "fuzz":
@@ -353,21 +331,17 @@ def test_shared_form_and_handed_block_match_plain_warm_solves(searches,
     else:
         monkeypatch.setattr(adjustable, "solve_mip", search)
         _run_cut_loops()
-    # one standard form per search, and a handed block in place of the
-    # inversion of every start basis
+    # one standard form per search
     assert len(per_search) > 10 and set(per_search) == {1}
-    assert len(handed) > 100 and not any(handed)
 
 
-def test_open_nodes_hold_the_square_block(monkeypatch):
-    # a heap entry keeps its parent's optimal solution, whose block is
-    # inv(M0[N, S]) of its basis, s x s for the s basic structural
-    # columns, never the nr x nr basis inverse; the bits' bounds are no
-    # rows, so the basis holds one column per row of the LP
+def test_open_nodes_hold_their_parents_optimal_solution(monkeypatch):
+    # a heap entry keeps its parent's optimal solution, whose basis
+    # holds one column per row of the LP (the bits' bounds are no rows)
     inst = _cut_loop_instance(2)
     prob = build_separation_mip(inst, np.zeros(2),
                                 Digitization.from_instance(inst, 0.1))
-    nr, nc = prob.lp.num_rows, prob.lp.num_vars
+    nr = prob.lp.num_rows
     pushed = []
     push = heapq.heappush
 
@@ -380,9 +354,7 @@ def test_open_nodes_hold_the_square_block(monkeypatch):
     assert len(pushed) > 50
     for _, _, lo, up, parent in pushed:
         assert isinstance(parent, LpSolution) and parent.status == "optimal"
-        basis, block = parent.basis, parent._start_block()
-        s = int((basis < nc).sum())
-        assert basis.shape == (nr,) and block.shape == (s, s) and s < nr
+        assert parent.basis.shape == (nr,)
         assert lo.size == up.size == prob.lp.num_vars
 
 

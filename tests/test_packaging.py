@@ -68,8 +68,8 @@ def test_no_module_imports_a_private_name_of_another():
 _LP_PRIVATE_IN_TESTS = {
     "_FEAS_TOL": "the eager reference pivot clips basic values with the "
                  "kernel's tolerance",
-    "_Form": "the inverse block of a start basis is computed on its form, "
-             "and B&B searches count their forms",
+    "_Form": "a tableau is built on a form directly, and B&B searches "
+             "count their forms",
     "_SHIFT": "a shift large enough that unshifting leaves basic values "
               "out of bounds drives the dual phase that restores them",
     "_SHIFT_AFTER": "every primal phase shifts at its first zero step, so "
@@ -78,14 +78,11 @@ _LP_PRIVATE_IN_TESTS = {
                 "driven directly, and a phase that stops early is mocked",
     "_basis_inverse": "the block inverse is compared with a dense inverse "
                       "and counted when refinement falls back to it",
-    "_block": "a start's cached inverse block is corrupted or dropped to "
-              "test the residual check",
     "_form": "a re-solve of the same rows goes through the start's form",
     "_primal": "the primal phase is stopped while its bounds are "
                "shifted, to rebuild the tableau there",
     "_shift": "the shifts are counted, so a test that needs them cannot "
               "pass without them",
-    "_start_block": "open B&B nodes hold their parent's s x s block",
     "_values": "the refined objective is compared with the block "
                "inversion's at the same basis",
 }
