@@ -33,7 +33,7 @@ Digitization.eps_total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,7 +139,6 @@ def build_separation_mip(inst: Instance, x_hat,
             f"over the budget of {BINARY_BUDGET}; relax epsilon")
     R, r = inst.uncertainty.R, inst.uncertainty.r
     L = R.shape[0]
-    ax = inst.A @ np.asarray(x_hat, dtype=float)
 
     pu = dig.place_values
     oz = m + k
@@ -155,12 +154,23 @@ def build_separation_mip(inst: Instance, x_hat,
     G[w_rows, prods // dig.bits_u] = -1.0
     rhs = np.concatenate([r, np.full(n, float(inst.d_bar)), np.zeros(2 * k)])
 
-    obj = np.concatenate([-ax, np.zeros(k), np.tile(pu, m)])
     upper = np.full(oz + k, np.inf)
     upper[m:oz] = 1.0   # bits
+    obj = _separation_objective(inst, x_hat, dig)
     lp = LinearProgram.from_arrays("max", obj, G, ["<="] * len(G), rhs,
                                    upper=upper)
     return MixedBinaryProgram(lp, range(m, oz))
+
+
+def _separation_objective(inst: Instance, x_hat,
+                          dig: Digitization) -> np.ndarray:
+    """The objective of ``build_separation_mip``: ``-(A x_hat).w`` plus
+    the place value of each product.  Of the separation MIP, only it
+    depends on ``x_hat``."""
+    ax = inst.A @ np.asarray(x_hat, dtype=float)
+    k = dig.binaries(inst.m)
+    return np.concatenate([-ax, np.zeros(k), np.tile(dig.place_values,
+                                                     inst.m)])
 
 
 def _recover_pair(inst: Instance, x_hat, sol_x, dig: Digitization):
@@ -225,14 +235,16 @@ def _separate_vrep(inst: Instance, x_hat):
 
 
 class _RootStart:
-    """The optimal root LP solution of the last separation MIP of a cut
-    loop.  The separation MIPs of one loop share rows and bounds and
-    differ only in the objective, so its basis is primal feasible for
-    the next root."""
-    __slots__ = ("start",)
+    """The separation MIP of a cut loop's first separation, and the
+    optimal root LP solution of its last.  The separation MIPs of one
+    loop differ only in the objective, so each is built from the first
+    one's row and bound arrays (``LinearProgram.with_objective``), and
+    each root resumes the last root's tableau, which is primal feasible
+    for it."""
+    __slots__ = ("prob", "start")
 
     def __init__(self):
-        self.start = None
+        self.prob = self.start = None
 
 
 def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
@@ -242,18 +254,22 @@ def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
     The pair's value is recomputed from the returned vectors, so it is
     exact for them even though the MIP search is approximate.  Returns
     (h, w, value) when value > z_hat + 10*mip_tol.  With ``root``, the
-    separation MIP's root LP starts from ``root.start``, which then
-    takes this root's optimal solution.
+    separation MIP shares the rows of ``root.prob`` and its root LP
+    starts from ``root.start``; both then hold this separation's.
     """
     sep_tol = 10.0 * mip_tol
     if inst.uncertainty.is_hrep:
         if dig is None:
             raise SeparationError("HRep separation needs a Digitization")
-        prob = build_separation_mip(inst, x_hat, dig)
+        if root is not None and root.prob is not None:
+            obj = _separation_objective(inst, x_hat, dig)
+            prob = replace(root.prob, lp=root.prob.lp.with_objective(obj))
+        else:
+            prob = build_separation_mip(inst, x_hat, dig)
         sol = solve_mip(prob, mip_tol=mip_tol, node_limit=None,
                         start=None if root is None else root.start)
         if root is not None:
-            root.start = sol.root_start
+            root.prob, root.start = prob, sol.root_start
         if sol.status != "optimal":
             raise SeparationError(f"separation MIP came back {sol.status}")
         h, w, value = _recover_pair(inst, x_hat, sol.x, dig)

@@ -18,7 +18,8 @@ other bound with no change of basis.
 A pivot does not rewrite the tableau: it appends one rank-one factor,
 and a column or row is read through the pending factors.  The
 right-hand side and the reduced-cost row are updated on every pivot.
-Every 128 pivots the tableau is rebuilt from the pristine data through
+Every 128 pivots (counted across the solves that resume a tableau;
+"Warm start") the tableau is rebuilt from the pristine data through
 the inverse of the basis matrix and the factors are dropped; a tableau
 with fewer than 128 rows folds its factors into the tableau each time
 it holds one per row.
@@ -92,25 +93,34 @@ termination guarantee.
 Warm start
 ----------
 ``solve_lp(lp, start=sol)`` starts from ``sol``, the optimal solution of
-an earlier solve, typically of an LP with the same rows and objective
-whose bounds moved.  The tableau is then built on ``[G | I]`` through
-``sol.basis``, each nonbasic column back at its upper bound if it sat
-there in ``sol`` and the bound is still finite, else where a cold start
-puts it.  The dual simplex phase (``_Tableau.run_dual``) restores
-primal feasibility, or ends at a row that proves infeasibility, whose
-slack block (that row of the basis inverse) is the Farkas vector.  The
-primal phase then removes any dual infeasibility left at tolerance
-level.  A start that is singular, or neither primal nor dual feasible,
-is solved cold, by the rule above.  Warm or cold, a solve ends in the
+an earlier solve of an LP with the same row arrays and sense (as
+``LinearProgram.with_bounds`` and ``with_objective`` share them): a
+branch-and-bound child, whose bounds moved, or the next root of a cut
+loop, whose objective changed.  An optimal solution keeps its final
+tableau, and the solve resumes a copy of it (``_Tableau.resume``) with
+no inversion: the pending factors are folded into the copy, each
+nonbasic column at its upper bound (or fixed, with a negative reduced
+cost) stays there while the bound is finite and any other goes where a
+cold start puts it, the columns that moved shift the basic values
+through their tableau columns, and a new objective is priced,
+``z = c - c_B T``.  A copy that is primal feasible goes to the primal
+phase; one that is dual feasible (up to the slack that the certified
+optimum of a related LP leaves) first goes to the dual simplex phase
+(``_Tableau.run_dual``), which restores primal feasibility or ends at
+a row that proves infeasibility, whose slack block (that row of the
+basis inverse) is the Farkas vector.  A copy that is neither, and an
+LP on other rows, is solved cold.  Warm or cold, a solve ends in the
 same certificates.
 
-A solution keeps the standard form it was solved on (``_Form``).  An
-LP with the start's row and objective arrays (as
-``LinearProgram.with_bounds`` shares them) is solved through the
-start's form, so a branch-and-bound search builds ``G`` once.  The
-start hands over its basis alone: the tableau is rebuilt there through
-the block inverse, as every refresh rebuilds it, and the residual
-check judges that inverse on the new LP's right-hand side.
+The start's tableau is never written, so the two children of a node
+can resume their parent in either order.  A resumed tableau counts its
+pivots since the last rebuild from the pristine data across solves,
+and is rebuilt at the same 128, so its drift stays bounded as in one
+long solve.  So a branch-and-bound search builds one standard form
+(``_Form``) for its root, and a cut loop one for all its separation
+MIPs.  An open node holds its parent's tableau: on the m=3 cut loops
+(eps 0.1, mip_tol 0.01, seeds 0-19) that raises the peak resident
+memory from 40 to 56 MB.
 
 Threads
 -------
@@ -171,6 +181,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import threading
 from dataclasses import dataclass, field
@@ -308,6 +319,14 @@ class LinearProgram:
         lp.obj, lp.A, lp.rel, lp.b = self.obj, self.A, self.rel, self.b
         return lp
 
+    def with_objective(self, obj) -> "LinearProgram":
+        """Same rows and bounds, a new objective; their arrays are
+        shared."""
+        lp = LinearProgram(self.sense, obj, self.lower, self.upper)
+        lp.lower, lp.upper = self.lower, self.upper
+        lp.A, lp.rel, lp.b = self.A, self.rel, self.b
+        return lp
+
 
 @dataclass
 class LpSolution:
@@ -324,11 +343,8 @@ class LpSolution:
     # final basis: one column index of [G | I] per row, where column
     # num_vars + i is the slack of row i
     basis: np.ndarray | None = field(default=None, repr=False)
-    # the nonbasic columns at their upper bound, where a start puts them
-    _upper: np.ndarray | None = field(default=None, repr=False,
-                                      compare=False)
-    # of an optimal solution: the standard form it was solved on
-    _form: _Form | None = field(default=None, repr=False, compare=False)
+    # of an optimal solution: its final tableau, which a start resumes
+    _tab: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +352,14 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 class _Form:
-    """The standard form of an LP (module docstring, "Conventions"):
-    ``G``, ``g`` and the costs.  It depends on the rows, the objective and
-    the sense alone, so a branch-and-bound search builds one form for
-    its root and solves every node through it (``serves``)."""
+    """The standard form of an LP's rows (module docstring,
+    "Conventions"): ``G`` and ``g``.  It depends on the rows and the
+    sense alone, so a branch-and-bound search builds one form for its
+    root and solves every node through it, and the separation MIPs of a
+    cut loop share one (``serves``)."""
 
     def __init__(self, lp: LinearProgram):
-        if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))
-                and np.all(np.isfinite(lp.obj))):
+        if not (np.all(np.isfinite(lp.A)) and np.all(np.isfinite(lp.b))):
             raise ValueError("non-finite data in LP")
         self.lp = lp
         self.sense_mult = 1.0 if lp.sense == "min" else -1.0
@@ -351,21 +367,17 @@ class _Form:
         # the signs are +-1, so the products are exact
         self.G = lp.A * self.row_sign[:, None]
         self.g = lp.b * self.row_sign
-        # the costs of [G | I], zero on the slacks
-        self.cost = np.concatenate((self.sense_mult * lp.obj,
-                                    np.zeros(lp.num_rows)))
         # scales of the certificates (``_validate_optimal``)
         self.row_tol = 10 * _CERT_TOL * (1.0 + np.abs(lp.b))
         self.cs_tol = 10 * float(self.row_tol.max(initial=10 * _CERT_TOL))
-        self.peak_obj = _peak(lp.obj)
         self.peak_A = max(lp.A.max(initial=0.0), -lp.A.min(initial=0.0))
 
     def serves(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` has this form: the same row and objective
-        arrays and the same sense."""
+        """Whether ``lp`` has this form: the same row arrays and the same
+        sense."""
         own = self.lp
         return (lp.A is own.A and lp.rel is own.rel and lp.b is own.b
-                and lp.obj is own.obj and lp.sense == own.sense)
+                and lp.sense == own.sense)
 
 
 def _peak(a: np.ndarray) -> float:
@@ -395,44 +407,25 @@ class _Tableau:
     data ``M0`` is ``G`` alone; the identity is implicit.
     """
 
-    def __init__(self, form: _Form, lp: LinearProgram,
-                 start: LpSolution | None = None):
-        G, lower, upper = form.G, lp.lower, lp.upper
+    def __init__(self, form: _Form, lp: LinearProgram):
+        """The cold tableau of ``lp`` at the slack basis, where it is
+        current with no inverse ("Cold start" in the module docstring)."""
+        G = form.G
         nr, nc = G.shape
         self.nc = nc
         ncols = nc + nr
 
         # pristine data, so the tableau can be rebuilt through any basis;
         # the slack block of [G | I] is implicit
-        self.M0, self.g0 = G, form.g
-        self.lo = np.concatenate((lower, np.zeros(nr)))
-        self.up = np.concatenate((upper, np.full(nr, np.inf)))
-        has_up = np.isfinite(upper)
-        self.has_up = bool(has_up.any())
-        # a nonbasic column sits at its lower bound, else its upper one,
-        # else at 0; a start's columns at their upper bound go back there
-        xn = np.where(np.isfinite(lower), lower, np.where(has_up, upper, 0.0))
-        if start is not None:
-            xn = np.where(start._upper & has_up, upper, xn)
-        self.xn = np.concatenate((xn, np.zeros(nr)))
-        self.basis = (nc + np.arange(nr) if start is None
-                      else start.basis.copy())
-        self.xn[self.basis] = 0.0
-        self.rise = (self.xn < self.up).astype(float)
-        self.fall = (self.xn > self.lo).astype(float)
-        self.rise[self.basis] = self.fall[self.basis] = 0.0
-        # whether a nonbasic column may ever fall (at an upper bound, free)
-        self.falls = self.has_up or bool(self.fall.any())
-        self.shifted = False
-        self._basic_bounds()
-        # current at the slack basis; a warm start rebuilds it
+        self.form, self.M0, self.g0 = form, G, form.g
+        self.basis = nc + np.arange(nr)
+        self._place(lp)
         self.rhs = self._rhs0()
         self.scale = 1.0 + _peak(self.rhs)
         self.T = np.empty((nr, ncols))
-        if start is None:
-            self.T[:, :nc] = G
-            self.T[:, nc:] = 0.0
-            self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
+        self.T[:, :nc] = G
+        self.T[:, nc:] = 0.0
+        self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
 
         # pending rank-one factors, one per pivot since T was last current.
         # Past nr factors, reading one row costs more than an eager
@@ -444,12 +437,85 @@ class _Tableau:
         self.k = 0
 
         # costs (zero on slacks) and their reduced row
-        self.cost = form.cost
+        self._costs(lp)
         self.z = self.cost.copy()
 
         self.iterations = 0
+        # the iteration at which T was last rebuilt from the pristine data
+        # (or built there); a resumed tableau carries its start's age
+        self.fresh = 0
         self.bland_after = 5 * ncols
         self.max_iters = max(200 * ncols, 20000)
+
+    def _place(self, lp: LinearProgram,
+               at_up: np.ndarray | None = None) -> None:
+        """Take the bounds of ``lp`` and put each nonbasic column at its
+        lower bound, else its upper one, else at 0; the columns that
+        ``at_up`` marks go to their upper bound where they have one.
+        Nonbasic slacks sit at 0."""
+        lower, upper = lp.lower, lp.upper
+        nr = self.basis.size
+        self.lo = np.concatenate((lower, np.zeros(nr)))
+        self.up = np.concatenate((upper, np.full(nr, np.inf)))
+        has_up = np.isfinite(upper)
+        self.has_up = bool(has_up.any())
+        xn = np.where(np.isfinite(lower), lower, np.where(has_up, upper, 0.0))
+        if at_up is not None:
+            xn = np.where(at_up & has_up, upper, xn)
+        self.xn = xn = np.concatenate((xn, np.zeros(nr)))
+        xn[self.basis] = 0.0
+        self.rise = (xn < self.up).astype(float)
+        self.fall = (xn > self.lo).astype(float)
+        self.rise[self.basis] = self.fall[self.basis] = 0.0
+        # whether a nonbasic column may ever fall (at an upper bound, free)
+        self.falls = self.has_up or bool(self.fall.any())
+        self.shifted = False
+        self._basic_bounds()
+
+    def _costs(self, lp: LinearProgram) -> None:
+        """Take the objective of ``lp``: the costs of ``[G | I]``, zero on
+        the slacks."""
+        self.obj = lp.obj
+        self.cost = np.concatenate((self.form.sense_mult * lp.obj,
+                                    np.zeros(self.basis.size)))
+
+    def resume(self, lp: LinearProgram) -> _Tableau | None:
+        """A copy of this final tableau for ``lp``, an LP on its rows
+        (module docstring, "Warm start"), or None when the copy is neither
+        primal feasible nor dual feasible (up to the slack that the
+        certified optimum of a related LP leaves).  This tableau is left
+        as it is, so several LPs can resume it."""
+        tb = copy.copy(self)
+        nc, k = self.nc, self.k
+        # T, the factors, the basis and the values are the copy's own
+        tb.T = self.T - self.U[:, :k] @ self.V[:k] if k else self.T.copy()
+        tb.U, tb.V, tb.k = np.empty_like(self.U), np.empty_like(self.V), 0
+        tb.basis = self.basis.copy()
+        # a nonbasic column at its upper bound stays there while it has
+        # one, and so does a fixed one whose reduced cost leans on its
+        # upper bound; any other goes where a cold start puts it
+        rise, fall = self.rise[:nc], self.fall[:nc]
+        tb._place(lp, (rise < fall) | ((rise == fall) & (self.z[:nc] < 0.0)))
+        # the columns that moved move the basic values through T
+        move = tb.xn[:nc] - self.xn[:nc]
+        J = np.flatnonzero(move)
+        tb.rhs = self.rhs.copy()
+        if J.size:
+            tb.rhs -= tb.T[:, J] @ move[J]
+            tb.scale = 1.0 + _peak(tb._rhs0())
+        tb._clip(tb.rhs)
+        if lp.obj is self.obj:
+            tb.z = self.z.copy()
+        else:
+            tb._costs(lp)
+            tb.z = tb.cost - tb.cost[tb.basis] @ tb.T
+            tb.z[tb.basis] = 0.0
+        tb.fresh = self.fresh - self.iterations
+        tb.iterations = 0
+        if float(tb._excess(tb.rhs).max(initial=0.0)) <= _FEAS_TOL:
+            return tb
+        slack = 1e-7 * (1.0 + _peak(tb.cost))
+        return tb if float(tb.gain().max(initial=0.0)) <= slack else None
 
     def _rhs0(self) -> np.ndarray:
         """``g - N xn``: what the rows leave to the basic columns.  A
@@ -561,7 +627,7 @@ class _Tableau:
         ``refresh_every`` pivots; whether pricing is still Dantzig's."""
         if self.iterations >= self.max_iters:
             raise LpBreakdownError(f"iteration limit {self.max_iters} reached")
-        if self.iterations and self.iterations % self.refresh_every == 0:
+        if self.iterations - self.fresh >= self.refresh_every:
             self.refresh(primal)
         return self.iterations < self.bland_after
 
@@ -796,6 +862,7 @@ class _Tableau:
         tableau instead.  In the primal phase (``primal``) a basis
         whose values lie clearly outside their bounds is a breakdown;
         the dual phase expects them."""
+        self.fresh = self.iterations
         inv = self._basis_inverse()
         if inv is None:
             self.materialize()
@@ -806,19 +873,6 @@ class _Tableau:
                 raise LpBreakdownError("basis lost primal feasibility")
             np.clip(xb, self.lo_b, self.up_b, out=xb)
         self._rebuild(*inv)
-
-    def start_warm(self) -> bool:
-        """Rebuild the tableau at the start basis.  False when the basis
-        is singular, or neither primal feasible nor dual feasible (up to
-        the slack that the certified optimum of a related LP leaves)."""
-        inv = self._basis_inverse()
-        if inv is None:
-            return False
-        self._rebuild(*inv)
-        if float(self._excess(self.rhs).max(initial=0.0)) <= _FEAS_TOL:
-            return True
-        slack = 1e-7 * (1.0 + _peak(self.cost))
-        return float(self.gain().max(initial=0.0)) <= slack
 
     def _rebuild(self, BN, xb, N, K, rows) -> None:
         """Write ``Binv [M0 | I]`` into T, column blocks straight from
@@ -882,11 +936,12 @@ def solve_lp(lp: LinearProgram,
 
     Optimal solutions come with duals (marginals per original row); each
     status the simplex ends in is certified (module docstring, "Conventions").
-    ``start`` is the optimal solution of an earlier solve, whose basis
-    the solve starts from (module docstring, "Warm start").  A start
-    that is not optimal, or does not fit this LP's ``[G | I]``, raises
-    ValueError; one that is singular, or neither primal nor dual
-    feasible, is ignored.  The solve runs numpy's bundled OpenBLAS on
+    ``start`` is the optimal solution of an earlier solve, whose final
+    tableau the solve resumes when the LP has the start's rows (module
+    docstring, "Warm start").  A start that is not optimal, or does not
+    fit this LP's ``[G | I]``, raises ValueError; one on other rows, or
+    neither primal nor dual feasible, leaves the LP to a cold solve.
+    The solve runs numpy's bundled OpenBLAS on
     one thread and the last solve running gives the caller's thread
     count back (module docstring, "Threads").
     """
@@ -911,27 +966,26 @@ def solve_lp(lp: LinearProgram,
 
 def _solve(lp: LinearProgram, start: LpSolution | None) -> LpSolution:
     """``solve_lp`` on the BLAS thread count it was called with."""
-    if start is not None and (start.status != OPTIMAL or start._form is None):
+    if start is not None and (start.status != OPTIMAL or start._tab is None):
         raise ValueError("start must be an optimal solution of solve_lp")
-    form = (start._form if start is not None and start._form.serves(lp)
-            else _Form(lp))
+    if not np.all(np.isfinite(lp.obj)):
+        raise ValueError("non-finite data in LP")
+    resume = start is not None and start._tab.form.serves(lp)
+    form = start._tab.form if resume else _Form(lp)
     if (lp.lower > lp.upper).any():
         return LpSolution(INFEASIBLE, None, None, None, 0)
 
     nr, nc = form.G.shape
-    tb = None
     if start is not None:
         basis = start.basis
-        if (basis.shape != (nr,) or start._upper.shape != (nc,)
+        if (basis.shape != (nr,) or start.x.shape != (nc,)
                 or (nr and (basis.min() < 0 or basis.max() >= nc + nr))):
             raise ValueError(f"start must hold {nr} column indices "
                              f"below {nc + nr}, from {nc} columns")
-        tb = _Tableau(form, lp, start)
-        if not tb.start_warm():
-            tb = None
-    # a usable start is primal feasible, or dual feasible on the costs;
+    # a resumed start is primal feasible, or dual feasible on the costs;
     # a cold slack basis is dual feasible on the costs if none improves
     # on its column's side, and on zero costs always ("Cold start")
+    tb = start._tab.resume(lp) if resume else None
     phase1 = False
     if tb is None:
         tb = _Tableau(form, lp)
@@ -956,14 +1010,11 @@ def _solve(lp: LinearProgram, start: LpSolution | None) -> LpSolution:
     # duals: rc of slack columns give -d(obj)/d(g_i)
     y = -tb.z[nc:]
     sense = form.sense_mult
-    # a nonbasic column at its upper bound, and a fixed one whose reduced
-    # cost would take it there; a start reads it on nonbasic columns only
-    at_up = (tb.rise[:nc] == 0.0) & ((tb.fall[:nc] > 0.0) | (tb.z[:nc] < 0.0))
     sol = LpSolution(OPTIMAL, x[:nc], sense * form.row_sign * y,
-                     sense * float(form.cost @ x), tb.iterations,
+                     sense * float(tb.cost @ x), tb.iterations,
                      dual_objective=sense * float(
                          y @ form.g + tb.z[:nc] @ tb.xn[:nc]),
-                     basis=tb.basis.copy(), _upper=at_up, _form=form)
+                     basis=tb.basis.copy(), _tab=tb)
     _validate_optimal(lp, form, sol)
     return sol
 
@@ -994,7 +1045,7 @@ def _validate_optimal(lp, form, sol) -> None:
         raise LpBreakdownError("complementary slackness failed")
     # dual feasibility, read as for a min LP: no row dual or reduced
     # cost improves on a side its row or column can move to
-    dtol = 100 * tol * (1.0 + form.peak_obj + form.peak_A * _peak(duals))
+    dtol = 100 * tol * (1.0 + _peak(lp.obj) + form.peak_A * _peak(duals))
     if (form.sense_mult * form.row_sign * duals).max(initial=0.0) > dtol:
         raise LpBreakdownError("a row dual has the wrong sign")
     r = form.sense_mult * (lp.obj - duals @ lp.A)

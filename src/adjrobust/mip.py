@@ -10,21 +10,22 @@ incumbents are the integral node LPs.  Everything is deterministic.
 The root LP is solved cold unless a ``start`` is given, as
 ``solve_lp`` takes it: the cut loop starts each separation MIP's root
 from the previous root's optimal solution (``MipSolution.root_start``),
-whose basis is primal feasible because the MIPs share rows and bounds.
-A binary's [0, 1] and a branch's fixing are bounds of its column, not
-rows, so every node LP has the root's rows.  Every child starts from
-its parent's optimal solution (``solve_lp(child, start=parent)``): it
-differs from the parent only in one column's bounds, which keeps that
-basis, with each nonbasic column on its side, dual feasible, so the LP
-kernel's dual simplex phase re-solves it in a few pivots.  Node LPs are
-made by ``LinearProgram.with_bounds``, so they share the root's arrays
-and the LP kernel solves them all through the root's standard form.
-A child's solve rebuilds its tableau at the parent's basis with one
-s x s inversion, for s basic structural columns.  An open node keeps
-its parent's solution.  Where the parent's LP has alternative optima,
-a warm re-solve can end at another one than a cold solve, so the node
-count can differ from that of a cold search; values agree to the
-tolerances.
+whose tableau is primal feasible because the MIPs share rows and
+bounds.  A binary's [0, 1] and a branch's fixing are bounds of its
+column, not rows, so every node LP has the root's rows.  Every child
+starts from its parent's optimal solution (``solve_lp(child,
+start=parent)``): it differs from the parent only in one column's
+bounds, which keeps that basis, with each nonbasic column on its side,
+dual feasible, so the LP kernel's dual simplex phase re-solves it in a
+few pivots.  Node LPs are made by ``LinearProgram.with_bounds``, so
+they share the root's arrays, and the LP kernel solves them all
+through the root's standard form.  A child's solve resumes a copy of
+its parent's final tableau, with no inversion; the parent's is left
+as it is, so both children resume it.  An open node keeps its parent's
+solution, and with it that tableau.  Where the parent's LP has
+alternative optima, a warm re-solve can end at another one than a cold
+solve, so the node count can differ from that of a cold search; values
+agree to the tolerances.
 ``MipSolution.pivots`` counts the LP pivots of the whole search.
 
 The reported bound never lies below the optimum (up to mip_tol, the
@@ -105,8 +106,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     that many LP relaxations and reports the surviving bound and gap.
     `start` starts the root LP, as `solve_lp` takes it; a MIP with the
     same rows and bounds returns one in `MipSolution.root_start`.  A
-    start of the wrong shape raises ValueError, and one that is singular
-    or unusable leaves the root to a cold solve.
+    start of the wrong shape raises ValueError, and one on other rows or
+    unusable leaves the root to a cold solve.
     """
     lp = prob.lp
     binaries = np.asarray(prob.binary_vars, dtype=np.intp)

@@ -10,7 +10,13 @@ from adjrobust import lp as lp_module
 from adjrobust.adjustable import Digitization, build_separation_mip
 from adjrobust.affine import build_affine_lp, solve_affine
 from adjrobust.bench import BenchConfig, run_benchmark
-from adjrobust.instances import RandomSpec, budget_set, gen_iid, gen_worst_case
+from adjrobust.instances import (
+    Instance,
+    RandomSpec,
+    budget_set,
+    gen_iid,
+    gen_worst_case,
+)
 from adjrobust.lp import (
     _FEAS_TOL,
     GE,
@@ -607,15 +613,28 @@ def _bounded_lp():
                                      [">="], [1.5], upper=[1.0, 1.0])
 
 
-def test_basis_of_a_solution_restarts_without_pivots():
+def _count_forms(monkeypatch):
+    """From now on, record the LP of each standard form built."""
+    forms, init = [], _Form.__init__
+
+    def spy(self, lp):
+        init(self, lp)
+        forms.append(lp)
+
+    monkeypatch.setattr(_Form, "__init__", spy)
+    return forms
+
+
+def test_basis_of_a_solution_restarts_without_pivots(monkeypatch):
     lp = _bounded_lp()
+    forms = _count_forms(monkeypatch)
     sol = solve_lp(lp)
     # one row: the bounds are no rows
     assert sol.basis.shape == (lp.num_rows,) == (1,)
     again = solve_lp(lp, start=sol)
     assert again.status == "optimal" and again.iterations == 0
     # the same LP: solved through the start's standard form
-    assert again._form is sol._form
+    assert forms == [lp]
     np.testing.assert_array_equal(again.basis, sol.basis)
     np.testing.assert_allclose(again.x, sol.x, atol=1e-12)
 
@@ -657,39 +676,52 @@ def test_only_an_optimal_solution_starts():
         solve_lp(lp, start=infeasible)
 
 
-def test_singular_warm_start_gives_the_cold_answer():
+def test_a_start_on_other_rows_gives_the_cold_answer():
+    # a start of the right shape, solved on other rows: the solve is
+    # cold, bit for bit
     lp = small_lp()
-    cold = solve_lp(lp)
-    # one column twice: the basis matrix is singular
-    singular = replace(cold, basis=np.zeros(cold.basis.size, dtype=int))
-    warm = solve_lp(lp, start=singular)
-    assert warm.status == cold.status
+    start = solve_lp(LinearProgram.from_arrays(
+        "max", [1.0, 1.0], [[2.0, 1.0], [1.0, 3.0]], ["<=", "<="],
+        [2.0, 3.0]))
+    warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+    assert warm.status == cold.status == "optimal"
     assert warm.iterations == cold.iterations
+    assert warm.objective == cold.objective
     np.testing.assert_array_equal(warm.x, cold.x)
+    np.testing.assert_array_equal(warm.duals, cold.duals)
     np.testing.assert_array_equal(warm.basis, cold.basis)
+    _assert_certified(lp, warm)
 
 
 def test_start_from_other_rows_builds_its_own_form(monkeypatch):
     # the start was solved on other rows than these (scaled by 2): the
-    # LP is solved through a form of its own, from the start's basis,
-    # which scaling the rows leaves optimal, to a certified optimum
+    # LP is solved cold, through a form of its own, to a certified
+    # optimum
     lp = _dense_lp(monkeypatch)
     parent = solve_lp(lp)
     other = LinearProgram.from_arrays(lp.sense, lp.obj, 2.0 * lp.A, lp.rel,
                                       lp.b)
+    forms = _count_forms(monkeypatch)
     sol = solve_lp(other, start=parent)
-    assert sol._form is not parent._form and sol._form.lp is other
-    assert sol.iterations == 0
+    assert forms == [other]
     cold = solve_lp(other)
     assert sol.status == cold.status == "optimal"
+    assert sol.iterations == cold.iterations > 0
     assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
     _assert_certified(other, sol)
 
 
 def _highs_status(lp):
-    """HiGHS's status and value for ``lp`` (a min LP)."""
+    """HiGHS's status and value for ``lp`` (a min LP).  HiGHS reports
+    status 2, infeasible, for some feasible and unbounded LPs, so its
+    status 2 is checked on the same rows with a zero objective: if that
+    LP is feasible, ``lp`` is unbounded."""
     ref = _highs(lp)
-    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if (status == "infeasible"
+            and _highs(lp.with_objective(np.zeros(lp.num_vars))).status == 0):
+        status = "unbounded"
+    return status, ref.fun
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -823,18 +855,21 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
     # the optimum of an LP with boxed columns starts the LP with one
     # boxed column fixed at the middle of its box, the box tightened
     # around that middle or shifted past the column's value, or its
-    # bounds crossed: the same answer as HiGHS, from the start's basis
-    start_warm, started = _Tableau.start_warm, []
+    # bounds crossed: the same answer as HiGHS, from the start's tableau
+    resume, started = _Tableau.resume, []
 
-    def spy(self):
-        started.append(start_warm(self))
-        return started[-1]
+    def spy(self, lp):
+        tb = resume(self, lp)
+        started.append(tb is not None)
+        return tb
 
-    monkeypatch.setattr(_Tableau, "start_warm", spy)
+    monkeypatch.setattr(_Tableau, "resume", spy)
+    forms = _count_forms(monkeypatch)
     solved = 0
     for seed in range(30):
         lp = _mixed_lp(seed)
         parent = solve_lp(lp)
+        del forms[:]
         boxed = np.isfinite(lp.lower) & np.isfinite(lp.upper)
         boxed &= lp.lower < lp.upper
         if parent.status != "optimal" or not boxed.any():
@@ -862,10 +897,144 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
                                                   abs=1e-12), f"seed {seed}"
         _assert_certified(child, sol)
         # solved through the parent's standard form
-        assert status != "optimal" or sol._form is parent._form
+        assert forms == []
         solved += 1
     assert solved >= (0 if move == "cross" else 5)
     assert started == [True] * solved
+
+
+def _assert_same_bits(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    if a.status == "optimal":
+        assert a.objective == b.objective
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.duals, b.duals)
+        np.testing.assert_array_equal(a.basis, b.basis)
+
+
+def _resume_in_any_order(parent, sibs):
+    """Solve each LP of ``sibs`` from ``parent``, then again in two other
+    orders: the same bits each time, certified, and the parent's point
+    and basis left as they were.  Returns the first solutions."""
+    x, basis = parent.x.copy(), parent.basis.copy()
+    first = [solve_lp(sib, start=parent) for sib in sibs]
+    n = len(sibs)
+    for order in (range(n - 1, -1, -1), [*range(1, n), 0, 1]):
+        for i in order:
+            _assert_same_bits(solve_lp(sibs[i], start=parent), first[i])
+    for sib, sol in zip(sibs, first):
+        _assert_certified(sib, sol)
+    np.testing.assert_array_equal(parent.x, x)
+    np.testing.assert_array_equal(parent.basis, basis)
+    return first
+
+
+def test_siblings_resume_a_parent_that_made_no_pivot():
+    # the parent's optimum is its slack basis, so its tableau holds no
+    # pending factor; each sibling (another objective on two rows) makes
+    # enough pivots to fold a block of factors into its tableau
+    rng = np.random.default_rng(0)
+    lp = LinearProgram.from_arrays("max", -np.ones(8),
+                                   rng.uniform(0.2, 1.0, (2, 8)),
+                                   ["<="] * 2, [1.0, 1.5], upper=np.ones(8))
+    parent = solve_lp(lp)
+    assert parent.status == "optimal" and parent.iterations == 0
+    sibs = [lp.with_objective(rng.uniform(-0.2, 1.0, 8)) for _ in range(6)]
+    first = _resume_in_any_order(parent, sibs)
+    assert sum(sol.iterations >= 4 for sol in first) >= 3
+
+
+def test_siblings_resume_one_parent_in_either_order():
+    # down a branch-and-bound dive of separation LPs, the two children of
+    # a parent (its most fractional bit fixed at 0 and at 1) and an LP
+    # with another objective, all started from the parent: any order
+    # gives the same bits, and the parent is left as it was, so a resume
+    # that wrote into the start's tableau would fail here
+    parents = pivots = 0
+    for seed in range(3):
+        lp, bits = _separation_lp(seed)
+        parent_lp, parent = lp, solve_lp(lp)
+        rng = np.random.default_rng(seed)
+        while parent.status == "optimal":
+            frac = np.abs(parent.x[bits] - np.round(parent.x[bits]))
+            if frac.max() <= 1e-6:
+                break
+            j = bits[int(np.argmax(frac))]
+            sibs = []
+            for v in (0.0, 1.0):
+                lo, up = parent_lp.lower.copy(), parent_lp.upper.copy()
+                lo[j] = up[j] = v
+                sibs.append(parent_lp.with_bounds(lo, up))
+            sibs.append(parent_lp.with_objective(
+                lp.obj * rng.uniform(0.5, 1.5, lp.num_vars)))
+            first = _resume_in_any_order(parent, sibs)
+            pivots += sum(sol.iterations for sol in first)
+            parents += 1
+            # down the child with the better bound
+            parent_lp, parent = max(
+                ((sib, sol) for sib, sol in zip(sibs[:2], first[:2])
+                 if sol.status == "optimal"),
+                key=lambda pair: pair[1].objective, default=(None, first[0]))
+    assert parents >= 20 and pivots >= 6 * parents
+
+
+def _separation_lp(seed=0):
+    """The root LP of an m=3 separation MIP (eps 0.1) and its bits."""
+    rng = np.random.default_rng(seed)
+    inst = Instance(m=3, n=3, c=0.2 * rng.random(3),
+                    A=0.3 * rng.random((3, 3)), B=0.1 + rng.random((3, 3)),
+                    d_bar=1.0, uncertainty=budget_set(3), seed=seed)
+    prob = build_separation_mip(inst, np.zeros(3),
+                                Digitization.from_instance(inst, 0.1))
+    return prob.lp, np.asarray(prob.binary_vars)
+
+
+def test_a_chain_of_warm_re_solves_matches_cold_solves():
+    # each link moves the bounds of a few bits of the separation LP (and
+    # frees those the last link fixed) and starts from the last optimal
+    # link, well past the 128 pivots after which a tableau is rebuilt:
+    # every link is certified and has the value of its cold solve, in
+    # far fewer pivots
+    lp, bits = _separation_lp()
+    rng = np.random.default_rng(1)
+    start = solve_lp(lp)
+    # the pivots of the chain, from the root's cold solve on
+    pivots, links, warm_pivots, cold_pivots = start.iterations, 0, 0, 0
+    while pivots < 300:
+        lo, up = lp.lower.copy(), lp.upper.copy()
+        pick = rng.choice(bits, 3, replace=False)
+        lo[pick] = up[pick] = rng.integers(0, 2, 3)
+        child = lp.with_bounds(lo, up)
+        sol, cold = solve_lp(child, start=start), solve_lp(child)
+        assert sol.status == cold.status
+        _assert_certified(child, sol)
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
+                                                  abs=1e-9)
+            start = sol
+            pivots += sol.iterations
+            warm_pivots += sol.iterations
+            cold_pivots += cold.iterations
+            links += 1
+    assert links >= 10 and warm_pivots < cold_pivots / 2
+
+
+def test_a_start_with_another_objective_matches_the_cold_solve():
+    # the cut loop's case: the next separation MIP's root has the last
+    # root's rows and bounds and another objective
+    lp, _ = _separation_lp()
+    start = solve_lp(lp)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        other = lp.with_objective(lp.obj - np.concatenate(
+            (rng.uniform(0.0, 1.0, 3), np.zeros(lp.num_vars - 3))))
+        assert other.A is lp.A and other.lower is lp.lower
+        sol, cold = solve_lp(other, start=start), solve_lp(other)
+        assert sol.status == cold.status == "optimal"
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
+                                              abs=1e-9)
+        _assert_certified(other, sol)
+        start = sol
 
 
 def test_negative_costs_reach_an_unbounded_ray_after_the_dual_phase(

@@ -68,17 +68,17 @@ def test_no_module_imports_a_private_name_of_another():
 _LP_PRIVATE_IN_TESTS = {
     "_FEAS_TOL": "the eager reference pivot clips basic values with the "
                  "kernel's tolerance",
-    "_Form": "a tableau is built on a form directly, and B&B searches "
-             "count their forms",
+    "_Form": "a tableau is built on a form directly, and B&B searches, "
+             "cut loops and re-solves of the same rows count their forms",
     "_SHIFT": "a shift large enough that unshifting leaves basic values "
               "out of bounds drives the dual phase that restores them",
     "_SHIFT_AFTER": "every primal phase shifts at its first zero step, so "
                     "many LPs take the shifted path",
     "_Tableau": "the phases, the deferred factors and the refinement are "
-                "driven directly, and a phase that stops early is mocked",
+                "driven directly, a phase that stops early is mocked, and "
+                "the resumes of a start are counted",
     "_basis_inverse": "the block inverse is compared with a dense inverse "
                       "and counted when refinement falls back to it",
-    "_form": "a re-solve of the same rows goes through the start's form",
     "_primal": "the primal phase is stopped while its bounds are "
                "shifted, to rebuild the tableau there",
     "_shift": "the shifts are counted, so a test that needs them cannot "
