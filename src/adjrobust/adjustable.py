@@ -253,9 +253,12 @@ def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
 
     The pair's value is recomputed from the returned vectors, so it is
     exact for them even though the MIP search is approximate.  Returns
-    (h, w, value) when value > z_hat + 10*mip_tol.  With ``root``, the
-    separation MIP shares the rows of ``root.prob`` and its root LP
-    starts from ``root.start``; both then hold this separation's.
+    (h, w, value) when value > z_hat + 10*mip_tol.  With a finite z_hat
+    the separation MIP's search prunes every node whose bound does not
+    exceed that threshold, and returns None when no pair does.  With
+    ``root``, the separation MIP shares the rows of ``root.prob`` and its
+    root LP starts from ``root.start``; both then hold this
+    separation's.
     """
     sep_tol = 10.0 * mip_tol
     if inst.uncertainty.is_hrep:
@@ -266,10 +269,14 @@ def separate(inst: Instance, x_hat, z_hat: float, dig: Digitization | None,
             prob = replace(root.prob, lp=root.prob.lp.with_objective(obj))
         else:
             prob = build_separation_mip(inst, x_hat, dig)
+        cutoff = z_hat + sep_tol if math.isfinite(z_hat) else None
         sol = solve_mip(prob, mip_tol=mip_tol, node_limit=None,
-                        start=None if root is None else root.start)
+                        start=None if root is None else root.start,
+                        cutoff=cutoff)
         if root is not None:
             root.prob, root.start = prob, sol.root_start
+        if sol.status == "cutoff":
+            return None
         if sol.status != "optimal":
             raise SeparationError(f"separation MIP came back {sol.status}")
         h, w, value = _recover_pair(inst, x_hat, sol.x, dig)

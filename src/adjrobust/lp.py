@@ -17,15 +17,30 @@ other bound with no change of basis.
 
 A pivot does not rewrite the tableau: it appends one rank-one factor,
 and a column or row is read through the pending factors.  The
-right-hand side and the reduced-cost row are updated on every pivot.
-Every 128 pivots (counted across the solves that resume a tableau;
-"Warm start") the tableau is rebuilt from the pristine data through
-the inverse of the basis matrix and the factors are dropped; a tableau
-with fewer than 128 rows folds its factors into the tableau each time
-it holds one per row.
+right-hand side and the reduced-cost row are updated on every pivot; a
+tableau with fewer than 128 rows folds its factors into the tableau
+each time it holds one per row.  Every 128 pivots (counted across the
+solves that resume a tableau; "Warm start") the tableau is refreshed,
+with no inversion: the factors are folded into it, and the basic values
+and reduced costs are re-derived from the pristine data by one step of
+iterative refinement.  The step takes their residuals (``[G | I] x -
+g`` and the reduced costs of the basic columns) and corrects them
+through the inverse of the basis that the tableau's slack columns
+already hold.  An optimal solve ends with the same step.  Over the 139
+refreshes of the m=10 table (30 seeds), the m=16 worst-case family
+(12 seeds) and the HRep affine LPs at m=20 and m=30 (seed 0), the
+largest residual before the step was 2.1e-9 and after it 3.6e-15, in
+units of the tableau's scale (1 + its largest starting basic value);
+a rebuild through the block inverse at the same refreshes left up to
+4.0e-13.
 
-The inverse is taken block-wise.  Slack column ``nc + i`` is the unit
-column of row i, so a basis with s structural columns is, up to a
+A refresh whose residual before the step or after it exceeds 1e-7 in
+those units (in units of 1 + the largest cost, for the duals) rebuilds
+the whole tableau from the pristine data through the block inverse
+instead, and an optimal solve whose refined residual does takes its
+values and duals from that inverse; none of the measured solves needed
+either.  The inverse is taken block-wise.  Slack column ``nc + i`` is
+the unit column of row i, so a basis with s structural columns is, up to a
 permutation, block lower triangular with an identity in the corner:
 only the s x s block of the structural columns on the rows no basic
 slack covers is inverted, and the rest of the inverse follows from it
@@ -34,12 +49,6 @@ the nr x nr inverse is never assembled.  On slack-heavy bases this is
 much cheaper than a dense inverse: the VRep affine LPs of the
 worst-case family at m=16 have a median of 68 structural basic columns
 among 545.  A basis of slack columns alone is its own inverse.
-
-An optimal solve re-derives its basic values and duals from the
-pristine data with no inversion: one step of iterative refinement,
-whose corrections go through the inverse that the tableau's slack
-columns already hold.  A refined residual above the rebuild's bound
-sends it to the block inverse instead.
 
 Degeneracy
 ----------
@@ -66,9 +75,10 @@ through its column, and the slack bounds are 0 again.  If that leaves
 a basic value outside its bounds, the basis is still dual feasible, so
 the dual phase restores primal feasibility on the current costs and
 the primal phase runs once more, with no shift.  The certificates
-judge the LP's own data, as always.  On the m=10 table the affine LPs
-took 8,725 pivots instead of 10,753; at m=30 (seed 0) 6,378 instead of
-11,342.
+judge the LP's own data, as always.  With refreshes through the block
+inverse, the affine LPs of the m=10 table took 8,725 pivots instead of
+10,753, and the one at m=30 (seed 0) 6,378 instead of 11,342; with the
+refined refreshes they take 8,780 and 5,831.
 
 Cold start
 ----------
@@ -112,15 +122,14 @@ basis inverse) is the Farkas vector.  A copy that is neither, and an
 LP on other rows, is solved cold.  Warm or cold, a solve ends in the
 same certificates.
 
-The start's tableau is never written, so the two children of a node
-can resume their parent in either order.  A resumed tableau counts its
-pivots since the last rebuild from the pristine data across solves,
-and is rebuilt at the same 128, so its drift stays bounded as in one
-long solve.  So a branch-and-bound search builds one standard form
-(``_Form``) for its root, and a cut loop one for all its separation
-MIPs.  An open node holds its parent's tableau: on the m=3 cut loops
-(eps 0.1, mip_tol 0.01, seeds 0-19) that raises the peak resident
-memory from 40 to 56 MB.
+The start's tableau is never written, so the two children of a node can
+resume their parent in either order.  A resumed tableau counts its
+pivots since its last refresh across solves, and is refreshed at the
+same 128, so its drift stays bounded as in one long solve.  So a
+branch-and-bound search builds one standard form (``_Form``) for its
+root, and a cut loop one for all its separation MIPs.  An open node
+holds its parent's tableau: on the m=3 cut loops (eps 0.1, mip_tol 0.01,
+seeds 0-19) that raises the peak resident memory from 40 to 56 MB.
 
 Threads
 -------
@@ -142,7 +151,7 @@ Where numpy has no such library, the thread count is the environment's
 Allocation
 ----------
 A solve allocates and frees arrays of a few MB (the tableau, its factor
-block, the products of a rebuild).  glibc serves a request above its
+block, the products of a refresh).  glibc serves a request above its
 mmap threshold with fresh pages, and raises that threshold as such
 blocks are freed, so whether a solve reuses heap pages or faults in
 new ones depends on the allocation history of the process, down to the
@@ -393,18 +402,18 @@ class _Tableau:
     """Tableau of  min c.x, G x + s = g, lower <= x <= upper, s >= 0  in
     deferred product form.
 
-    The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last
-    rebuilt (or materialized) at some basis, and each pivot since has
-    appended one rank-one factor instead of rewriting ``T``.  The basic
-    values ``rhs`` and the reduced-cost row ``z`` are kept current on
-    every pivot.  Column ``nc + i`` of ``[G | I]`` is the slack of row i,
-    in [0, inf), or in [-shift, inf) while the primal phase has shifted
-    the slack bounds (``shifted``; module docstring, "Degeneracy"), when
-    a nonbasic slack may sit at its shifted bound instead of at 0.
-    ``xn`` holds the nonbasic values (0 on basic columns),
-    and ``rise`` and ``fall`` are 1.0 on the nonbasic columns that may
-    rise and fall, else 0.0: a fixed column does neither.  The pristine
-    data ``M0`` is ``G`` alone; the identity is implicit.
+    The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last made
+    current (materialized or rebuilt) at some basis, and each pivot
+    since has appended one rank-one factor instead of rewriting ``T``.
+    The basic values ``rhs`` and the reduced-cost row ``z`` are kept
+    current on every pivot.  Column ``nc + i`` of ``[G | I]`` is the
+    slack of row i, in [0, inf), or in [-shift, inf) while the primal
+    phase has shifted the slack bounds (``shifted``; module docstring,
+    "Degeneracy"), when a nonbasic slack may sit at its shifted bound
+    instead of at 0. ``xn`` holds the nonbasic values (0 on basic
+    columns), and ``rise`` and ``fall`` are 1.0 on the nonbasic columns
+    that may rise and fall, else 0.0: a fixed column does neither.  The
+    pristine data ``M0`` is ``G`` alone; the identity is implicit.
     """
 
     def __init__(self, form: _Form, lp: LinearProgram):
@@ -441,8 +450,8 @@ class _Tableau:
         self.z = self.cost.copy()
 
         self.iterations = 0
-        # the iteration at which T was last rebuilt from the pristine data
-        # (or built there); a resumed tableau carries its start's age
+        # the iteration of the last refresh (or of the build); a resumed
+        # tableau carries its start's age
         self.fresh = 0
         self.bland_after = 5 * ncols
         self.max_iters = max(200 * ncols, 20000)
@@ -853,26 +862,41 @@ class _Tableau:
         return np.concatenate((self.cost[:self.nc] - y @ self.M0, -y))
 
     def refresh(self, primal: bool = True) -> None:
-        """Rebuild the whole tableau from the pristine data through the
-        current basis and drop the pending factors.  Rank-one updates
+        """Fold the pending factors into T and re-derive the basic values
+        and reduced costs from the pristine data by one step of iterative
+        refinement (``_refined``), with no inversion.  Rank-one updates
         drift; left unchecked the drift can steer the ratio test into a
-        basis that is infeasible in exact arithmetic.  A basis too
-        ill-conditioned to reproduce the right-hand side is left alone
-        (its factors folded into T) so the certificates judge the raw
-        tableau instead.  In the primal phase (``primal``) a basis
-        whose values lie clearly outside their bounds is a breakdown;
-        the dual phase expects them."""
+        basis that is infeasible in exact arithmetic.  A drift before the
+        step or a residual after it above the bound of ``_basis_inverse``
+        rebuilds the whole tableau through the block inverse instead; a
+        basis too ill-conditioned for that is left alone (its factors
+        folded into T) so the certificates judge the raw tableau.  In the
+        primal phase (``primal``) a basis whose values lie clearly
+        outside their bounds is a breakdown; the dual phase expects
+        them."""
         self.fresh = self.iterations
-        inv = self._basis_inverse()
-        if inv is None:
-            self.materialize()
+        self.materialize()
+        refined = self._refined(drift=True)
+        if refined is not None:
+            xb, rc = refined
+            self._hold(xb, primal)
+            self.rhs = xb
+            self.z[:] = rc
             return
+        inv = self._basis_inverse()
+        if inv is not None:
+            self._hold(inv[1], primal)
+            self._rebuild(*inv)
+
+    def _hold(self, xb: np.ndarray, primal: bool) -> None:
+        """Snap re-derived basic values ``xb`` onto their bounds: in the
+        primal phase all of them, after a breakdown check, else those
+        within _FEAS_TOL (``_clip``)."""
         if primal:
-            xb = inv[1]
             if float(self._excess(xb).max(initial=0.0)) > 1e-7 * self.scale:
                 raise LpBreakdownError("basis lost primal feasibility")
             np.clip(xb, self.lo_b, self.up_b, out=xb)
-        self._rebuild(*inv)
+        self._clip(xb)
 
     def _rebuild(self, BN, xb, N, K, rows) -> None:
         """Write ``Binv [M0 | I]`` into T, column blocks straight from
@@ -888,7 +912,6 @@ class _Tableau:
         slack[:, rows] = 0.0
         slack[K, rows] = 1.0
         self.k = 0
-        self._clip(xb)
         self._price(BN, xb, N)
 
     def _price(self, BN, xb, N) -> None:
@@ -900,30 +923,42 @@ class _Tableau:
         self.rhs = xb
         self.z[:] = self._reduced(y)
 
-    def refine_optimal(self) -> None:
-        """Re-derive basic values and reduced costs from the pristine
-        data through the final basis.  Hundreds of pivot updates
-        accumulate enough roundoff to trip the optimality certificates.
-        One step of iterative refinement removes it: the residuals of the
-        basic values (``[M0 | I] x - g0``) and of the duals (the reduced
-        costs of the basic columns) are taken from the pristine data and
-        corrected through the inverse that the slack columns of the
-        tableau hold, read through the pending factors; that inverse is
-        never assembled.  If a refined residual still exceeds the bound
-        of ``_basis_inverse``, the block inverse re-derives them
-        instead."""
+    def _refined(self, drift: bool = False):
+        """Basic values and reduced costs re-derived from the pristine
+        data through the current basis by one step of iterative
+        refinement, or None when a residual after the step exceeds the
+        bound of ``_basis_inverse`` (or, with ``drift``, already did
+        before it).  The residuals of the basic values (``[M0 | I] x -
+        g0``) and of the duals (the reduced costs of the basic columns)
+        are taken from the pristine data and corrected through the
+        inverse that the slack columns of the tableau hold, read through
+        the pending factors; that inverse is never assembled."""
         nc, basis, k = self.nc, self.basis, self.k
         slack, U, V = self.T[:, nc:], self.U[:, :k], self.V[:k, nc:]
+        xtol = 1e-7 * self.scale
+        ztol = 1e-7 * (1.0 + _peak(self.cost))
         r = self._residual(self.rhs)
-        xb = self.rhs - (slack @ r - U @ (V @ r))
         y = -self.z[nc:]
         d = self._reduced(y)[basis]
+        if drift and (_peak(r) > xtol or _peak(d) > ztol):
+            return None
+        xb = self.rhs - (slack @ r - U @ (V @ r))
         y = y + (d @ slack - (d @ U) @ V)
         rc = self._reduced(y)
-        if (_peak(self._residual(xb)) <= 1e-7 * self.scale
-                and _peak(rc[basis]) <= 1e-7 * (1.0 + _peak(self.cost))):
-            self.rhs = xb
-            self.z[:] = rc
+        if _peak(self._residual(xb)) > xtol or _peak(rc[basis]) > ztol:
+            return None
+        return xb, rc
+
+    def refine_optimal(self) -> None:
+        """Re-derive basic values and reduced costs from the pristine
+        data through the final basis (``_refined``).  Hundreds of pivot
+        updates accumulate enough roundoff to trip the optimality
+        certificates; one step of iterative refinement removes it.  If a
+        refined residual still exceeds the bound of ``_basis_inverse``,
+        the block inverse re-derives them instead."""
+        refined = self._refined()
+        if refined is not None:
+            self.rhs, self.z[:] = refined
             return
         inv = self._basis_inverse()
         if inv is not None:

@@ -30,9 +30,13 @@ agree to the tolerances.
 
 The reported bound never lies below the optimum (up to mip_tol, the
 slack at which nodes are pruned).  An exhausted search reports the
-incumbent.  A search cut short by the node limit reports the largest of
-the incumbent, the bound of the node just popped and the top of the
-heap, which between them bound every node left open.
+incumbent.  With a ``cutoff``, a node whose bound is not above it is
+pruned, as is an integral node LP whose value is not, so a search that
+finds no incumbent above the cutoff ends with status ``cutoff``: the
+optimum is at most the cutoff, or the MIP is infeasible.  A search cut
+short by the node limit reports the largest of the incumbent, the bound
+of the node just popped and the top of the heap, which between them
+bound every node left open.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ class MixedBinaryProgram:
 
 @dataclass
 class MipSolution:
-    status: str                      # optimal | node_limit | infeasible | unbounded
+    # optimal | node_limit | infeasible | unbounded | cutoff
+    status: str
     x: np.ndarray | None
     objective: float | None
     bound: float
@@ -97,7 +102,8 @@ def _most_fractional(frac):
 
 def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
               node_limit: int | None = 1_000_000,
-              start: LpSolution | None = None) -> MipSolution:
+              start: LpSolution | None = None,
+              cutoff: float | None = None) -> MipSolution:
     """Solve max/min c.x over the LP's rows with the given columns binary.
 
     `mip_tol` is the absolute optimality gap at which nodes are pruned
@@ -107,7 +113,10 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     `start` starts the root LP, as `solve_lp` takes it; a MIP with the
     same rows and bounds returns one in `MipSolution.root_start`.  A
     start of the wrong shape raises ValueError, and one on other rows or
-    unusable leaves the root to a cold solve.
+    unusable leaves the root to a cold solve.  With `cutoff`, only
+    solutions better than it count: nodes whose bound is not above it
+    (below it, for min) are pruned, and a search with no incumbent
+    better than it returns status "cutoff".
     """
     lp = prob.lp
     binaries = np.asarray(prob.binary_vars, dtype=np.intp)
@@ -121,6 +130,7 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
     nodes = pivots = 0
     incumbent_x = None
     incumbent_val = None          # in sgn-units (larger is better)
+    floor = -np.inf if cutoff is None else sgn * cutoff
     root_start = None
 
     # (-bound, tiebreak, lo, up, the parent's LpSolution)
@@ -137,7 +147,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
 
     while heap:
         negb, _, lo, up, parent = heapq.heappop(heap)
-        if incumbent_val is not None and -negb <= incumbent_val + mip_tol:
+        if -negb <= floor or (incumbent_val is not None
+                              and -negb <= incumbent_val + mip_tol):
             continue
 
         if node_limit is not None and nodes >= node_limit:
@@ -158,7 +169,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
             root_start = sol
         val = sgn * sol.objective
 
-        if incumbent_val is not None and val <= incumbent_val + mip_tol:
+        if val <= floor or (incumbent_val is not None
+                            and val <= incumbent_val + mip_tol):
             continue
 
         frac = _fractionality(sol.x, binaries)
@@ -178,6 +190,8 @@ def solve_mip(prob: MixedBinaryProgram, mip_tol: float = 1e-6,
 
     # exhausted: every open node was solved or pruned against the incumbent
     if incumbent_val is None:
+        if cutoff is not None:
+            return finish("cutoff", floor)
         return finish("infeasible", -np.inf)
     return finish("optimal", incumbent_val)
 

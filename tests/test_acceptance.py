@@ -268,6 +268,23 @@ _SEP_PLAN = [
 ]
 
 
+def _separation_case(m, eps, kind, seed):
+    """One entry of a criterion-8 plan: the instance, x_hat, the
+    digitization and the MIP tolerance eps / 4."""
+    if kind == "mixed":
+        # these exercise the -(A x_hat)^T w objective term
+        rng = np.random.default_rng(seed)
+        inst = Instance(m=m, n=m, c=np.zeros(m),
+                        A=0.3 * rng.random((m, m)),
+                        B=0.1 + rng.random((m, m)), d_bar=1.0,
+                        uncertainty=budget_set(m), seed=None)
+        x_hat = 0.3 * rng.random(m)
+    else:
+        inst = gen_iid(m, m, RandomSpec("uniform"), seed=seed)
+        x_hat = np.zeros(m)
+    return inst, x_hat, Digitization.from_instance(inst, eps), eps / 4
+
+
 def _separation_slacks(plan):
     """Worst (value - (true + mip_tol)) and ((true - (eps_total +
     mip_tol)) - value) over the plan's separation MIPs, where true is the
@@ -276,19 +293,7 @@ def _separation_slacks(plan):
     worst_under = -float("inf")
     nodes = 0
     for m, eps, kind, seed in plan:
-        if kind == "mixed":
-            # these exercise the -(A x_hat)^T w objective term
-            rng = np.random.default_rng(seed)
-            inst = Instance(m=m, n=m, c=np.zeros(m),
-                            A=0.3 * rng.random((m, m)),
-                            B=0.1 + rng.random((m, m)), d_bar=1.0,
-                            uncertainty=budget_set(m), seed=None)
-            x_hat = 0.3 * rng.random(m)
-        else:
-            inst = gen_iid(m, m, RandomSpec("uniform"), seed=seed)
-            x_hat = np.zeros(m)
-        dig = Digitization.from_instance(inst, eps)
-        tol = eps / 4
+        inst, x_hat, dig, tol = _separation_case(m, eps, kind, seed)
         sol = solve_mip(build_separation_mip(inst, x_hat, dig), mip_tol=tol)
         assert sol.status == "optimal"
         nodes = max(nodes, sol.nodes)
@@ -331,6 +336,29 @@ def test_criterion_8_on_unpicked_seeds(capsys):
             f"<= 1e-9, largest tree {nodes} nodes, {elapsed:.1f}s")
     assert worst_over <= 1e-9
     assert worst_under <= 1e-9
+
+
+def test_criterion_8_cutoff_keeps_the_results():
+    # a cutoff below the optimum, as the cut loop's threshold is when a
+    # cut is found, leaves the search as it was; one above the optimum
+    # prunes every node that could beat it, so the search ends with no
+    # incumbent and no more nodes, fewer on some MIPs
+    fewer = 0
+    for m, eps, kind, seed in _SEP_PLAN:
+        inst, x_hat, dig, tol = _separation_case(m, eps, kind, seed)
+        prob = build_separation_mip(inst, x_hat, dig)
+        ref = solve_mip(prob, mip_tol=tol)
+        below = solve_mip(prob, mip_tol=tol, cutoff=ref.objective - 10 * tol)
+        assert (below.status, below.objective) == ("optimal", ref.objective)
+        np.testing.assert_array_equal(below.x, ref.x)
+        assert below.nodes == ref.nodes
+        # the optimum is within tol of the incumbent
+        above = solve_mip(prob, mip_tol=tol, cutoff=ref.objective + tol)
+        assert above.status == "cutoff"
+        assert above.x is None and above.objective is None
+        assert above.nodes <= ref.nodes
+        fewer += ref.nodes - above.nodes
+    assert fewer > 0
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,32 @@ def test_warm_separation_roots_stay_in_the_oracle_bracket(m, seeds, eps,
     assert sum(warm) == len(warm) - len(seeds) > 0
 
 
+@pytest.mark.parametrize("m,seeds,eps,mip_tol", [(2, range(20), 0.5, 0.05),
+                                                  (3, range(5), 0.1, 0.01)])
+def test_separation_cutoff_keeps_the_cut_loops(m, seeds, eps, mip_tol,
+                                               monkeypatch):
+    # past the first separation, the MIP prunes against the loop's
+    # threshold z_hat + sep_tol: the loops end with the same values and
+    # cuts, in fewer nodes
+    nodes = {}
+
+    def run(prune):
+        def search(prob, cutoff=None, **kw):
+            sol = solve_mip(prob, cutoff=cutoff if prune else None, **kw)
+            nodes[prune] = nodes.get(prune, 0) + sol.nodes
+            return sol
+
+        monkeypatch.setattr(adjustable, "solve_mip", search)
+        return [solve_adjustable(mixed_instance(m, m, seed), eps=eps,
+                                 mip_tol=mip_tol) for seed in seeds]
+
+    for a, b in zip(run(False), run(True)):
+        assert (b.status, b.iterations, b.z_ar) == (a.status, a.iterations,
+                                                    a.z_ar)
+        assert [c.value for c in b.cuts] == [c.value for c in a.cuts]
+    assert nodes[True] < nodes[False]
+
+
 def test_adjustable_hrep_digitized_loop():
     # full loop with MIP separation, coarse digitization
     inst = mixed_instance(3, 3, seed=42)

@@ -9,7 +9,8 @@ from adjrobust import adjustable
 from adjrobust import lp as lp_module
 from adjrobust.adjustable import Digitization, build_separation_mip
 from adjrobust.affine import build_affine_lp, solve_affine
-from adjrobust.bench import BenchConfig, run_benchmark
+from adjrobust.bench import (BenchConfig, generate_bench_instance,
+                             run_benchmark)
 from adjrobust.instances import (
     Instance,
     RandomSpec,
@@ -432,18 +433,14 @@ def _dual_costs(tb):
     return tb.z if tb.gain().max() <= 0.0 else np.zeros_like(tb.z)
 
 
-@pytest.mark.parametrize("make_lp,block", [(_oracle_lp, 4),
-                                           (_large_dense_lp, 4),
-                                           (_dense_lp, 1)])
-def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
+def _assert_eager_pivots(tb, block, monkeypatch):
+    """Run both phases of ``tb`` and check every pivot against one eager
+    update of the dense tableau.  A small factor block, so that pivots
+    also fold full blocks into T."""
     # every column of these LPs sits at its lower bound 0, so the basic
     # values are the right-hand side of the eager tableau
-    tb = _tableau(make_lp(monkeypatch))
     assert (tb.rhs < 0).any()
-    # a small factor block, so that pivots also fold full blocks into T;
-    # without refreshes only those folds make T current
     tb.U, tb.V = tb.U[:, :block], tb.V[:block]
-    monkeypatch.setattr(_Tableau, "refresh", lambda self, primal=True: None)
     ref = np.column_stack([tb.T, tb.rhs])
     pivot = _Tableau.pivot
     folds = []
@@ -466,6 +463,38 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     assert tb.k == 0
     np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
     np.testing.assert_allclose(tb.rhs, ref[:, -1], atol=1e-12)
+
+
+_EAGER_CASES = [(_oracle_lp, 4), (_large_dense_lp, 4), (_dense_lp, 1)]
+
+
+@pytest.mark.parametrize("make_lp,block", _EAGER_CASES)
+def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
+    # without refreshes only the folds of full blocks make T current
+    tb = _tableau(make_lp(monkeypatch))
+    monkeypatch.setattr(_Tableau, "refresh", lambda self, primal=True: None)
+    _assert_eager_pivots(tb, block, monkeypatch)
+
+
+@pytest.mark.parametrize("make_lp,block", _EAGER_CASES)
+def test_refreshed_pivots_match_eager_update(make_lp, block, monkeypatch):
+    # a refresh after every two folds: it folds the factors into T and
+    # refines the basic values and reduced costs, and T stays the eager
+    # tableau, with no inversion
+    tb = _tableau(make_lp(monkeypatch))
+    tb.refresh_every = 2 * block + 1
+    refresh, refreshes, inverses = _Tableau.refresh, [], []
+
+    def counted(self, primal=True):
+        refreshes.append(self.iterations)
+        refresh(self, primal)
+
+    monkeypatch.setattr(_Tableau, "refresh", counted)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inverses.append(a.shape) or inv(a))
+    _assert_eager_pivots(tb, block, monkeypatch)
+    assert refreshes and not inverses
 
 
 def _tableau(lp):
@@ -992,7 +1021,7 @@ def _separation_lp(seed=0):
 def test_a_chain_of_warm_re_solves_matches_cold_solves():
     # each link moves the bounds of a few bits of the separation LP (and
     # frees those the last link fixed) and starts from the last optimal
-    # link, well past the 128 pivots after which a tableau is rebuilt:
+    # link, well past the 128 pivots after which a tableau is refreshed:
     # every link is certified and has the value of its cold solve, in
     # far fewer pivots
     lp, bits = _separation_lp()
@@ -1172,14 +1201,16 @@ def test_a_refresh_keeps_the_slacks_at_their_shifted_bounds(monkeypatch):
     # 100 pivots into the primal phase of the m=10 affine LP, shifted at
     # its first zero step, some nonbasic slacks sit at their shifted
     # bounds: the rows leave the basic columns g - N xn with those
-    # values, so a rebuild from the pristine data reproduces the basic
-    # values the pivots kept
+    # values, so a refresh from the pristine data, and the block inverse
+    # it falls back to, reproduce the basic values the pivots kept
     monkeypatch.setattr(lp_module, "_SHIFT_AFTER", 0)
     tb = _tableau(build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)))
     assert tb.run_dual(np.zeros_like(tb.z)) == "optimal"
     _pivot_up_to(tb, lambda: tb._primal(shift=True), 100)
     assert tb.shifted and (tb.xn[tb.nc:] < 0.0).any()
     before = tb.rhs.copy()
+    np.testing.assert_allclose(tb._basis_inverse()[1], before, rtol=0,
+                               atol=1e-10)
     tb.refresh()
     np.testing.assert_allclose(tb.rhs, before, rtol=0, atol=1e-10)
 
@@ -1195,47 +1226,72 @@ def test_the_m10_affine_lp_solves_the_same_twice():
 
 
 def _spy_refinement(monkeypatch):
-    """From now on, check every ``refine_optimal``: it must not call
-    ``np.linalg.inv``, and its objective must match the block inversion
-    of the same basis to 1e-12 relative.  Returns the list of checked
-    objectives."""
-    inverses, checked = [], []
+    """From now on, check every ``refine_optimal``: its objective must
+    match the block inversion of the same basis to 1e-12 relative; and
+    count the refreshes and every ``np.linalg.inv`` but the one that
+    check makes.  Returns the checked objectives, the refreshes and the
+    shapes of the inverted blocks."""
+    inverses, checked, refreshes = [], [], []
     inv, refine = np.linalg.inv, _Tableau.refine_optimal
+    refresh = _Tableau.refresh
 
     def counted_inv(a):
         inverses.append(a.shape)
         return inv(a)
 
     def spy(self):
-        before = len(inverses)
         refine(self)
-        assert len(inverses) == before
         got = float(self.cost @ self._values(self.rhs))
+        before = len(inverses)
         want = float(self.cost @ self._values(self._basis_inverse()[1]))
+        del inverses[before:]
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
         checked.append(want)
 
+    def counted_refresh(self, primal=True):
+        refreshes.append(self.iterations)
+        refresh(self, primal)
+
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(_Tableau, "refine_optimal", spy)
-    return checked
+    monkeypatch.setattr(_Tableau, "refresh", counted_refresh)
+    return checked, refreshes, inverses
 
 
 def test_refinement_matches_the_inversion_on_the_worst_case_family(
         monkeypatch):
-    checked = _spy_refinement(monkeypatch)
+    # the refreshes fold the factors and refine, and no solve inverts
+    checked, refreshes, inverses = _spy_refinement(monkeypatch)
     for seed in range(12):
         inst = gen_worst_case(16, randomized=True, seed=seed)
         solve_affine(inst)
         adjustable.solve_adjustable_vertex_oracle(inst)
     assert len(checked) == 24
+    assert len(refreshes) >= 12
+    assert inverses == []
 
 
 def test_refinement_matches_the_inversion_on_the_m10_table(monkeypatch):
-    checked = _spy_refinement(monkeypatch)
+    checked, refreshes, inverses = _spy_refinement(monkeypatch)
     rows, _ = run_benchmark(BenchConfig(kind="uniform", m_list=[10],
                                         count=30, seed_base=0))
     assert [r.status for r in rows] == ["ok"] * 30
     assert len(checked) > 300
+    assert len(refreshes) >= 30
+    assert inverses == []
+
+
+def test_the_m20_affine_lp_refreshes_with_no_inversion(monkeypatch):
+    # 861 rows and 1,302 columns: ten refreshes or more, none of them
+    # inverts, and the value is HiGHS's
+    lp = build_affine_lp(generate_bench_instance("uniform", 20, 20, 0))
+    checked, refreshes, inverses = _spy_refinement(monkeypatch)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal" and len(checked) == 1
+    assert len(refreshes) >= 10
+    assert inverses == []
+    assert lp.sense == "min"
+    assert sol.objective == pytest.approx(_highs(lp).fun, rel=1e-7)
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -1267,6 +1323,45 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert inversions == [int(corrupt)]
+    assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
+    np.testing.assert_allclose(sol.x, clean.x, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sol.duals, clean.duals, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("drift,corrupt", [(1e-9, False), (1e-9, True),
+                                           (1e-5, False)])
+def test_a_refresh_falls_back_to_the_inversion(drift, corrupt, monkeypatch):
+    # drift the basic values before the first refresh.  Within the bound,
+    # refinement through the slack block removes the drift with no
+    # inversion.  A slack block corrupted as well amplifies the drift
+    # past the bound, and a drift past it is not refined at all: either
+    # way the refresh rebuilds the tableau through the block inverse,
+    # which also replaces the corrupted block
+    lp = _oracle_lp(monkeypatch, m=16)
+    clean = solve_lp(lp)
+    falls_back = corrupt or drift > 1e-7
+    refresh, basis_inverse = _Tableau.refresh, _Tableau._basis_inverse
+    calls, inversions = [], []
+
+    def drifted(self, primal=True):
+        if not inversions:
+            self.rhs = self.rhs + drift * self.scale
+            if corrupt:
+                self.T[:, self.nc:] *= 1e3
+        before = len(calls)
+        refresh(self, primal)
+        inversions.append(len(calls) - before)
+
+    def spy_inverse(self):
+        calls.append(None)
+        return basis_inverse(self)
+
+    monkeypatch.setattr(_Tableau, "refresh", drifted)
+    monkeypatch.setattr(_Tableau, "_basis_inverse", spy_inverse)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert len(inversions) >= 2
+    assert inversions == [int(falls_back)] + [0] * (len(inversions) - 1)
     assert sol.objective == pytest.approx(clean.objective, rel=1e-12)
     np.testing.assert_allclose(sol.x, clean.x, rtol=0, atol=1e-10)
     np.testing.assert_allclose(sol.duals, clean.duals, rtol=0, atol=1e-10)

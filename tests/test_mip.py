@@ -91,14 +91,50 @@ def test_unbounded_mip():
     assert sol.status == "unbounded"
 
 
-def test_node_limit_reports_honest_bound():
+def _ten_item_knapsack(sense="max"):
+    """A knapsack of 10 items that branches; under min its objective is
+    negated."""
     rng = SplitMix64(5)
     k = 10
     w = np.array([1 + rng.next_float() * 9 for _ in range(k)])
     p = np.array([1 + rng.next_float() * 9 for _ in range(k)])
-    lp = LinearProgram.from_arrays("max", p, w.reshape(1, -1), ["<="],
+    s = 1.0 if sense == "max" else -1.0
+    lp = LinearProgram.from_arrays(sense, s * p, w.reshape(1, -1), ["<="],
                                    [0.4 * w.sum()])
-    prob = MixedBinaryProgram(lp, range(k))
+    return MixedBinaryProgram(lp, range(k))
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_a_cutoff_counts_only_better_solutions(sense):
+    # a cutoff short of the optimum changes nothing; one at it leaves no
+    # solution that beats it, and one past it prunes more nodes
+    prob = _ten_item_knapsack(sense)
+    ref = solve_mip(prob)
+    assert ref.status == "optimal" and ref.nodes > 3
+    s = 1.0 if sense == "max" else -1.0
+    below = solve_mip(prob, cutoff=ref.objective - s * 0.5)
+    assert (below.status, below.nodes) == ("optimal", ref.nodes)
+    assert below.objective == ref.objective
+    np.testing.assert_array_equal(below.x, ref.x)
+    at = solve_mip(prob, cutoff=ref.objective)
+    assert at.status == "cutoff"
+    assert at.x is None and at.objective is None
+    assert at.bound == ref.objective and at.nodes <= ref.nodes
+    above = solve_mip(prob, cutoff=ref.objective + s * 0.5)
+    assert above.status == "cutoff" and above.nodes < at.nodes
+
+
+def test_a_cutoff_on_an_infeasible_mip_reports_the_cutoff():
+    # with a cutoff, no incumbent does not tell infeasible from cut off
+    lp = LinearProgram.from_arrays(
+        "max", [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [">=", "<="], [2.0, 1.0]
+    )
+    sol = solve_mip(MixedBinaryProgram(lp, (0, 1)), cutoff=0.0)
+    assert sol.status == "cutoff" and sol.x is None
+
+
+def test_node_limit_reports_honest_bound():
+    prob = _ten_item_knapsack()
     full = solve_mip(prob)
     cut = solve_mip(prob, node_limit=3)
     assert cut.status == "node_limit"
@@ -236,7 +272,7 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
 
 def test_dual_phase_refreshes_keep_the_search(monkeypatch):
     plain = [solve_mip(prob) for _, _, prob in _fuzz_mips()]
-    # rebuild the tableau every 2 pivots, inside the dual phase too
+    # refresh the tableau every 2 pivots, inside the dual phase too
     init, refresh = _Tableau.__init__, _Tableau.refresh
     dual_refreshes = []
 

@@ -78,9 +78,10 @@ _LP_PRIVATE_IN_TESTS = {
                 "driven directly, a phase that stops early is mocked, and "
                 "the resumes of a start are counted",
     "_basis_inverse": "the block inverse is compared with a dense inverse "
-                      "and counted when refinement falls back to it",
+                      "and counted when refinement or a refresh falls "
+                      "back to it",
     "_primal": "the primal phase is stopped while its bounds are "
-               "shifted, to rebuild the tableau there",
+               "shifted, to refresh the tableau there",
     "_shift": "the shifts are counted, so a test that needs them cannot "
               "pass without them",
     "_values": "the refined objective is compared with the block "
