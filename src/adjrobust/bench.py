@@ -47,8 +47,14 @@ class BenchConfig:
                 raise ValueError("n_list length must match m_list")
             object.__setattr__(self, "n_list",
                                tuple(int(n) for n in self.n_list))
+        if min(self.m_list, default=1) < 1:
+            raise ValueError("every m must be >= 1")
+        if min(self.n_list or (1,)) < 1:
+            raise ValueError("every n must be >= 1")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
+            raise ValueError("time_limit_s must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.jobs < 1:

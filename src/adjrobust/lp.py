@@ -15,47 +15,37 @@ basic variable index, the tie-break Bland's termination argument needs.
 An entering column whose bounds are closer than the step flips to its
 other bound with no change of basis.
 
-A pivot does not rewrite the tableau: it appends one rank-one factor,
-and a column or row is read through the pending factors.  The
-right-hand side and the reduced-cost row are updated on every pivot; a
-tableau with fewer than 128 rows folds its factors into the tableau
-each time it holds one per row.  Every 128 pivots (counted across the
-solves that resume a tableau; "Warm start") the tableau is refreshed,
-with no inversion: the factors are folded into it, and the basic values
-and reduced costs are re-derived from the pristine data by one step of
-iterative refinement.  The step takes their residuals (``[G | I] x -
-g`` and the reduced costs of the basic columns) and corrects them
-through the inverse of the basis that the tableau's slack columns
-already hold.  An optimal solve ends with the same step.  Over the 139
-refreshes of the m=10 table (30 seeds), the m=16 worst-case family
-(12 seeds) and the HRep affine LPs at m=20 and m=30 (seed 0), the
-largest residual before the step was 2.1e-9 and after it 3.6e-15, in
-units of the tableau's scale (1 + its largest starting basic value);
-a rebuild through the block inverse at the same refreshes left up to
-4.0e-13.
+The tableau's storage (``_Store``) keeps it in deferred product form:
+a pivot does not rewrite the tableau but appends one rank-one factor,
+and a column or row is read through the pending factors.  The simplex
+(``_Tableau``) reaches the storage through these reads and a few
+products only.  The right-hand side and the reduced-cost row are
+updated on every pivot; a tableau with fewer than 128 rows folds its
+factors into the tableau each time it holds one per row.  Every 128
+pivots (counted across the solves that resume a tableau; "Warm start")
+the tableau is refreshed, with no inversion: the factors are folded
+into it, and the basic values and reduced costs are re-derived from the
+pristine data by one step of iterative refinement.  The step takes
+their residuals (``[G | I] x - g`` and the reduced costs of the basic
+columns) and corrects them through the inverse of the basis that the
+tableau's slack columns already hold.  An optimal solve ends with the
+same step.
 
 A refresh whose residual before the step or after it exceeds 1e-7 in
-those units (in units of 1 + the largest cost, for the duals) rebuilds
-the whole tableau from the pristine data through the block inverse
-instead, and an optimal solve whose refined residual does takes its
-values and duals from that inverse; none of the measured solves needed
-either.  The inverse is taken block-wise.  Slack column ``nc + i`` is
-the unit column of row i, so a basis with s structural columns is, up to a
-permutation, block lower triangular with an identity in the corner:
-only the s x s block of the structural columns on the rows no basic
-slack covers is inverted, and the rest of the inverse follows from it
-with one product.  Its columns are written straight into the tableau;
-the nr x nr inverse is never assembled.  On slack-heavy bases this is
-much cheaper than a dense inverse: the VRep affine LPs of the
-worst-case family at m=16 have a median of 68 structural basic columns
-among 545.  A basis of slack columns alone is its own inverse.
+units of the tableau's scale (1 + its largest starting basic value; 1 +
+the largest cost, for the duals), and an optimal solve whose refined
+residual does, rebuild the whole tableau from the pristine data
+instead: the basis columns of ``[G | I]`` are inverted densely, and the
+tableau, the basic values and the reduced costs are taken from that
+inverse.  A singular basis, or one whose values miss the right-hand
+side by more than the same bound, leaves the tableau as it is, and the
+certificates judge it.
 
 Degeneracy
 ----------
 The HRep affine LPs are highly degenerate: many basic values sit at
 their bounds, and a pivot whose ratio test stops at such a row makes a
-zero step.  On the 30 affine LPs of the m=10 table, 4,747 of 10,753
-pivots did.  So once the primal phase has made more than 5 zero-step
+zero step.  So once the primal phase has made more than 5 zero-step
 pivots in a row, it shifts the lower bound of every slack from 0 down
 to ``-1e-7 (1 + frac(j * golden ratio))`` for the slack of row j
 (counted from 1): a basic slack at 0 then has room to move, and a slack
@@ -75,10 +65,7 @@ through its column, and the slack bounds are 0 again.  If that leaves
 a basic value outside its bounds, the basis is still dual feasible, so
 the dual phase restores primal feasibility on the current costs and
 the primal phase runs once more, with no shift.  The certificates
-judge the LP's own data, as always.  With refreshes through the block
-inverse, the affine LPs of the m=10 table took 8,725 pivots instead of
-10,753, and the one at m=30 (seed 0) 6,378 instead of 11,342; with the
-refined refreshes they take 8,780 and 5,831.
+judge the LP's own data, as always.
 
 Cold start
 ----------
@@ -128,17 +115,15 @@ pivots since its last refresh across solves, and is refreshed at the
 same 128, so its drift stays bounded as in one long solve.  So a
 branch-and-bound search builds one standard form (``_Form``) for its
 root, and a cut loop one for all its separation MIPs.  An open node
-holds its parent's tableau: on the m=3 cut loops (eps 0.1, mip_tol 0.01,
-seeds 0-19) that raises the peak resident memory from 40 to 56 MB.
+holds its parent's tableau.
 
 Threads
 -------
 A threaded BLAS product sums in another order than a single-threaded
 one, which moves the last bits of the tableau and with them the ties
-the simplex sees.  Before the bound shift, the HRep affine LP at m=20
-(seed 0) took 3,634 pivots on one OpenBLAS thread and 3,910 on two, to
-the same value, and two threads were no faster (2.0-2.6 s wall against
-2.0-2.2 s, at twice the CPU time).  So ``solve_lp`` runs numpy's
+the simplex sees, so a pivot count would depend on the thread count,
+and on the HRep affine LPs two threads were no faster than one.  So
+``solve_lp`` runs numpy's
 bundled OpenBLAS (``scipy_openblas``) on one thread and sets the
 caller's thread count back when it returns: a pivot count means the
 same in every process, and the rest of the process keeps its threads.
@@ -155,15 +140,11 @@ block, the products of a refresh).  glibc serves a request above its
 mmap threshold with fresh pages, and raises that threshold as such
 blocks are freed, so whether a solve reuses heap pages or faults in
 new ones depends on the allocation history of the process, down to the
-size of its environment.  On the 12 worst-case instances at m=16 a
-pass of affine LPs and vertex oracles took about 61k minor page faults
-in one layout and a few thousand in another, and its affine LPs about
-0.012 against 0.008 s.  Importing this module fixes the mmap threshold
-at 32 MiB, glibc's ceiling for its dynamic value, and the trim
-threshold at 64 MiB, so that freed blocks stay in the heap for the next
-solve: a repeated pass then faults no page.  Either setting alone left
-about 10k faults per instance.  Where the C library has no ``mallopt``
-the import changes nothing.
+size of its environment.  Importing this module fixes the mmap
+threshold at 32 MiB, glibc's ceiling for its dynamic value, and the
+trim threshold at 64 MiB, so that freed blocks stay in the heap for the
+next solve: a repeated pass then faults no page.  Where the C library
+has no ``mallopt`` the import changes nothing.
 
 Conventions
 -----------
@@ -190,7 +171,6 @@ Conventions
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import threading
 from dataclasses import dataclass, field
@@ -398,13 +378,119 @@ def _peak(a: np.ndarray) -> float:
 # simplex core on  min c.x, G x + s = g, lower <= x <= upper, s >= 0
 # ---------------------------------------------------------------------------
 
-class _Tableau:
-    """Tableau of  min c.x, G x + s = g, lower <= x <= upper, s >= 0  in
-    deferred product form.
+class _Store:
+    """A tableau of ``[G | I]`` in deferred product form: the current
+    tableau is ``T - U[:, :k] @ V[:k]``.  ``T`` was last made current
+    (folded or rebuilt) at some basis, and each pivot since has appended
+    one rank-one factor instead of rewriting it.  Past one factor per
+    row, reading one row costs more than an eager update of the whole
+    tableau, so the block holds at most that many, and a full block is
+    folded into ``T``.  The slack columns of the current tableau are the
+    inverse of its basis."""
 
-    The current tableau is ``T - U[:, :k] @ V[:k]``: ``T`` was last made
-    current (materialized or rebuilt) at some basis, and each pivot
-    since has appended one rank-one factor instead of rewriting ``T``.
+    def __init__(self, T: np.ndarray, block: int):
+        self.T = T
+        self.U = np.empty((T.shape[0], block))
+        self.V = np.empty((block, T.shape[1]))
+        self.k = 0
+
+    @classmethod
+    def slack_basis(cls, G: np.ndarray, block: int) -> _Store:
+        """``[G | I]``, the tableau of the slack basis."""
+        nr, nc = G.shape
+        T = np.empty((nr, nc + nr))
+        T[:, :nc] = G
+        T[:, nc:] = 0.0
+        T[np.arange(nr), nc + np.arange(nr)] = 1.0
+        return cls(T, block)
+
+    def copy(self) -> _Store:
+        """A copy with the pending factors folded in; this store is left
+        as it is."""
+        k = self.k
+        T = self.T - self.U[:, :k] @ self.V[:k] if k else self.T.copy()
+        return _Store(T, self.V.shape[0])
+
+    def column(self, q: int) -> np.ndarray:
+        k = self.k
+        if k == 0:
+            return self.T[:, q].copy()
+        return self.T[:, q] - self.U[:, :k] @ self.V[:k, q]
+
+    def row(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Row p of the current tableau, written to ``out`` if given; that
+        may be the next factor slot ``V[k]``, as the read takes ``V[:k]``."""
+        k = self.k
+        if out is None:
+            out = np.empty_like(self.T[p])
+        if k == 0:
+            out[:] = self.T[p]
+        else:
+            np.matmul(self.U[p, :k], self.V[:k], out=out)
+            np.subtract(self.T[p], out, out=out)
+        return out
+
+    def dot(self, J, x: np.ndarray) -> np.ndarray:
+        """Columns ``J`` of the current tableau times ``x``."""
+        k = self.k
+        if k == 0:
+            return self.T[:, J] @ x
+        return self.T[:, J] @ x - self.U[:, :k] @ (self.V[:k, J] @ x)
+
+    def rdot(self, y: np.ndarray) -> np.ndarray:
+        """``y`` times the current tableau."""
+        k = self.k
+        if k == 0:
+            return y @ self.T
+        return y @ self.T - (y @ self.U[:, :k]) @ self.V[:k]
+
+    def solve(self, r: np.ndarray, d: np.ndarray):
+        """``Binv r`` and ``d Binv`` for the inverse ``Binv`` of the basis,
+        which the slack columns of the current tableau hold."""
+        k, nc = self.k, self.T.shape[1] - self.T.shape[0]
+        slack, U, V = self.T[:, nc:], self.U[:, :k], self.V[:k, nc:]
+        return slack @ r - U @ (V @ r), d @ slack - (d @ U) @ V
+
+    def fold(self) -> None:
+        """Fold the pending factors into T."""
+        k = self.k
+        if k:
+            self.T -= self.U[:, :k] @ self.V[:k]
+            self.k = 0
+
+    def append(self, p: int, q: int, col: np.ndarray,
+               row: np.ndarray | None = None) -> np.ndarray:
+        """Append the factor of a pivot on (p, q), after folding a full
+        block: ``T - u v^T`` turns column q into e_p and scales row p by
+        1/col[p].  ``col`` is column q and ``row`` row p of the current
+        tableau, read here if not given.  Returns ``v``, the new row p."""
+        if self.k == self.V.shape[0]:
+            self.fold()
+        k = self.k
+        v = self.V[k]
+        if row is None:
+            row = self.row(p, out=v)
+        np.divide(row, col[p], out=v)
+        v[q] = 1.0
+        u = self.U[:, k]
+        u[:] = col
+        u[p] -= 1.0
+        self.k = k + 1
+        return v
+
+    def rebuild(self, Binv: np.ndarray, M0: np.ndarray) -> None:
+        """Make T current at the basis whose inverse is ``Binv``:
+        ``Binv [M0 | I]``."""
+        nc = M0.shape[1]
+        np.matmul(Binv, M0, out=self.T[:, :nc])
+        self.T[:, nc:] = Binv
+        self.k = 0
+
+
+class _Tableau:
+    """The simplex on  min c.x, G x + s = g, lower <= x <= upper, s >= 0,
+    over a tableau of ``[G | I]`` held in ``store`` (a ``_Store``).
+
     The basic values ``rhs`` and the reduced-cost row ``z`` are kept
     current on every pivot.  Column ``nc + i`` of ``[G | I]`` is the
     slack of row i, in [0, inf), or in [-shift, inf) while the primal
@@ -431,19 +517,8 @@ class _Tableau:
         self._place(lp)
         self.rhs = self._rhs0()
         self.scale = 1.0 + _peak(self.rhs)
-        self.T = np.empty((nr, ncols))
-        self.T[:, :nc] = G
-        self.T[:, nc:] = 0.0
-        self.T[np.arange(nr), nc + np.arange(nr)] = 1.0
-
-        # pending rank-one factors, one per pivot since T was last current.
-        # Past nr factors, reading one row costs more than an eager
-        # update of the whole tableau, so a full block is folded into T.
         self.refresh_every = 128
-        block = min(self.refresh_every, nr)
-        self.U = np.empty((nr, block))
-        self.V = np.empty((block, ncols))
-        self.k = 0
+        self.store = _Store.slack_basis(G, min(self.refresh_every, nr))
 
         # costs (zero on slacks) and their reduced row
         self._costs(lp)
@@ -494,30 +569,35 @@ class _Tableau:
         primal feasible nor dual feasible (up to the slack that the
         certified optimum of a related LP leaves).  This tableau is left
         as it is, so several LPs can resume it."""
-        tb = copy.copy(self)
-        nc, k = self.nc, self.k
-        # T, the factors, the basis and the values are the copy's own
-        tb.T = self.T - self.U[:, :k] @ self.V[:k] if k else self.T.copy()
-        tb.U, tb.V, tb.k = np.empty_like(self.U), np.empty_like(self.V), 0
+        # a shallow copy made attribute by attribute: ``copy.copy`` would
+        # give it a materialized __dict__, and CPython 3.11 stops
+        # specializing attribute reads on ``self`` once tableaux of both
+        # layouts pass through the same code, which slows small LPs
+        tb = _Tableau.__new__(_Tableau)
+        for name, value in vars(self).items():
+            setattr(tb, name, value)
+        nc = self.nc
+        # the store, the basis and the values are the copy's own
+        tb.store = self.store.copy()
         tb.basis = self.basis.copy()
         # a nonbasic column at its upper bound stays there while it has
         # one, and so does a fixed one whose reduced cost leans on its
         # upper bound; any other goes where a cold start puts it
         rise, fall = self.rise[:nc], self.fall[:nc]
         tb._place(lp, (rise < fall) | ((rise == fall) & (self.z[:nc] < 0.0)))
-        # the columns that moved move the basic values through T
+        # the columns that moved move the basic values through the tableau
         move = tb.xn[:nc] - self.xn[:nc]
         J = np.flatnonzero(move)
         tb.rhs = self.rhs.copy()
         if J.size:
-            tb.rhs -= tb.T[:, J] @ move[J]
+            tb.rhs -= tb.store.dot(J, move[J])
             tb.scale = 1.0 + _peak(tb._rhs0())
         tb._clip(tb.rhs)
         if lp.obj is self.obj:
             tb.z = self.z.copy()
         else:
             tb._costs(lp)
-            tb.z = tb.cost - tb.cost[tb.basis] @ tb.T
+            tb.z = tb.cost - tb.store.rdot(tb.cost[tb.basis])
             tb.z[tb.basis] = 0.0
         tb.fresh = self.fresh - self.iterations
         tb.iterations = 0
@@ -537,32 +617,6 @@ class _Tableau:
         and the same bounds widened by _FEAS_TOL (see ``_clip``)."""
         self.lo_b, self.up_b = self.lo[self.basis], self.up[self.basis]
         self.lo_t, self.up_t = self.lo_b - _FEAS_TOL, self.up_b + _FEAS_TOL
-
-    def column(self, q: int) -> np.ndarray:
-        k = self.k
-        if k == 0:
-            return self.T[:, q].copy()
-        return self.T[:, q] - self.U[:, :k] @ self.V[:k, q]
-
-    def row(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Row p of the current tableau, written to ``out`` if given; that
-        may be the next factor slot ``V[k]``, as the read takes ``V[:k]``."""
-        k = self.k
-        if out is None:
-            out = np.empty_like(self.T[p])
-        if k == 0:
-            out[:] = self.T[p]
-        else:
-            np.matmul(self.U[p, :k], self.V[:k], out=out)
-            np.subtract(self.T[p], out, out=out)
-        return out
-
-    def materialize(self) -> None:
-        """Fold the pending factors into T."""
-        k = self.k
-        if k:
-            self.T -= self.U[:, :k] @ self.V[:k]
-            self.k = 0
 
     def gain(self) -> np.ndarray:
         """Per column, the improvement per unit of a move it may make."""
@@ -595,23 +649,11 @@ class _Tableau:
         column basic in row p to its bound ``at``, where it leaves.
         ``col`` is column q and ``row`` row p of the current tableau."""
         if col is None:
-            col = self.column(q)
+            col = self.store.column(q)
         piv = col[p]
         if abs(piv) <= PIVOT_TOL:
             raise LpBreakdownError("pivot element below threshold")
-        if self.k == self.V.shape[0]:
-            self.materialize()
-        k = self.k
-        # T - u v^T turns column q into e_p and scales row p by 1/piv
-        v = self.V[k]
-        if row is None:
-            row = self.row(p, out=v)
-        np.divide(row, piv, out=v)
-        v[q] = 1.0
-        u = self.U[:, k]
-        u[:] = col
-        u[p] -= 1.0
-        self.k = k + 1
+        v = self.store.append(p, q, col, row)
         rhs = self.rhs
         delta = (rhs[p] - at) / piv
         rhs -= delta * col
@@ -675,12 +717,10 @@ class _Tableau:
         and the slack bounds are 0 again.  Whether there was a shift."""
         if not self.shifted:
             return False
-        nc, k = self.nc, self.k
+        nc = self.nc
         J = nc + np.flatnonzero(self.xn[nc:])
         if J.size:
-            step = -self.xn[J]
-            self.rhs -= (self.T[:, J] @ step
-                         - self.U[:, :k] @ (self.V[:k, J] @ step))
+            self.rhs -= self.store.dot(J, -self.xn[J])
             self.xn[J] = 0.0
         self.lo[nc:] = 0.0
         self._basic_bounds()
@@ -704,7 +744,7 @@ class _Tableau:
                 if cand.size == 0:
                     return OPTIMAL
                 q = int(cand[0])
-            col = self.column(q)
+            col = self.store.column(q)
             sign = 1.0 if self.z[q] < 0.0 else -1.0
             # a step t of column q moves the basic values by -t * d
             d = col if sign > 0.0 else -col
@@ -773,7 +813,7 @@ class _Tableau:
                 if rows.size == 0:
                     return OPTIMAL
                 p = int(rows[self.basis[rows].argmin()])
-            row = self.row(p)
+            row = self.store.row(p)
             # the basic column of row p must rise (below its lower bound)
             # or fall: r < 0 where a column rising helps, r > 0 falling
             low = rhs[p] < lo[p]
@@ -799,51 +839,6 @@ class _Tableau:
             self.pivot(p, q, lo[p] if low else up[p], row=row)
             self.iterations += 1
 
-    def _basis_inverse(self):
-        """The part of the basis inverse that is not a unit column, and
-        the basic values it gives, or None when the basis is singular or
-        cannot reproduce the right-hand side.
-
-        S and K are the basis positions of structural columns and of
-        slacks, ``rows`` the rows of K's slacks, and N the rows that no
-        basic slack covers; N and S differ in size when a slack is listed
-        twice, which makes the basis singular.  The basis permuted to
-        (N, K) x (S, K) is ``[[M0[N, S], 0], [M0[K, S], I]]``, so only
-        the s x s block ``M0[N, S]`` is inverted.  The inverse ``Binv``
-        (rows: basis positions, columns: rows of M0) is the unit column
-        of basis position K[i] in column ``rows[i]``, and
-        ``BN = Binv[:, N]`` elsewhere: ``inv(M0[N, S])`` on S and
-        ``-M0[K, S] inv(M0[N, S])`` on K.  Returns ``BN``, the basic
-        values ``Binv (g - N xn)``, N, K and ``rows``; the nr x nr
-        ``Binv`` is never assembled.
-        """
-        nc, basis = self.nc, self.basis
-        unit = basis >= nc
-        S = (~unit).nonzero()[0]
-        K = unit.nonzero()[0]
-        rows = basis[K] - nc
-        free = np.ones(basis.size, dtype=bool)
-        free[rows] = False
-        N = free.nonzero()[0]
-        if N.size != S.size:
-            return None
-        g = self._rhs0()
-        if S.size == 0:
-            return np.empty((basis.size, 0)), g[rows], N, K, rows
-        MS = self.M0[:, basis[S]]
-        try:
-            Ainv = np.linalg.inv(MS[N])
-        except np.linalg.LinAlgError:
-            return None
-        BN = np.empty((basis.size, S.size))
-        BN[S] = Ainv
-        BN[K] = -MS[rows] @ Ainv
-        xb = BN @ g[N]
-        xb[K] += g[rows]
-        if _peak(self._residual(xb)) > 1e-7 * self.scale:
-            return None
-        return BN, xb, N, K, rows
-
     def _values(self, xb: np.ndarray) -> np.ndarray:
         """Every column's value, with ``xb`` on the basic ones."""
         x = self.xn.copy()
@@ -862,31 +857,27 @@ class _Tableau:
         return np.concatenate((self.cost[:self.nc] - y @ self.M0, -y))
 
     def refresh(self, primal: bool = True) -> None:
-        """Fold the pending factors into T and re-derive the basic values
-        and reduced costs from the pristine data by one step of iterative
-        refinement (``_refined``), with no inversion.  Rank-one updates
-        drift; left unchecked the drift can steer the ratio test into a
-        basis that is infeasible in exact arithmetic.  A drift before the
-        step or a residual after it above the bound of ``_basis_inverse``
-        rebuilds the whole tableau through the block inverse instead; a
-        basis too ill-conditioned for that is left alone (its factors
-        folded into T) so the certificates judge the raw tableau.  In the
-        primal phase (``primal``) a basis whose values lie clearly
-        outside their bounds is a breakdown; the dual phase expects
-        them."""
+        """Fold the pending factors into the tableau and re-derive the
+        basic values and reduced costs from the pristine data by one step
+        of iterative refinement (``_refined``), with no inversion.
+        Rank-one updates drift; left unchecked the drift can steer the
+        ratio test into a basis that is infeasible in exact arithmetic.
+        A drift before the step or a residual after it above 1e-7 of
+        ``scale`` rebuilds the whole tableau instead (``_rebuild``); a
+        basis too ill-conditioned for that is left alone so the
+        certificates judge the raw tableau.  In the primal phase
+        (``primal``) a basis whose values lie clearly outside their
+        bounds is a breakdown; the dual phase expects them."""
         self.fresh = self.iterations
-        self.materialize()
+        self.store.fold()
         refined = self._refined(drift=True)
         if refined is not None:
             xb, rc = refined
             self._hold(xb, primal)
             self.rhs = xb
             self.z[:] = rc
-            return
-        inv = self._basis_inverse()
-        if inv is not None:
-            self._hold(inv[1], primal)
-            self._rebuild(*inv)
+        elif self._rebuild():
+            self._hold(self.rhs, primal)
 
     def _hold(self, xb: np.ndarray, primal: bool) -> None:
         """Snap re-derived basic values ``xb`` onto their bounds: in the
@@ -898,43 +889,36 @@ class _Tableau:
             np.clip(xb, self.lo_b, self.up_b, out=xb)
         self._clip(xb)
 
-    def _rebuild(self, BN, xb, N, K, rows) -> None:
-        """Write ``Binv [M0 | I]`` into T, column blocks straight from
-        ``BN`` (see ``_basis_inverse``).  The structural block is
-        ``BN @ M0[N]`` plus, in the rows of the basic slacks, their own
-        rows of M0: an nr x s x nc product instead of an nr x nr x nc
-        one.  The slack block is ``Binv`` itself."""
-        nc, T, M0 = self.nc, self.T, self.M0
-        np.matmul(BN, M0[N], out=T[:, :nc])
-        T[K, :nc] += M0[rows]
-        slack = T[:, nc:]
-        slack[:, N] = BN
-        slack[:, rows] = 0.0
-        slack[K, rows] = 1.0
-        self.k = 0
-        self._price(BN, xb, N)
-
-    def _price(self, BN, xb, N) -> None:
-        """Take the basic values ``xb`` and the reduced costs of the
-        duals ``y = c_B Binv`` (see ``_basis_inverse``), which are zero
-        on the rows of the basic slacks, whose costs are zero."""
-        y = np.zeros(xb.size)
-        y[N] = self.cost[self.basis] @ BN
+    def _rebuild(self) -> bool:
+        """Rebuild the tableau from the pristine data through the dense
+        inverse of the basis, ``[M0 | I][:, basis]``, and take the basic
+        values and reduced costs from that inverse.  Whether it did: a
+        singular basis, or one whose values miss the right-hand side by
+        more than 1e-7 of ``scale``, leaves the tableau alone."""
+        nr = self.basis.size
+        try:
+            Binv = np.linalg.inv(
+                np.hstack((self.M0, np.eye(nr)))[:, self.basis])
+        except np.linalg.LinAlgError:
+            return False
+        xb = Binv @ self._rhs0()
+        if _peak(self._residual(xb)) > 1e-7 * self.scale:
+            return False
+        self.store.rebuild(Binv, self.M0)
         self.rhs = xb
-        self.z[:] = self._reduced(y)
+        self.z[:] = self._reduced(self.cost[self.basis] @ Binv)
+        return True
 
     def _refined(self, drift: bool = False):
         """Basic values and reduced costs re-derived from the pristine
         data through the current basis by one step of iterative
         refinement, or None when a residual after the step exceeds the
-        bound of ``_basis_inverse`` (or, with ``drift``, already did
-        before it).  The residuals of the basic values (``[M0 | I] x -
-        g0``) and of the duals (the reduced costs of the basic columns)
-        are taken from the pristine data and corrected through the
-        inverse that the slack columns of the tableau hold, read through
-        the pending factors; that inverse is never assembled."""
-        nc, basis, k = self.nc, self.basis, self.k
-        slack, U, V = self.T[:, nc:], self.U[:, :k], self.V[:k, nc:]
+        bound of ``_rebuild`` (or, with ``drift``, already did before
+        it).  The residuals of the basic values (``[M0 | I] x - g0``) and
+        of the duals (the reduced costs of the basic columns) are taken
+        from the pristine data and corrected through the basis inverse
+        that the slack columns of the tableau hold."""
+        nc, basis = self.nc, self.basis
         xtol = 1e-7 * self.scale
         ztol = 1e-7 * (1.0 + _peak(self.cost))
         r = self._residual(self.rhs)
@@ -942,8 +926,9 @@ class _Tableau:
         d = self._reduced(y)[basis]
         if drift and (_peak(r) > xtol or _peak(d) > ztol):
             return None
-        xb = self.rhs - (slack @ r - U @ (V @ r))
-        y = y + (d @ slack - (d @ U) @ V)
+        dx, dy = self.store.solve(r, d)
+        xb = self.rhs - dx
+        y = y + dy
         rc = self._reduced(y)
         if _peak(self._residual(xb)) > xtol or _peak(rc[basis]) > ztol:
             return None
@@ -954,15 +939,13 @@ class _Tableau:
         data through the final basis (``_refined``).  Hundreds of pivot
         updates accumulate enough roundoff to trip the optimality
         certificates; one step of iterative refinement removes it.  If a
-        refined residual still exceeds the bound of ``_basis_inverse``,
-        the block inverse re-derives them instead."""
+        refined residual still exceeds the bound, the tableau is rebuilt
+        instead (``_rebuild``)."""
         refined = self._refined()
         if refined is not None:
             self.rhs, self.z[:] = refined
-            return
-        inv = self._basis_inverse()
-        if inv is not None:
-            self._price(*inv[:3])
+        else:
+            self._rebuild()
 
 
 def solve_lp(lp: LinearProgram,

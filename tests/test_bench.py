@@ -33,6 +33,20 @@ def test_config_validation():
         BenchConfig(kind="uniform", m_list=[2, 3], n_list=[2])
     with pytest.raises(Exception):
         BenchConfig(kind="no-such-kind", m_list=[2])
+    # sizes below 1 and a time limit that is not positive are input
+    # errors, on every kind, not rows that fail
+    for kind in ("uniform", "worst-case-randomized"):
+        with pytest.raises(ValueError, match="every m must be >= 1"):
+            BenchConfig(kind=kind, m_list=[2, 0])
+        with pytest.raises(ValueError, match="every m must be >= 1"):
+            BenchConfig(kind=kind, m_list=[-1])
+        with pytest.raises(ValueError, match="every n must be >= 1"):
+            BenchConfig(kind=kind, m_list=[2, 3], n_list=[2, 0])
+    for limit in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit_s must be positive"):
+            BenchConfig(kind="uniform", m_list=[2], time_limit_s=limit)
+    assert BenchConfig(kind="uniform", m_list=[1], n_list=[1],
+                       time_limit_s=1e-12).time_limit_s == 1e-12
     # n defaults to m, explicit n_list pairs up
     assert small_config().sizes() == [(2, 2)]
     assert BenchConfig(kind="uniform", m_list=[2, 3],

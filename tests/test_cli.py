@@ -218,6 +218,20 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bench", "--m", "2", "--count", "0")[0] == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--dist", "worst-case-randomized", "--m", "0"), "every m must be >= 1"),
+    (("--m", "0"), "every m must be >= 1"),
+    (("--m", "2", "--n", "0"), "every n must be >= 1"),
+    (("--m", "3", "--time-limit", "-1"), "time_limit_s must be positive"),
+    (("--m", "3", "--time-limit", "0"), "time_limit_s must be positive"),
+])
+def test_bench_input_errors_exit_1(capsys, argv, message):
+    # rejected before any row is solved, not reported as failed rows
+    code, out, err = run(capsys, "bench", *argv, "--count", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_missing_and_malformed_files_exit_1(capsys, tmp_path):
     assert run(capsys, "solve-affine", str(tmp_path / "nope.json"))[0] == 1
     bad = tmp_path / "bad.json"

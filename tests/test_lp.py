@@ -440,15 +440,16 @@ def _assert_eager_pivots(tb, block, monkeypatch):
     # every column of these LPs sits at its lower bound 0, so the basic
     # values are the right-hand side of the eager tableau
     assert (tb.rhs < 0).any()
-    tb.U, tb.V = tb.U[:, :block], tb.V[:block]
-    ref = np.column_stack([tb.T, tb.rhs])
+    store = tb.store
+    store.U, store.V = store.U[:, :block], store.V[:block]
+    ref = np.column_stack([store.T, tb.rhs])
     pivot = _Tableau.pivot
     folds = []
 
     def spy(self, p, q, at, col=None, row=None):
-        np.testing.assert_allclose(self.column(q), ref[:, q], atol=1e-12)
-        np.testing.assert_allclose(self.row(p), ref[p, :-1], atol=1e-12)
-        folds.append(self.k == block)
+        np.testing.assert_allclose(store.column(q), ref[:, q], atol=1e-12)
+        np.testing.assert_allclose(store.row(p), ref[p, :-1], atol=1e-12)
+        folds.append(store.k == block)
         assert at == 0.0
         pivot(self, p, q, at, col, row)
         _dense_pivot(ref, p, q)
@@ -459,9 +460,9 @@ def _assert_eager_pivots(tb, block, monkeypatch):
     assert tb.iterations > 0 and (tb.rhs >= 0).all()
     assert tb.run() == "optimal"
     assert any(folds)
-    tb.materialize()
-    assert tb.k == 0
-    np.testing.assert_allclose(tb.T, ref[:, :-1], atol=1e-12)
+    store.fold()
+    assert store.k == 0
+    np.testing.assert_allclose(store.T, ref[:, :-1], atol=1e-12)
     np.testing.assert_allclose(tb.rhs, ref[:, -1], atol=1e-12)
 
 
@@ -517,40 +518,68 @@ def _basis_matrix(tb):
     return np.hstack([tb.M0, np.eye(tb.M0.shape[0])])[:, tb.basis]
 
 
-def _assert_dense_inverse(tb):
-    # the block inverse returns Binv[:, N]; the other columns of Binv are
-    # unit columns, basis position K[i] in column rows[i].  The nonbasic
-    # columns of these LPs sit at 0, so the basic values are Binv g
-    ref = np.linalg.inv(_basis_matrix(tb))
-    BN, xb, N, K, rows = tb._basis_inverse()
-    Binv = np.zeros_like(ref)
-    Binv[:, N] = BN
-    Binv[K, rows] = 1.0
-    np.testing.assert_allclose(Binv, ref, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(xb, ref @ tb.g0, rtol=0, atol=1e-10)
+def _basic_values(tb):
+    """The basic values that the rows leave at the tableau's basis,
+    ``g - N xn`` solved against the basis columns of ``[G | I]``."""
+    nc = tb.nc
+    return np.linalg.solve(_basis_matrix(tb),
+                           tb.g0 - tb.M0 @ tb.xn[:nc] - tb.xn[nc:])
 
 
-def test_block_inverse_mid_dual_phase(monkeypatch):
+def _assert_rebuild_reproduces(tb):
+    # the pivots kept the tableau, the basic values and the reduced costs
+    # current; the dense rebuild re-derives them from the pristine data
+    # and drops the pending factors
+    assert tb.store.k > 0
+    T, rhs, z = tb.store.copy().T, tb.rhs.copy(), tb.z.copy()
+    np.testing.assert_allclose(_basic_values(tb), rhs, rtol=0, atol=1e-10)
+    assert tb._rebuild()
+    assert tb.store.k == 0
+    np.testing.assert_allclose(tb.store.T, T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tb.rhs, rhs, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tb.z, z, rtol=0, atol=1e-10)
+
+
+def test_rebuild_mid_dual_phase(monkeypatch):
     tb = _tableau(_dense_lp(monkeypatch))
     _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb)), 1)
     assert (tb.basis >= tb.nc).any() and (tb.basis < tb.nc).any()
-    _assert_dense_inverse(tb)
+    _assert_rebuild_reproduces(tb)
+
+
+def test_rebuild_of_a_singular_basis_leaves_the_tableau(monkeypatch):
+    tb = _tableau(_dense_lp(monkeypatch))
+    _pivot_up_to(tb, lambda: tb.run_dual(_dual_costs(tb)), 1)
     # a slack listed twice makes the basis singular
     p = int(np.flatnonzero(tb.basis < tb.nc)[0])
     tb.basis[p] = tb.basis[int(np.flatnonzero(tb.basis >= tb.nc)[0])]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(_basis_matrix(tb))
-    assert tb._basis_inverse() is None
+    _assert_rebuild_refused(tb)
 
 
-def test_block_inverse_of_permuted_slack_basis(monkeypatch):
-    # no structural column basic (s = 0), and slacks out of row order
-    tb = _tableau(_dense_lp(monkeypatch))
-    tb.basis = tb.nc + np.arange(tb.basis.size)[::-1]
-    _assert_dense_inverse(tb)
+def test_rebuild_of_an_ill_conditioned_basis_leaves_the_tableau():
+    # two basic columns 1e-12 apart: the inverse exists, but the values
+    # it gives miss the right-hand side by far more than 1e-7
+    A = [[1.0, 1.0, 0.5], [1.0, 1.0 + 1e-12, 2.0], [0.3, 0.7, 1.0]]
+    tb = _tableau(LinearProgram.from_arrays("max", [1.0, 1.0, 1.0], A,
+                                            ["<="] * 3, [1.0, 2.0, 3.0]))
+    tb.basis = np.array([0, 1, 5])
+    np.linalg.inv(_basis_matrix(tb))
+    _assert_rebuild_refused(tb)
 
 
-def test_block_inverse_mid_phase2_oracle(monkeypatch):
+def _assert_rebuild_refused(tb):
+    store = tb.store
+    T, k, rhs, z = store.T.copy(), store.k, tb.rhs.copy(), tb.z.copy()
+    assert not tb._rebuild()
+    assert tb.store is store and store.k == k
+    np.testing.assert_array_equal(store.T, T)
+    np.testing.assert_array_equal(tb.rhs, rhs)
+    np.testing.assert_array_equal(tb.z, z)
+
+
+def test_rebuild_mid_dual_phase_of_the_oracle(monkeypatch):
     # the oracle's costs are nonnegative, so the dual phase from the
     # slack basis prices them: 10 pivots into it
     lp = _oracle_lp(monkeypatch, m=16)
@@ -558,7 +587,17 @@ def test_block_inverse_mid_phase2_oracle(monkeypatch):
     tb = _tableau(lp)
     _pivot_up_to(tb, lambda: tb.run_dual(tb.z), 10)
     assert 0 < (tb.basis < tb.nc).sum() < tb.basis.size
-    _assert_dense_inverse(tb)
+    _assert_rebuild_reproduces(tb)
+
+
+def test_rebuild_mid_primal_phase_of_the_m10_affine_lp():
+    # past a refresh, with factors pending, and free columns basic
+    tb = _tableau(build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)))
+    assert tb.run_dual(np.zeros_like(tb.z)) == "optimal"
+    _pivot_up_to(tb, lambda: tb._primal(shift=False), 200)
+    assert tb.fresh > 0
+    assert np.isinf(tb.lo[tb.basis]).any()
+    _assert_rebuild_reproduces(tb)
 
 
 def test_tableau_holds_one_column_per_variable_and_row(monkeypatch):
@@ -576,7 +615,7 @@ def test_tableau_holds_one_column_per_variable_and_row(monkeypatch):
 
     def spy(self, *args, **kw):
         init(self, *args, **kw)
-        shapes.append(self.T.shape)
+        shapes.append(self.store.T.shape)
 
     monkeypatch.setattr(_Tableau, "__init__", spy)
     for lp in lps:
@@ -1201,16 +1240,15 @@ def test_a_refresh_keeps_the_slacks_at_their_shifted_bounds(monkeypatch):
     # 100 pivots into the primal phase of the m=10 affine LP, shifted at
     # its first zero step, some nonbasic slacks sit at their shifted
     # bounds: the rows leave the basic columns g - N xn with those
-    # values, so a refresh from the pristine data, and the block inverse
-    # it falls back to, reproduce the basic values the pivots kept
+    # values, so a refresh from the pristine data, and a dense solve of
+    # the basis, reproduce the basic values the pivots kept
     monkeypatch.setattr(lp_module, "_SHIFT_AFTER", 0)
     tb = _tableau(build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0)))
     assert tb.run_dual(np.zeros_like(tb.z)) == "optimal"
     _pivot_up_to(tb, lambda: tb._primal(shift=True), 100)
     assert tb.shifted and (tb.xn[tb.nc:] < 0.0).any()
     before = tb.rhs.copy()
-    np.testing.assert_allclose(tb._basis_inverse()[1], before, rtol=0,
-                               atol=1e-10)
+    np.testing.assert_allclose(_basic_values(tb), before, rtol=0, atol=1e-10)
     tb.refresh()
     np.testing.assert_allclose(tb.rhs, before, rtol=0, atol=1e-10)
 
@@ -1227,10 +1265,9 @@ def test_the_m10_affine_lp_solves_the_same_twice():
 
 def _spy_refinement(monkeypatch):
     """From now on, check every ``refine_optimal``: its objective must
-    match the block inversion of the same basis to 1e-12 relative; and
-    count the refreshes and every ``np.linalg.inv`` but the one that
-    check makes.  Returns the checked objectives, the refreshes and the
-    shapes of the inverted blocks."""
+    match a dense solve of the same basis to 1e-12 relative; and count
+    the refreshes and every ``np.linalg.inv``.  Returns the checked
+    objectives, the refreshes and the shapes of the inverted matrices."""
     inverses, checked, refreshes = [], [], []
     inv, refine = np.linalg.inv, _Tableau.refine_optimal
     refresh = _Tableau.refresh
@@ -1239,12 +1276,15 @@ def _spy_refinement(monkeypatch):
         inverses.append(a.shape)
         return inv(a)
 
+    def objective(tb, xb):
+        x = tb.xn.copy()
+        x[tb.basis] = xb
+        return float(tb.cost @ x)
+
     def spy(self):
         refine(self)
-        got = float(self.cost @ self._values(self.rhs))
-        before = len(inverses)
-        want = float(self.cost @ self._values(self._basis_inverse()[1]))
-        del inverses[before:]
+        got = objective(self, self.rhs)
+        want = objective(self, _basic_values(self))
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
         checked.append(want)
 
@@ -1299,27 +1339,27 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
     # drift the basic values and reduced costs of the final tableau far
     # past roundoff: the slack block's inverse removes the drift with no
     # inversion, and a corrupted slack block cannot, so the residual
-    # check sends refine_optimal to the block inversion
+    # check sends refine_optimal to the dense rebuild
     lp = _oracle_lp(monkeypatch, m=16)
     clean = solve_lp(lp)
-    refine, basis_inverse = _Tableau.refine_optimal, _Tableau._basis_inverse
+    refine, rebuild = _Tableau.refine_optimal, _Tableau._rebuild
     calls, inversions = [], []
 
     def drifted(self):
         self.rhs = self.rhs + 1e-5 * self.scale
         self.z += 1e-5
         if corrupt:
-            self.T[:, self.nc:] *= 2.0
+            self.store.T[:, self.nc:] *= 2.0
         before = len(calls)
         refine(self)
         inversions.append(len(calls) - before)
 
-    def spy_inverse(self):
+    def spy_rebuild(self):
         calls.append(None)
-        return basis_inverse(self)
+        return rebuild(self)
 
     monkeypatch.setattr(_Tableau, "refine_optimal", drifted)
-    monkeypatch.setattr(_Tableau, "_basis_inverse", spy_inverse)
+    monkeypatch.setattr(_Tableau, "_rebuild", spy_rebuild)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert inversions == [int(corrupt)]
@@ -1335,29 +1375,29 @@ def test_a_refresh_falls_back_to_the_inversion(drift, corrupt, monkeypatch):
     # refinement through the slack block removes the drift with no
     # inversion.  A slack block corrupted as well amplifies the drift
     # past the bound, and a drift past it is not refined at all: either
-    # way the refresh rebuilds the tableau through the block inverse,
+    # way the refresh rebuilds the tableau through the dense inverse,
     # which also replaces the corrupted block
     lp = _oracle_lp(monkeypatch, m=16)
     clean = solve_lp(lp)
     falls_back = corrupt or drift > 1e-7
-    refresh, basis_inverse = _Tableau.refresh, _Tableau._basis_inverse
+    refresh, rebuild = _Tableau.refresh, _Tableau._rebuild
     calls, inversions = [], []
 
     def drifted(self, primal=True):
         if not inversions:
             self.rhs = self.rhs + drift * self.scale
             if corrupt:
-                self.T[:, self.nc:] *= 1e3
+                self.store.T[:, self.nc:] *= 1e3
         before = len(calls)
         refresh(self, primal)
         inversions.append(len(calls) - before)
 
-    def spy_inverse(self):
+    def spy_rebuild(self):
         calls.append(None)
-        return basis_inverse(self)
+        return rebuild(self)
 
     monkeypatch.setattr(_Tableau, "refresh", drifted)
-    monkeypatch.setattr(_Tableau, "_basis_inverse", spy_inverse)
+    monkeypatch.setattr(_Tableau, "_rebuild", spy_rebuild)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert len(inversions) >= 2

@@ -77,15 +77,13 @@ _LP_PRIVATE_IN_TESTS = {
     "_Tableau": "the phases, the deferred factors and the refinement are "
                 "driven directly, a phase that stops early is mocked, and "
                 "the resumes of a start are counted",
-    "_basis_inverse": "the block inverse is compared with a dense inverse "
-                      "and counted when refinement or a refresh falls "
-                      "back to it",
     "_primal": "the primal phase is stopped while its bounds are "
                "shifted, to refresh the tableau there",
+    "_rebuild": "the dense rebuild is compared with the tableau the "
+                "pivots kept, and counted when refinement or a refresh "
+                "falls back to it",
     "_shift": "the shifts are counted, so a test that needs them cannot "
               "pass without them",
-    "_values": "the refined objective is compared with the block "
-               "inversion's at the same basis",
 }
 
 
@@ -122,3 +120,18 @@ def test_lp_tests_use_only_the_listed_private_names():
                                                                str):
                 used.add(node.value)
     assert sorted(used & private) == sorted(_LP_PRIVATE_IN_TESTS)
+
+
+def test_only_the_store_touches_the_tableau_arrays():
+    # the simplex reaches the tableau through _Store's operations alone:
+    # no code of lp.py outside that class reads or writes an attribute
+    # T, U, V or k, so another store can replace it
+    tree = ast.parse((pathlib.Path(adjrobust.__file__).parent
+                      / "lp.py").read_text())
+    (store,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "_Store"]
+    inside = {id(node) for node in ast.walk(store)}
+    leaks = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("T", "U", "V", "k") and id(node) not in inside]
+    assert leaks == []
