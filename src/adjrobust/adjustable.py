@@ -51,16 +51,23 @@ class SeparationError(Exception):
 
 
 def _w_caps(inst: Instance) -> np.ndarray:
-    """max w_i over W = {w >= 0 : B^T w <= d_bar e}: d_bar / max_j B_ij.
+    """max w_i over W = {w >= 0 : B^T w <= d_bar e}: d_bar / max_j B_ij,
+    and 0 on a zero row of B (B is nonnegative).
 
-    Raises SeparationError when W is unbounded, i.e. on a zero row of B
-    (B is nonnegative)."""
+    On a zero row i, e_i is a ray of W, so the inner max is finite only
+    where the first stage covers the row, A_i x >= cap_i of U, and then
+    w_i = 0 attains it: the cut loop's master takes that row, and
+    separation holds w_i at 0.  Raises SeparationError when no x covers
+    it: cap_i > 0 and row i of A is zero too."""
     top = inst.B.max(axis=1, initial=0.0)
-    if (top <= 0.0).any():
+    caps = inst.d_bar / np.where(top > 0.0, top, np.inf)
+    if ((caps == 0.0) & (inst.uncertainty.caps > 0.0)
+            & (inst.A.max(axis=1, initial=0.0) <= 0.0)).any():
         raise SeparationError(
             "W is unbounded: some row of B is all zero, so the second "
-            "stage cannot cover that demand coordinate")
-    return inst.d_bar / top
+            "stage cannot cover that demand coordinate, and the same row "
+            "of A is zero")
+    return caps
 
 
 def _exponent(cap: float) -> int:
@@ -156,6 +163,7 @@ def build_separation_mip(inst: Instance, x_hat,
 
     upper = np.full(oz + k, np.inf)
     upper[m:oz] = 1.0   # bits
+    upper[:m][_w_caps(inst) == 0.0] = 0.0   # w_i on a zero row of B
     obj = _separation_objective(inst, x_hat, dig)
     lp = LinearProgram.from_arrays("max", obj, G, ["<="] * len(G), rhs,
                                    upper=upper)
@@ -209,11 +217,15 @@ def _separate_vrep(inst: Instance, x_hat):
     C = V - ax
     n = inst.n
     rhs = np.full(n, inst.d_bar)
+    # w_i is held at 0 on a zero row of B, which then bounds nothing
+    live = caps > 0.0
+    upper = np.where(live, np.inf, 0.0)
     ub = np.maximum(C, 0.0) @ caps
     best, best_h, best_w = -np.inf, None, None
     k = int(np.argmax(ub))
     while True:
-        lp = LinearProgram.from_arrays("max", C[k], inst.B.T, ["<="] * n, rhs)
+        lp = LinearProgram.from_arrays("max", C[k], inst.B.T, ["<="] * n, rhs,
+                                       upper=upper)
         sol = solve_lp(lp)
         if sol.status != "optimal":
             raise SeparationError(f"separation LP came back {sol.status}")
@@ -223,7 +235,8 @@ def _separate_vrep(inst: Instance, x_hat):
             best, best_h, best_w = vals[j], j, sol.x.copy()
         y = np.maximum(sol.duals, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(C > 0.0, C / (inst.B @ y), 0.0).max(axis=1)
+            t = np.where((C > 0.0) & live, C / (inst.B @ y),
+                         0.0).max(axis=1)
             np.minimum(ub, t * (inst.d_bar * y.sum()), out=ub,
                        where=t < np.inf)
         ub[k] = -np.inf    # solved
@@ -297,15 +310,22 @@ class AdjustableResult:
     bracket: tuple[float, float]
 
 
-def _solve_master(inst: Instance, cuts: list[Cut]):
+def _solve_master(inst: Instance, cuts: list[Cut], cover):
+    """The master LP over ``cuts`` and the rows ``cover = (A_c, cap_c)``,
+    ``A_c x >= cap_c``, that the zero rows of B ask of the first stage
+    (``_w_caps``): x, z and the value."""
     n = inst.n
-    nrows = len(cuts)
+    A_c, cap_c = cover
+    ncuts = len(cuts)
+    nrows = ncuts + len(cap_c)
     G = np.zeros((nrows, n + 1))
     rhs = np.zeros(nrows)
     for k, cut in enumerate(cuts):
         G[k, :n] = inst.A.T @ cut.w
         G[k, n] = 1.0
         rhs[k] = float(cut.h @ cut.w)
+    G[ncuts:, :n] = A_c
+    rhs[ncuts:] = cap_c
     # z >= 0 repeats the w = 0 cut as a bound, so every cost is
     # nonnegative and the LP kernel starts from the slack basis
     obj = np.concatenate([inst.c, [1.0]])
@@ -332,6 +352,9 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
         raise ValueError("max_iters must be at least 1")
     dig = (Digitization.from_instance(inst, eps)
            if inst.uncertainty.is_hrep else None)
+    caps = inst.uncertainty.caps
+    covered = (_w_caps(inst) == 0.0) & (caps > 0.0)
+    cover = inst.A[covered], caps[covered]
 
     # w = 0 is always in W and bounds the master below by min c.x >= 0
     h0 = (np.zeros(inst.m) if inst.uncertainty.is_hrep
@@ -346,7 +369,7 @@ def solve_adjustable(inst: Instance, eps: float = 1e-3, max_iters: int = 100,
 
     prev = -math.inf
     for it in range(1, max_iters + 1):
-        x_hat, z_hat, master = _solve_master(inst, cuts)
+        x_hat, z_hat, master = _solve_master(inst, cuts, cover)
         if master < prev - 1e-7:
             raise SeparationError(
                 f"master value regressed from {prev} to {master}")

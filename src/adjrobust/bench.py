@@ -51,6 +51,9 @@ class BenchConfig:
             raise ValueError("every m must be >= 1")
         if min(self.n_list or (1,)) < 1:
             raise ValueError("every n must be >= 1")
+        if self.kind in _WORST and self.n_list not in (None, self.m_list):
+            raise ValueError(f"{self.kind} instances have n = m, got "
+                             f"n_list {list(self.n_list)}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.time_limit_s is not None and not self.time_limit_s > 0:
@@ -97,7 +100,11 @@ class BenchSummary:
 
 def generate_bench_instance(kind: str, m: int, n: int, seed: int,
                             p: float | None = None) -> Instance:
+    """The instance of one benchmark row; the worst-case kinds have
+    n = m, and another n raises ValueError."""
     if kind in _WORST:
+        if n != m:
+            raise ValueError(f"{kind} instances have n = m, got n={n}")
         return gen_worst_case(m, randomized=kind.endswith("randomized"),
                               seed=seed)
     return gen_iid(m, n, RandomSpec(kind, p), seed)

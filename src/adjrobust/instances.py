@@ -155,6 +155,18 @@ def budget_vertices(m: int) -> UncertaintySet:
     return UncertaintySet.vrep(V[np.lexsort(V.T[::-1])])
 
 
+def _merge_near(pts: np.ndarray) -> np.ndarray:
+    """The rows of ``pts`` in order, less each row within 1e-9
+    coordinatewise of a row kept before it."""
+    kept = np.empty_like(pts)
+    n = 0
+    for p in pts:
+        if not (np.abs(kept[:n] - p).max(axis=1) <= 1e-9).any():
+            kept[n] = p
+            n += 1
+    return kept[:n]
+
+
 def enumerate_vertices(uset: UncertaintySet) -> UncertaintySet:
     """All vertices of an HRep set by active-set brute force, m <= 12.
 
@@ -194,11 +206,7 @@ def enumerate_vertices(uset: UncertaintySet) -> UncertaintySet:
     pts = np.vstack(found)
     # collapse exact duplicates first, then tolerance-merge the survivors
     pts = np.unique(np.round(pts, 12) + 0.0, axis=0)  # +0.0 clears -0.0
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in kept):
-            kept.append(p)
-    V = np.asarray(kept)
+    V = _merge_near(pts)
     V = V[np.lexsort(V.T[::-1])]
     return UncertaintySet.vrep(V)
 
@@ -333,12 +341,9 @@ def gen_worst_case(m: int, randomized: bool = False,
 
     eye = np.eye(m)
     nus = (np.ones((m, m)) - eye) * root
-    verts = np.vstack([np.zeros((1, m)), eye, nus])
-    kept: list[np.ndarray] = []
-    for v in verts:  # coincident vertices collapse (m = 1: nu_1 = 0)
-        if not any(np.max(np.abs(v - q)) <= 1e-9 for q in kept):
-            kept.append(v)
-    uset = UncertaintySet.vrep(np.asarray(kept))
+    # coincident vertices collapse (m = 1: nu_1 = 0)
+    verts = _merge_near(np.vstack([np.zeros((1, m)), eye, nus]))
+    uset = UncertaintySet.vrep(verts)
 
     return Instance(m=m, n=m, c=np.zeros(m), A=np.zeros((m, m)), B=B,
                     d_bar=1.0, uncertainty=uset, seed=seed)

@@ -22,9 +22,8 @@ and a column or row is read through the pending factors.  The simplex
 products only.  The right-hand side and the reduced-cost row are
 updated on every pivot; a tableau with fewer than 128 rows folds its
 factors into the tableau each time it holds one per row.  Every 128
-pivots (counted across the solves that resume a tableau; "Warm start")
-the tableau is refreshed, with no inversion: the factors are folded
-into it, and the basic values and reduced costs are re-derived from the
+pivots the tableau is refreshed, with no inversion: the factors are
+folded into it, and the basic values and reduced costs are re-derived from the
 pristine data by one step of iterative refinement.  The step takes
 their residuals (``[G | I] x - g`` and the reduced costs of the basic
 columns) and corrects them through the inverse of the basis that the
@@ -34,11 +33,11 @@ same step.
 A refresh whose residual before the step or after it exceeds 1e-7 in
 units of the tableau's scale (1 + its largest starting basic value; 1 +
 the largest cost, for the duals), and an optimal solve whose refined
-residual does, rebuild the whole tableau from the pristine data
-instead: the basis columns of ``[G | I]`` are inverted densely, and the
-tableau, the basic values and the reduced costs are taken from that
-inverse.  A singular basis, or one whose values miss the right-hand
-side by more than the same bound, leaves the tableau as it is, and the
+residual does, take the same step once more through a store rebuilt at
+the basis (``_Store.at_basis``, the module's only inversion: the basis
+columns of ``[G | I]`` are inverted densely), which then replaces the
+tableau's.  A singular basis, or one whose residuals still exceed the
+bound after that step, leaves the tableau as it is, and the
 certificates judge it.
 
 Degeneracy
@@ -92,30 +91,29 @@ Warm start
 ``solve_lp(lp, start=sol)`` starts from ``sol``, the optimal solution of
 an earlier solve of an LP with the same row arrays and sense (as
 ``LinearProgram.with_bounds`` and ``with_objective`` share them): a
-branch-and-bound child, whose bounds moved, or the next root of a cut
-loop, whose objective changed.  An optimal solution keeps its final
-tableau, and the solve resumes a copy of it (``_Tableau.resume``) with
-no inversion: the pending factors are folded into the copy, each
-nonbasic column at its upper bound (or fixed, with a negative reduced
-cost) stays there while the bound is finite and any other goes where a
-cold start puts it, the columns that moved shift the basic values
-through their tableau columns, and a new objective is priced,
-``z = c - c_B T``.  A copy that is primal feasible goes to the primal
+branch-and-bound child or the next root of a cut loop.  An optimal
+solution keeps its final tableau, and the solve resumes a copy of it
+(``_Tableau.resume``) with no inversion: the pending factors are folded
+into the copy, and a new objective is priced, ``z = c - c_B T``.  A
+branch-and-bound child narrows the bounds of a basic column, and a
+cut-loop root changes only the objective, so neither moves a nonbasic
+column: one at its upper bound stays there while the bound is finite,
+and any other goes where a cold start puts it.  An LP that would move
+one is solved cold.  A copy that is primal feasible goes to the primal
 phase; one that is dual feasible (up to the slack that the certified
 optimum of a related LP leaves) first goes to the dual simplex phase
-(``_Tableau.run_dual``), which restores primal feasibility or ends at
-a row that proves infeasibility, whose slack block (that row of the
-basis inverse) is the Farkas vector.  A copy that is neither, and an
-LP on other rows, is solved cold.  Warm or cold, a solve ends in the
-same certificates.
+(``_Tableau.run_dual``), which restores primal feasibility or ends at a
+row that proves infeasibility, whose slack block (that row of the basis
+inverse) is the Farkas vector.  A copy that is neither, and an LP on
+other rows, is solved cold.  Warm or cold, a solve ends in the same
+certificates.
 
 The start's tableau is never written, so the two children of a node can
-resume their parent in either order.  A resumed tableau counts its
-pivots since its last refresh across solves, and is refreshed at the
-same 128, so its drift stays bounded as in one long solve.  So a
-branch-and-bound search builds one standard form (``_Form``) for its
-root, and a cut loop one for all its separation MIPs.  An open node
-holds its parent's tableau.
+resume their parent in either order.  The start's final refinement has
+just re-derived its values, so a resumed tableau counts the pivots to
+its first refresh from 0.  So a branch-and-bound search builds one
+standard form (``_Form``) for its root, and a cut loop one for all its
+separation MIPs.  An open node holds its parent's tableau.
 
 Threads
 -------
@@ -478,13 +476,18 @@ class _Store:
         self.k = k + 1
         return v
 
-    def rebuild(self, Binv: np.ndarray, M0: np.ndarray) -> None:
-        """Make T current at the basis whose inverse is ``Binv``:
-        ``Binv [M0 | I]``."""
-        nc = M0.shape[1]
-        np.matmul(Binv, M0, out=self.T[:, :nc])
-        self.T[:, nc:] = Binv
-        self.k = 0
+    @classmethod
+    def at_basis(cls, G: np.ndarray, basis: np.ndarray,
+                 block: int) -> _Store | None:
+        """The tableau of ``[G | I]`` at ``basis``, through the dense
+        inverse of its basis columns; None for a singular basis."""
+        store = cls.slack_basis(G, block)
+        try:
+            Binv = np.linalg.inv(store.T[:, basis])
+        except np.linalg.LinAlgError:
+            return None
+        store.T = Binv @ store.T
+        return store
 
 
 class _Tableau:
@@ -499,7 +502,7 @@ class _Tableau:
     instead of at 0. ``xn`` holds the nonbasic values (0 on basic
     columns), and ``rise`` and ``fall`` are 1.0 on the nonbasic columns
     that may rise and fall, else 0.0: a fixed column does neither.  The
-    pristine data ``M0`` is ``G`` alone; the identity is implicit.
+    pristine data is ``form``: ``G`` and ``g``; the identity is implicit.
     """
 
     def __init__(self, form: _Form, lp: LinearProgram):
@@ -509,10 +512,7 @@ class _Tableau:
         nr, nc = G.shape
         self.nc = nc
         ncols = nc + nr
-
-        # pristine data, so the tableau can be rebuilt through any basis;
-        # the slack block of [G | I] is implicit
-        self.form, self.M0, self.g0 = form, G, form.g
+        self.form = form
         self.basis = nc + np.arange(nr)
         self._place(lp)
         self.rhs = self._rhs0()
@@ -525,8 +525,7 @@ class _Tableau:
         self.z = self.cost.copy()
 
         self.iterations = 0
-        # the iteration of the last refresh (or of the build); a resumed
-        # tableau carries its start's age
+        # the iteration of the last refresh (or of the build)
         self.fresh = 0
         self.bland_after = 5 * ncols
         self.max_iters = max(200 * ncols, 20000)
@@ -565,10 +564,11 @@ class _Tableau:
 
     def resume(self, lp: LinearProgram) -> _Tableau | None:
         """A copy of this final tableau for ``lp``, an LP on its rows
-        (module docstring, "Warm start"), or None when the copy is neither
-        primal feasible nor dual feasible (up to the slack that the
-        certified optimum of a related LP leaves).  This tableau is left
-        as it is, so several LPs can resume it."""
+        (module docstring, "Warm start"), or None when the copy would
+        move a nonbasic column or is neither primal feasible nor dual
+        feasible (up to the slack that the certified optimum of a related
+        LP leaves).  This tableau is left as it is, so several LPs can
+        resume it."""
         # a shallow copy made attribute by attribute: ``copy.copy`` would
         # give it a materialized __dict__, and CPython 3.11 stops
         # specializing attribute reads on ``self`` once tableaux of both
@@ -577,21 +577,15 @@ class _Tableau:
         for name, value in vars(self).items():
             setattr(tb, name, value)
         nc = self.nc
-        # the store, the basis and the values are the copy's own
-        tb.store = self.store.copy()
+        # the basis and the values are the copy's own; a nonbasic column
+        # at its upper bound stays there while it has one, and any other
+        # goes where a cold start puts it
         tb.basis = self.basis.copy()
-        # a nonbasic column at its upper bound stays there while it has
-        # one, and so does a fixed one whose reduced cost leans on its
-        # upper bound; any other goes where a cold start puts it
-        rise, fall = self.rise[:nc], self.fall[:nc]
-        tb._place(lp, (rise < fall) | ((rise == fall) & (self.z[:nc] < 0.0)))
-        # the columns that moved move the basic values through the tableau
-        move = tb.xn[:nc] - self.xn[:nc]
-        J = np.flatnonzero(move)
+        tb._place(lp, self.rise[:nc] < self.fall[:nc])
+        if (tb.xn[:nc] != self.xn[:nc]).any():
+            return None
+        tb.store = self.store.copy()
         tb.rhs = self.rhs.copy()
-        if J.size:
-            tb.rhs -= tb.store.dot(J, move[J])
-            tb.scale = 1.0 + _peak(tb._rhs0())
         tb._clip(tb.rhs)
         if lp.obj is self.obj:
             tb.z = self.z.copy()
@@ -599,8 +593,8 @@ class _Tableau:
             tb._costs(lp)
             tb.z = tb.cost - tb.store.rdot(tb.cost[tb.basis])
             tb.z[tb.basis] = 0.0
-        tb.fresh = self.fresh - self.iterations
-        tb.iterations = 0
+        # the start's final step re-derived the values: a fresh period
+        tb.fresh = tb.iterations = 0
         if float(tb._excess(tb.rhs).max(initial=0.0)) <= _FEAS_TOL:
             return tb
         slack = 1e-7 * (1.0 + _peak(tb.cost))
@@ -610,7 +604,7 @@ class _Tableau:
         """``g - N xn``: what the rows leave to the basic columns.  A
         nonbasic slack is at 0 unless it sits at its shifted bound."""
         nc = self.nc
-        return self.g0 - self.M0 @ self.xn[:nc] - self.xn[nc:]
+        return self.form.g - self.form.G @ self.xn[:nc] - self.xn[nc:]
 
     def _basic_bounds(self) -> None:
         """Read the bounds of the basic columns from ``lo`` and ``up``,
@@ -846,37 +840,27 @@ class _Tableau:
         return x
 
     def _residual(self, xb: np.ndarray) -> np.ndarray:
-        """``[M0 | I] x - g0`` at the basic values ``xb``."""
+        """``[G | I] x - g`` at the basic values ``xb``."""
         x = self._values(xb)
-        resid = self.M0 @ x[:self.nc] - self.g0
+        resid = self.form.G @ x[:self.nc] - self.form.g
         resid += x[self.nc:]
         return resid
 
     def _reduced(self, y: np.ndarray) -> np.ndarray:
-        """Reduced costs ``cost - y [M0 | I]`` for the duals ``y``."""
-        return np.concatenate((self.cost[:self.nc] - y @ self.M0, -y))
+        """Reduced costs ``cost - y [G | I]`` for the duals ``y``."""
+        return np.concatenate((self.cost[:self.nc] - y @ self.form.G, -y))
 
     def refresh(self, primal: bool = True) -> None:
         """Fold the pending factors into the tableau and re-derive the
-        basic values and reduced costs from the pristine data by one step
-        of iterative refinement (``_refined``), with no inversion.
+        basic values and reduced costs (``_rederive``, its drift checked).
         Rank-one updates drift; left unchecked the drift can steer the
         ratio test into a basis that is infeasible in exact arithmetic.
-        A drift before the step or a residual after it above 1e-7 of
-        ``scale`` rebuilds the whole tableau instead (``_rebuild``); a
-        basis too ill-conditioned for that is left alone so the
-        certificates judge the raw tableau.  In the primal phase
-        (``primal``) a basis whose values lie clearly outside their
-        bounds is a breakdown; the dual phase expects them."""
+        In the primal phase (``primal``) a basis whose values lie clearly
+        outside their bounds is a breakdown; the dual phase expects
+        them."""
         self.fresh = self.iterations
         self.store.fold()
-        refined = self._refined(drift=True)
-        if refined is not None:
-            xb, rc = refined
-            self._hold(xb, primal)
-            self.rhs = xb
-            self.z[:] = rc
-        elif self._rebuild():
+        if self._rederive(drift=True):
             self._hold(self.rhs, primal)
 
     def _hold(self, xb: np.ndarray, primal: bool) -> None:
@@ -889,35 +873,34 @@ class _Tableau:
             np.clip(xb, self.lo_b, self.up_b, out=xb)
         self._clip(xb)
 
-    def _rebuild(self) -> bool:
-        """Rebuild the tableau from the pristine data through the dense
-        inverse of the basis, ``[M0 | I][:, basis]``, and take the basic
-        values and reduced costs from that inverse.  Whether it did: a
-        singular basis, or one whose values miss the right-hand side by
-        more than 1e-7 of ``scale``, leaves the tableau alone."""
-        nr = self.basis.size
-        try:
-            Binv = np.linalg.inv(
-                np.hstack((self.M0, np.eye(nr)))[:, self.basis])
-        except np.linalg.LinAlgError:
-            return False
-        xb = Binv @ self._rhs0()
-        if _peak(self._residual(xb)) > 1e-7 * self.scale:
-            return False
-        self.store.rebuild(Binv, self.M0)
-        self.rhs = xb
-        self.z[:] = self._reduced(self.cost[self.basis] @ Binv)
+    def _rederive(self, drift: bool = False) -> bool:
+        """Re-derive the basic values and reduced costs from the pristine
+        data by one step of iterative refinement through the store
+        (``_refined``).  If that step fails, take it once more through a
+        store rebuilt at the basis (``_Store.at_basis``), which then
+        replaces the store.  Whether either step held: a singular basis,
+        or one too ill-conditioned for the rebuilt step, leaves the
+        tableau as it is, for the certificates to judge."""
+        refined = self._refined(self.store, drift)
+        if refined is None:
+            store = _Store.at_basis(self.form.G, self.basis,
+                                    min(self.refresh_every, self.basis.size))
+            refined = None if store is None else self._refined(store)
+            if refined is None:
+                return False
+            self.store = store
+        self.rhs, self.z[:] = refined
         return True
 
-    def _refined(self, drift: bool = False):
+    def _refined(self, store: _Store, drift: bool = False):
         """Basic values and reduced costs re-derived from the pristine
         data through the current basis by one step of iterative
-        refinement, or None when a residual after the step exceeds the
-        bound of ``_rebuild`` (or, with ``drift``, already did before
-        it).  The residuals of the basic values (``[M0 | I] x - g0``) and
-        of the duals (the reduced costs of the basic columns) are taken
-        from the pristine data and corrected through the basis inverse
-        that the slack columns of the tableau hold."""
+        refinement, or None when a residual after the step exceeds 1e-7
+        of ``scale`` (of 1 + the largest cost, for the duals), or, with
+        ``drift``, already did before it.  The residuals of the basic
+        values (``[G | I] x - g``) and of the duals (the reduced costs of
+        the basic columns) are taken from the pristine data and corrected
+        through the basis inverse that ``store`` holds."""
         nc, basis = self.nc, self.basis
         xtol = 1e-7 * self.scale
         ztol = 1e-7 * (1.0 + _peak(self.cost))
@@ -926,7 +909,7 @@ class _Tableau:
         d = self._reduced(y)[basis]
         if drift and (_peak(r) > xtol or _peak(d) > ztol):
             return None
-        dx, dy = self.store.solve(r, d)
+        dx, dy = store.solve(r, d)
         xb = self.rhs - dx
         y = y + dy
         rc = self._reduced(y)
@@ -936,16 +919,10 @@ class _Tableau:
 
     def refine_optimal(self) -> None:
         """Re-derive basic values and reduced costs from the pristine
-        data through the final basis (``_refined``).  Hundreds of pivot
+        data through the final basis (``_rederive``).  Hundreds of pivot
         updates accumulate enough roundoff to trip the optimality
-        certificates; one step of iterative refinement removes it.  If a
-        refined residual still exceeds the bound, the tableau is rebuilt
-        instead (``_rebuild``)."""
-        refined = self._refined()
-        if refined is not None:
-            self.rhs, self.z[:] = refined
-        else:
-            self._rebuild()
+        certificates; one step of iterative refinement removes it."""
+        self._rederive()
 
 
 def solve_lp(lp: LinearProgram,
@@ -957,8 +934,9 @@ def solve_lp(lp: LinearProgram,
     ``start`` is the optimal solution of an earlier solve, whose final
     tableau the solve resumes when the LP has the start's rows (module
     docstring, "Warm start").  A start that is not optimal, or does not
-    fit this LP's ``[G | I]``, raises ValueError; one on other rows, or
-    neither primal nor dual feasible, leaves the LP to a cold solve.
+    fit this LP's ``[G | I]``, raises ValueError; one on other rows, one
+    whose nonbasic columns this LP moves, or one neither primal nor dual
+    feasible, leaves the LP to a cold solve.
     The solve runs numpy's bundled OpenBLAS on
     one thread and the last solve running gives the caller's thread
     count back (module docstring, "Threads").

@@ -425,6 +425,43 @@ def test_adjustable_unbounded_w():
         solve_adjustable(inst, eps=0.1)
 
 
+def _zero_row_instances(vrep):
+    """Instances whose row 2 of B is zero, with A covering it: the
+    instance file of the CLI test (z_ar = z_aff = 2) and m = 3 mixed
+    instances with row 2 of B zeroed."""
+    uset = (UncertaintySet.vrep([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) if vrep
+            else UncertaintySet.hrep([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                     [1.0, 1.0, 1.4]))
+    insts = [Instance(m=2, n=2, c=[0.1, 0.1], A=[[0.1, 0.0], [0.0, 0.1]],
+                      B=[[1.0, 0.5], [0.0, 0.0]], d_bar=1.0,
+                      uncertainty=uset)]
+    for seed in range(4):
+        inst = mixed_instance(3, 3, seed, vrep=vrep)
+        B = inst.B.copy()
+        B[1] = 0.0
+        insts.append(replace(inst, B=B))
+    return insts
+
+
+@pytest.mark.parametrize("vrep", [True, False])
+def test_a_zero_row_of_B_that_A_covers_matches_the_oracle(vrep):
+    # e_2 is a ray of W, so the inner max is finite exactly where
+    # A_2 x >= cap_2, and then w_2 = 0 attains it: the master takes that
+    # row, and separation holds w_2 at 0
+    mip_tol = 1e-11 if vrep else 0.01
+    for inst in _zero_row_instances(vrep):
+        res = solve_adjustable(inst, eps=0.1, mip_tol=mip_tol)
+        z = solve_adjustable_vertex_oracle(inst)
+        assert res.status == "optimal"
+        assert all(cut.w[1] == 0.0 for cut in res.cuts)
+        assert inst.A[1] @ res.x >= inst.uncertainty.caps[1] - 1e-9
+        if vrep:
+            assert res.z_ar == pytest.approx(z, rel=0, abs=1e-9)
+        else:
+            slack = Digitization.from_instance(inst, 0.1).eps_total
+            assert z - slack - 10 * mip_tol - 1e-7 <= res.z_ar <= z + 1e-7
+
+
 def test_special_case_requires_degenerate_first_stage():
     with pytest.raises(InstanceError):
         adjustable_special_case(mixed_instance(2, 2, seed=0, vrep=True))

@@ -42,6 +42,13 @@ def test_config_validation():
             BenchConfig(kind=kind, m_list=[-1])
         with pytest.raises(ValueError, match="every n must be >= 1"):
             BenchConfig(kind=kind, m_list=[2, 3], n_list=[2, 0])
+    # the worst-case family has n = m: another n is an input error, not
+    # a row that silently solves n = m
+    for kind in ("worst-case-deterministic", "worst-case-randomized"):
+        with pytest.raises(ValueError, match="have n = m"):
+            BenchConfig(kind=kind, m_list=[4], n_list=[2])
+        assert BenchConfig(kind=kind, m_list=[4, 5],
+                           n_list=[4, 5]).sizes() == [(4, 4), (5, 5)]
     for limit in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="time_limit_s must be positive"):
             BenchConfig(kind="uniform", m_list=[2], time_limit_s=limit)
@@ -61,6 +68,8 @@ def test_generate_bench_instance_kinds():
     wc = generate_bench_instance("worst-case-deterministic", 4, 4, seed=0)
     assert not wc.uncertainty.is_hrep
     assert len(wc.uncertainty.vertices) == 2 * 4 + 1
+    with pytest.raises(ValueError, match="have n = m"):
+        generate_bench_instance("worst-case-randomized", 4, 2, seed=0)
 
 
 def test_ratio_edge_cases():

@@ -224,12 +224,24 @@ def test_usage_errors_exit_1(capsys):
     (("--m", "2", "--n", "0"), "every n must be >= 1"),
     (("--m", "3", "--time-limit", "-1"), "time_limit_s must be positive"),
     (("--m", "3", "--time-limit", "0"), "time_limit_s must be positive"),
+    (("--dist", "worst-case-randomized", "--m", "4", "--n", "2"),
+     "have n = m"),
 ])
 def test_bench_input_errors_exit_1(capsys, argv, message):
     # rejected before any row is solved, not reported as failed rows
     code, out, err = run(capsys, "bench", *argv, "--count", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_generate_rejects_another_n_for_the_worst_case_family(capsys,
+                                                              tmp_path):
+    path = tmp_path / "wc.json"
+    code, out, err = run(capsys, "generate", "--dist",
+                         "worst-case-deterministic", "--m", "4", "--n", "2",
+                         "--out", str(path))
+    assert code == 1 and out == "" and not path.exists()
+    assert err.startswith("error:") and "have n = m" in err
 
 
 def test_missing_and_malformed_files_exit_1(capsys, tmp_path):
@@ -274,6 +286,26 @@ def test_solver_failure_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "solve-adjustable", str(path), "--eps", "0.5")
     assert code == 2
     assert "solver failure" in err
+
+
+def test_a_zero_row_of_B_that_A_covers_solves(capsys, tmp_path):
+    # row 2 of B is zero, but x_2 >= 10 covers h_2 <= 1 through A: the
+    # cut loop's value is the oracle's, 2, on the HRep set and on a VRep
+    # one
+    for uset in (UncertaintySet.hrep([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                     [1.0, 1.0, 1.4]),
+                 UncertaintySet.vrep([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
+        inst = Instance(m=2, n=2, c=[0.1, 0.1], A=0.1 * np.eye(2),
+                        B=[[1.0, 0.5], [0.0, 0.0]], d_bar=1.0,
+                        uncertainty=uset)
+        path = tmp_path / "covered.json"
+        write_instance(inst, path)
+        for engine in ("auto", "oracle"):
+            code, out, _ = run(capsys, "solve-adjustable", str(path),
+                               "--engine", engine)
+            assert code == 0
+            assert float(grab(r"z_ar=(\S+)", out)) == pytest.approx(
+                2.0, abs=1e-6)
 
 
 def test_help_exits_0(capsys):

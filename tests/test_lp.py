@@ -477,6 +477,15 @@ def test_deferred_pivots_match_eager_update(make_lp, block, monkeypatch):
     _assert_eager_pivots(tb, block, monkeypatch)
 
 
+def _count_inversions(monkeypatch, inverses):
+    """From now on, append the shape of every matrix ``np.linalg.inv``
+    inverts to ``inverses``: the kernel inverts only to rebuild a store
+    at a basis."""
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inverses.append(a.shape) or inv(a))
+
+
 @pytest.mark.parametrize("make_lp,block", _EAGER_CASES)
 def test_refreshed_pivots_match_eager_update(make_lp, block, monkeypatch):
     # a refresh after every two folds: it folds the factors into T and
@@ -491,9 +500,7 @@ def test_refreshed_pivots_match_eager_update(make_lp, block, monkeypatch):
         refresh(self, primal)
 
     monkeypatch.setattr(_Tableau, "refresh", counted)
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda a: inverses.append(a.shape) or inv(a))
+    _count_inversions(monkeypatch, inverses)
     _assert_eager_pivots(tb, block, monkeypatch)
     assert refreshes and not inverses
 
@@ -515,7 +522,8 @@ def _pivot_up_to(tb, run, pivots):
 
 def _basis_matrix(tb):
     """The basis columns of ``[G | I]``; the tableau stores ``G`` only."""
-    return np.hstack([tb.M0, np.eye(tb.M0.shape[0])])[:, tb.basis]
+    G = tb.form.G
+    return np.hstack([G, np.eye(G.shape[0])])[:, tb.basis]
 
 
 def _basic_values(tb):
@@ -523,21 +531,27 @@ def _basic_values(tb):
     ``g - N xn`` solved against the basis columns of ``[G | I]``."""
     nc = tb.nc
     return np.linalg.solve(_basis_matrix(tb),
-                           tb.g0 - tb.M0 @ tb.xn[:nc] - tb.xn[nc:])
+                           tb.form.g - tb.form.G @ tb.xn[:nc] - tb.xn[nc:])
 
 
 def _assert_rebuild_reproduces(tb):
     # the pivots kept the tableau, the basic values and the reduced costs
-    # current; the dense rebuild re-derives them from the pristine data
-    # and drops the pending factors
-    assert tb.store.k > 0
-    T, rhs, z = tb.store.copy().T, tb.rhs.copy(), tb.z.copy()
+    # current.  Re-derived from the pristine data they come back: through
+    # the store, factors pending, and, once the basic values have drifted
+    # past the bound, through a store rebuilt at the basis, which replaces
+    # the store and holds no pending factor
+    store = tb.store
+    assert store.k > 0
+    T, rhs, z = store.copy().T, tb.rhs.copy(), tb.z.copy()
     np.testing.assert_allclose(_basic_values(tb), rhs, rtol=0, atol=1e-10)
-    assert tb._rebuild()
+    for drift in (0.0, 1e-5):
+        tb.rhs = rhs + drift * tb.scale
+        assert tb._rederive(drift=True)
+        assert (tb.store is store) == (drift == 0.0)
+        np.testing.assert_allclose(tb.rhs, rhs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tb.z, z, rtol=0, atol=1e-10)
     assert tb.store.k == 0
     np.testing.assert_allclose(tb.store.T, T, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(tb.rhs, rhs, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(tb.z, z, rtol=0, atol=1e-10)
 
 
 def test_rebuild_mid_dual_phase(monkeypatch):
@@ -555,28 +569,35 @@ def test_rebuild_of_a_singular_basis_leaves_the_tableau(monkeypatch):
     tb.basis[p] = tb.basis[int(np.flatnonzero(tb.basis >= tb.nc)[0])]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(_basis_matrix(tb))
-    _assert_rebuild_refused(tb)
+    _assert_rebuild_refused(tb, monkeypatch)
 
 
-def test_rebuild_of_an_ill_conditioned_basis_leaves_the_tableau():
+def test_rebuild_of_an_ill_conditioned_basis_leaves_the_tableau(
+        monkeypatch):
     # two basic columns 1e-12 apart: the inverse exists, but the values
-    # it gives miss the right-hand side by far more than 1e-7
+    # refined through it miss the right-hand side by far more than 1e-7
     A = [[1.0, 1.0, 0.5], [1.0, 1.0 + 1e-12, 2.0], [0.3, 0.7, 1.0]]
     tb = _tableau(LinearProgram.from_arrays("max", [1.0, 1.0, 1.0], A,
                                             ["<="] * 3, [1.0, 2.0, 3.0]))
     tb.basis = np.array([0, 1, 5])
     np.linalg.inv(_basis_matrix(tb))
-    _assert_rebuild_refused(tb)
+    _assert_rebuild_refused(tb, monkeypatch)
 
 
-def _assert_rebuild_refused(tb):
+def _assert_rebuild_refused(tb, monkeypatch):
+    # neither the store nor one rebuilt at the basis gives values within
+    # the bound: the tableau stays as it was
     store = tb.store
     T, k, rhs, z = store.T.copy(), store.k, tb.rhs.copy(), tb.z.copy()
-    assert not tb._rebuild()
-    assert tb.store is store and store.k == k
-    np.testing.assert_array_equal(store.T, T)
-    np.testing.assert_array_equal(tb.rhs, rhs)
-    np.testing.assert_array_equal(tb.z, z)
+    inverses = []
+    _count_inversions(monkeypatch, inverses)
+    for drift in (False, True):
+        assert not tb._rederive(drift)
+        assert tb.store is store and store.k == k
+        np.testing.assert_array_equal(store.T, T)
+        np.testing.assert_array_equal(tb.rhs, rhs)
+        np.testing.assert_array_equal(tb.z, z)
+    assert len(inverses) == 2
 
 
 def test_rebuild_mid_dual_phase_of_the_oracle(monkeypatch):
@@ -744,21 +765,38 @@ def test_only_an_optimal_solution_starts():
         solve_lp(lp, start=infeasible)
 
 
+def _assert_cold_answer(lp, start):
+    warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+    assert warm.status == cold.status == "optimal"
+    _assert_same_bits(warm, cold)
+    _assert_certified(lp, warm)
+
+
 def test_a_start_on_other_rows_gives_the_cold_answer():
     # a start of the right shape, solved on other rows: the solve is
     # cold, bit for bit
-    lp = small_lp()
-    start = solve_lp(LinearProgram.from_arrays(
+    _assert_cold_answer(small_lp(), solve_lp(LinearProgram.from_arrays(
         "max", [1.0, 1.0], [[2.0, 1.0], [1.0, 3.0]], ["<=", "<="],
-        [2.0, 3.0]))
-    warm, cold = solve_lp(lp, start=start), solve_lp(lp)
-    assert warm.status == cold.status == "optimal"
-    assert warm.iterations == cold.iterations
-    assert warm.objective == cold.objective
-    np.testing.assert_array_equal(warm.x, cold.x)
-    np.testing.assert_array_equal(warm.duals, cold.duals)
-    np.testing.assert_array_equal(warm.basis, cold.basis)
-    _assert_certified(lp, warm)
+        [2.0, 3.0])))
+
+
+def test_a_start_whose_nonbasic_column_moves_gives_the_cold_answer(
+        monkeypatch):
+    # the start's optimum (1, 1) has both columns nonbasic at their upper
+    # bound; lowering one bound to 0.8 moves that column, so the start
+    # is not resumed and the solve is cold, bit for bit
+    lp = _bounded_lp()
+    start = solve_lp(lp)
+    assert not np.isin([0, 1], start.basis).any()
+    resume, started = _Tableau.resume, []
+
+    def spy(self, lp):
+        started.append(resume(self, lp))
+        return started[-1]
+
+    monkeypatch.setattr(_Tableau, "resume", spy)
+    _assert_cold_answer(lp.with_bounds([0.0, 0.0], [0.8, 1.0]), start)
+    assert started == [None]
 
 
 def test_start_from_other_rows_builds_its_own_form(monkeypatch):
@@ -923,7 +961,10 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
     # the optimum of an LP with boxed columns starts the LP with one
     # boxed column fixed at the middle of its box, the box tightened
     # around that middle or shifted past the column's value, or its
-    # bounds crossed: the same answer as HiGHS, from the start's tableau
+    # bounds crossed.  Where the column is basic (the case of a
+    # branch-and-bound child), the solve resumes the start's tableau and gives
+    # HiGHS's answer; where it is nonbasic, the change moves it, and the
+    # solve is cold, bit for bit
     resume, started = _Tableau.resume, []
 
     def spy(self, lp):
@@ -933,7 +974,7 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
 
     monkeypatch.setattr(_Tableau, "resume", spy)
     forms = _count_forms(monkeypatch)
-    solved = 0
+    basic = []
     for seed in range(30):
         lp = _mixed_lp(seed)
         parent = solve_lp(lp)
@@ -942,33 +983,42 @@ def test_warm_bound_changes_match_highs(move, monkeypatch):
         boxed &= lp.lower < lp.upper
         if parent.status != "optimal" or not boxed.any():
             continue
-        j = int(np.flatnonzero(boxed)[0])
-        lo, up, v = lp.lower.copy(), lp.upper.copy(), parent.x[j]
-        span = up[j] - lo[j]
-        if move == "fix":
-            lo[j] = up[j] = lo[j] + 0.5 * span
-        elif move == "tighten":
-            lo[j], up[j] = lo[j] + 0.25 * span, up[j] - 0.25 * span
-        elif move == "shift":
-            lo[j], up[j] = v + 0.5, v + 0.5 + span
-        else:
-            lo[j], up[j] = v + 0.5, v - 0.5
-        child = lp.with_bounds(lo, up)
-        sol = solve_lp(child, start=parent)
-        if move == "cross":
-            assert sol.status == "infeasible" and sol.farkas is None
-            continue
-        status, value = _highs_status(child)
-        assert sol.status == status, f"seed {seed}"
-        if status == "optimal":
-            assert sol.objective == pytest.approx(value, rel=1e-9,
-                                                  abs=1e-12), f"seed {seed}"
-        _assert_certified(child, sol)
-        # solved through the parent's standard form
-        assert forms == []
-        solved += 1
-    assert solved >= (0 if move == "cross" else 5)
-    assert started == [True] * solved
+        # the first boxed column that is basic and the first that is not
+        cols = np.flatnonzero(boxed)
+        in_basis = np.isin(cols, parent.basis)
+        for j in sorted({int(cols[in_basis.argmax()]),
+                         int(cols[in_basis.argmin()])}):
+            lo, up, v = lp.lower.copy(), lp.upper.copy(), parent.x[j]
+            span = up[j] - lo[j]
+            if move == "fix":
+                lo[j] = up[j] = lo[j] + 0.5 * span
+            elif move == "tighten":
+                lo[j], up[j] = lo[j] + 0.25 * span, up[j] - 0.25 * span
+            elif move == "shift":
+                lo[j], up[j] = v + 0.5, v + 0.5 + span
+            else:
+                lo[j], up[j] = v + 0.5, v - 0.5
+            child = lp.with_bounds(lo, up)
+            sol = solve_lp(child, start=parent)
+            if move == "cross":
+                assert sol.status == "infeasible" and sol.farkas is None
+                continue
+            # solved through the parent's standard form
+            assert forms == []
+            basic.append(j in parent.basis)
+            if basic[-1]:
+                status, value = _highs_status(child)
+                assert sol.status == status, f"seed {seed}"
+                if status == "optimal":
+                    assert sol.objective == pytest.approx(
+                        value, rel=1e-9, abs=1e-12), f"seed {seed}"
+            else:
+                _assert_same_bits(sol, solve_lp(child))
+                del forms[:]
+            _assert_certified(child, sol)
+    assert started == basic
+    if move != "cross":
+        assert sum(basic) >= 5 and len(basic) - sum(basic) >= 5
 
 
 def _assert_same_bits(a, b):
@@ -1057,34 +1107,46 @@ def _separation_lp(seed=0):
     return prob.lp, np.asarray(prob.binary_vars)
 
 
-def test_a_chain_of_warm_re_solves_matches_cold_solves():
-    # each link moves the bounds of a few bits of the separation LP (and
-    # frees those the last link fixed) and starts from the last optimal
-    # link, well past the 128 pivots after which a tableau is refreshed:
-    # every link is certified and has the value of its cold solve, in
-    # far fewer pivots
+def test_a_chain_of_warm_re_solves_matches_cold_solves(monkeypatch):
+    # each link fixes up to three bits of the separation LP that are
+    # basic in the last optimal link, as a branch-and-bound dive does,
+    # and starts from that link, until no basic bit is left free: every
+    # link resumes its start, is certified and has the value of its cold
+    # solve, in far fewer pivots
+    resume, started = _Tableau.resume, []
+
+    def spy(self, lp):
+        tb = resume(self, lp)
+        started.append(tb is not None)
+        return tb
+
+    monkeypatch.setattr(_Tableau, "resume", spy)
     lp, bits = _separation_lp()
-    rng = np.random.default_rng(1)
-    start = solve_lp(lp)
-    # the pivots of the chain, from the root's cold solve on
-    pivots, links, warm_pivots, cold_pivots = start.iterations, 0, 0, 0
-    while pivots < 300:
-        lo, up = lp.lower.copy(), lp.upper.copy()
-        pick = rng.choice(bits, 3, replace=False)
-        lo[pick] = up[pick] = rng.integers(0, 2, 3)
-        child = lp.with_bounds(lo, up)
-        sol, cold = solve_lp(child, start=start), solve_lp(child)
-        assert sol.status == cold.status
-        _assert_certified(child, sol)
-        if sol.status == "optimal":
-            assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
-                                                  abs=1e-9)
-            start = sol
-            pivots += sol.iterations
-            warm_pivots += sol.iterations
-            cold_pivots += cold.iterations
-            links += 1
-    assert links >= 10 and warm_pivots < cold_pivots / 2
+    links, warm_pivots, cold_pivots = 0, 0, 0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        link, start = lp, solve_lp(lp)
+        while True:
+            free = bits[np.isin(bits, start.basis)
+                        & (link.lower[bits] < link.upper[bits])]
+            if not free.size:
+                break
+            pick = rng.choice(free, min(3, free.size), replace=False)
+            lo, up = link.lower.copy(), link.upper.copy()
+            lo[pick] = up[pick] = rng.integers(0, 2, pick.size)
+            child = link.with_bounds(lo, up)
+            sol, cold = solve_lp(child, start=start), solve_lp(child)
+            assert sol.status == cold.status
+            _assert_certified(child, sol)
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(cold.objective,
+                                                      rel=1e-9, abs=1e-9)
+                link, start = child, sol
+                warm_pivots += sol.iterations
+                cold_pivots += cold.iterations
+                links += 1
+    assert all(started) and len(started) >= links >= 15
+    assert warm_pivots < cold_pivots / 2
 
 
 def test_a_start_with_another_objective_matches_the_cold_solve():
@@ -1269,12 +1331,7 @@ def _spy_refinement(monkeypatch):
     the refreshes and every ``np.linalg.inv``.  Returns the checked
     objectives, the refreshes and the shapes of the inverted matrices."""
     inverses, checked, refreshes = [], [], []
-    inv, refine = np.linalg.inv, _Tableau.refine_optimal
-    refresh = _Tableau.refresh
-
-    def counted_inv(a):
-        inverses.append(a.shape)
-        return inv(a)
+    refine, refresh = _Tableau.refine_optimal, _Tableau.refresh
 
     def objective(tb, xb):
         x = tb.xn.copy()
@@ -1292,7 +1349,7 @@ def _spy_refinement(monkeypatch):
         refreshes.append(self.iterations)
         refresh(self, primal)
 
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    _count_inversions(monkeypatch, inverses)
     monkeypatch.setattr(_Tableau, "refine_optimal", spy)
     monkeypatch.setattr(_Tableau, "refresh", counted_refresh)
     return checked, refreshes, inverses
@@ -1339,11 +1396,10 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
     # drift the basic values and reduced costs of the final tableau far
     # past roundoff: the slack block's inverse removes the drift with no
     # inversion, and a corrupted slack block cannot, so the residual
-    # check sends refine_optimal to the dense rebuild
+    # check sends refine_optimal through a store rebuilt at the basis
     lp = _oracle_lp(monkeypatch, m=16)
     clean = solve_lp(lp)
-    refine, rebuild = _Tableau.refine_optimal, _Tableau._rebuild
-    calls, inversions = [], []
+    refine, calls, inversions = _Tableau.refine_optimal, [], []
 
     def drifted(self):
         self.rhs = self.rhs + 1e-5 * self.scale
@@ -1354,12 +1410,8 @@ def test_refinement_falls_back_to_the_inversion(corrupt, monkeypatch):
         refine(self)
         inversions.append(len(calls) - before)
 
-    def spy_rebuild(self):
-        calls.append(None)
-        return rebuild(self)
-
     monkeypatch.setattr(_Tableau, "refine_optimal", drifted)
-    monkeypatch.setattr(_Tableau, "_rebuild", spy_rebuild)
+    _count_inversions(monkeypatch, calls)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert inversions == [int(corrupt)]
@@ -1374,14 +1426,13 @@ def test_a_refresh_falls_back_to_the_inversion(drift, corrupt, monkeypatch):
     # drift the basic values before the first refresh.  Within the bound,
     # refinement through the slack block removes the drift with no
     # inversion.  A slack block corrupted as well amplifies the drift
-    # past the bound, and a drift past it is not refined at all: either
-    # way the refresh rebuilds the tableau through the dense inverse,
-    # which also replaces the corrupted block
+    # past the bound, and a drift past it is not refined through the
+    # store at all: either way the refresh refines through a store
+    # rebuilt at the basis, which also replaces the corrupted block
     lp = _oracle_lp(monkeypatch, m=16)
     clean = solve_lp(lp)
     falls_back = corrupt or drift > 1e-7
-    refresh, rebuild = _Tableau.refresh, _Tableau._rebuild
-    calls, inversions = [], []
+    refresh, calls, inversions = _Tableau.refresh, [], []
 
     def drifted(self, primal=True):
         if not inversions:
@@ -1392,12 +1443,8 @@ def test_a_refresh_falls_back_to_the_inversion(drift, corrupt, monkeypatch):
         refresh(self, primal)
         inversions.append(len(calls) - before)
 
-    def spy_rebuild(self):
-        calls.append(None)
-        return rebuild(self)
-
     monkeypatch.setattr(_Tableau, "refresh", drifted)
-    monkeypatch.setattr(_Tableau, "_rebuild", spy_rebuild)
+    _count_inversions(monkeypatch, calls)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert len(inversions) >= 2

@@ -79,9 +79,9 @@ _LP_PRIVATE_IN_TESTS = {
                 "the resumes of a start are counted",
     "_primal": "the primal phase is stopped while its bounds are "
                "shifted, to refresh the tableau there",
-    "_rebuild": "the dense rebuild is compared with the tableau the "
-                "pivots kept, and counted when refinement or a refresh "
-                "falls back to it",
+    "_rederive": "the re-derived values and the store rebuilt at the "
+                 "basis are compared with what the pivots kept, and a "
+                 "singular or ill-conditioned basis leaves the tableau",
     "_shift": "the shifts are counted, so a test that needs them cannot "
               "pass without them",
 }
@@ -122,16 +122,29 @@ def test_lp_tests_use_only_the_listed_private_names():
     assert sorted(used & private) == sorted(_LP_PRIVATE_IN_TESTS)
 
 
-def test_only_the_store_touches_the_tableau_arrays():
-    # the simplex reaches the tableau through _Store's operations alone:
-    # no code of lp.py outside that class reads or writes an attribute
-    # T, U, V or k, so another store can replace it
+def _lp_outside_the_store():
+    """Every syntax node of lp.py outside the class ``_Store``."""
     tree = ast.parse((pathlib.Path(adjrobust.__file__).parent
                       / "lp.py").read_text())
     (store,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
                 and node.name == "_Store"]
     inside = {id(node) for node in ast.walk(store)}
-    leaks = [node.lineno for node in ast.walk(tree)
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
+def test_only_the_store_touches_the_tableau_arrays():
+    # the simplex reaches the tableau through _Store's operations alone:
+    # no code of lp.py outside that class reads or writes an attribute
+    # T, U, V or k, so another store can replace it
+    leaks = [node.lineno for node in _lp_outside_the_store()
              if isinstance(node, ast.Attribute)
-             and node.attr in ("T", "U", "V", "k") and id(node) not in inside]
+             and node.attr in ("T", "U", "V", "k")]
     assert leaks == []
+
+
+def test_only_the_store_inverts():
+    # the basis inverse is the store's own: no code of lp.py outside
+    # _Store reaches np.linalg, so a factored store can replace it
+    calls = [node.lineno for node in _lp_outside_the_store()
+             if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+    assert calls == []
