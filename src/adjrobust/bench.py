@@ -3,8 +3,10 @@
 Each row generates one instance from (kind, m, n, seed), times the
 affine solve and the fully adjustable solve, and records the ratio.
 The adjustable side exploits that every generated family has A = 0 and
-c = 0: the budget set's vertices are written down once per m in closed
-form and the value comes from a single exact separation at x = 0.
+c = 0: the value comes from a single exact separation at x = 0.  On the
+budget set that separation searches the set's vertices, written down
+once per m in closed form, up to m = VERTEX_ROUTE_MAX_M, and solves the
+top-k MIP on the HRep set above it.
 Failures and timeouts mark the row and never abort the sweep; an
 error row keeps its exception as "Type: message" in `BenchRow.error`.
 """
@@ -25,6 +27,15 @@ from .instances import (Instance, RandomSpec, UncertaintySet,
 CSV_HEADER = "m,n,seed,z_aff,z_ar,ratio,t_aff_s,t_ar_s,status"
 
 _WORST = ("worst-case-deterministic", "worst-case-randomized")
+
+# Largest m whose budget-set rows separate over the closed-form vertices;
+# larger m solve the top-k MIP (adjustable.TopK).  Measured per row on
+# seeds 0-9, best of 3 (2 vCPU, one BLAS thread), vertex route against
+# top-k MIP: uniform m=10 6.1 vs 6.7 ms, m=11 11.7 vs 9.1 ms, m=12 17.0
+# vs 11.4 ms, m=13 27.0 vs 11.1 ms; folded-normal m=10 3.4 vs 5.9 ms,
+# m=11 5.8 vs 6.7 ms, m=12 23.9 vs 15.5 ms, m=13 30.1 vs 12.2 ms; the
+# values agree to 5.3e-16 relative.
+VERTEX_ROUTE_MAX_M = 11
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,8 @@ def _ratio(z_aff: float, z_ar: float) -> float:
 
 def solve_bench_row(config: BenchConfig, m: int, n: int, seed: int,
                     vertices: UncertaintySet | None) -> BenchRow:
-    """One benchmark row; `vertices` carries the per-m budget vertex cache."""
+    """One benchmark row; `vertices` carries the per-m budget vertex
+    cache, or None where the row separates on its own uncertainty set."""
     limit = config.time_limit_s
     z_aff = z_ar = ratio = None
     t_aff = t_ar = 0.0
@@ -136,7 +148,7 @@ def solve_bench_row(config: BenchConfig, m: int, n: int, seed: int,
             return BenchRow(m, n, seed, None, None, None, t_aff, 0.0,
                             "timeout")
 
-        if inst.uncertainty.is_hrep:
+        if vertices is not None:
             inst = inst.with_uncertainty(vertices)
         t0 = time.perf_counter()
         z_ar = float(adjustable_special_case(inst, eps=config.eps))
@@ -163,7 +175,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRow],
     summaries: list[BenchSummary] = []
     for m, n in config.sizes():
         verts = None
-        if config.kind not in _WORST:
+        if config.kind not in _WORST and m <= VERTEX_ROUTE_MAX_M:
             verts = budget_vertices(m)
         seeds = [config.seed_base + i for i in range(config.count)]
         if config.jobs > 1:

@@ -171,7 +171,8 @@ def _cmd_solve_adjustable(args) -> int:
     res = solve_adjustable(inst, eps=args.eps, max_iters=args.max_iters)
     t = time.perf_counter() - t0
     print(f"z_ar={res.z_ar!r} engine=auto status={res.status} "
-          f"iterations={res.iterations} cuts={len(res.cuts)} t_s={t:.3f}")
+          f"iterations={res.iterations} cuts={len(res.cuts)} "
+          f"nodes={res.nodes} t_s={t:.3f}")
     if args.cuts_out:
         _write_json(args.cuts_out, {"cuts": [
             {"h": c.h.tolist(), "w": c.w.tolist(), "value": c.value}

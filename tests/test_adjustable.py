@@ -1,10 +1,11 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adjrobust import adjustable
-from adjrobust.adjustable import (Digitization, SeparationError,
+from adjrobust.adjustable import (Digitization, SeparationError, TopK,
                                   _separate_vrep, adjustable_special_case,
                                   build_separation_mip, separate,
                                   solve_adjustable,
@@ -205,6 +206,99 @@ def test_separation_needs_hrep():
 
 
 # ---------------------------------------------------------------------------
+# top-k separation on the budget set
+
+
+def test_topk_route_recognizes_the_budget_set_only():
+    for m, k in ((1, 1), (2, 1), (4, 2), (10, 3), (16, 4)):
+        topk = TopK.of(budget_set(m))
+        assert (topk.k, topk.theta) == (k, np.sqrt(m) - k)
+        assert len(topk.sets) == (1 if m in (1, 4, 16) else 2)
+    # a budget of another size, a reordered R and a VRep set are not it
+    R, r = budget_set(3).R, budget_set(3).r
+    assert TopK.of(UncertaintySet.hrep(R, r * 0.99)) is None
+    assert TopK.of(UncertaintySet.hrep(R[::-1], r[::-1])) is None
+    assert TopK.of(enumerate_vertices(budget_set(3))) is None
+    inst = mixed_instance(3, 3, seed=0)
+    assert isinstance(adjustable._route(inst, 0.1), TopK)
+    other = replace(inst, uncertainty=UncertaintySet.hrep(R, r * 0.99))
+    assert isinstance(adjustable._route(other, 0.1), Digitization)
+
+
+def _topk_cases():
+    """(instance, x_hat) on budget sets, with A = 0 at x = 0 and with a
+    first stage that makes some objective coefficients negative."""
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 4, 5, 7, 9):
+        yield gen_iid(m, m, RandomSpec("uniform"), 40 + m), np.zeros(m)
+        yield mixed_instance(m, m, seed=m), 2.0 * rng.random(m)
+
+
+def test_topk_separation_returns_an_exact_feasible_pair():
+    for inst, x_hat in _topk_cases():
+        topk = TopK.of(inst.uncertainty)
+        h, w, val = separate(inst, x_hat, -np.inf, topk, mip_tol=1e-9)
+        R, r = inst.uncertainty.R, inst.uncertainty.r
+        assert (h >= 0).all() and (R @ h <= r + 1e-12).all()
+        assert (w >= -1e-12).all()
+        assert (inst.B.T @ w <= inst.d_bar + 1e-9).all()
+        assert val == float((h - inst.A @ x_hat) @ w)
+        want = _separate_vrep(
+            inst.with_uncertainty(budget_vertices(inst.m)), x_hat)[2]
+        assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _special_case_pairs(m, kind, seeds):
+    verts = budget_vertices(m)
+    for seed in seeds:
+        inst = gen_iid(m, m, RandomSpec(kind), seed)
+        topk = adjustable_special_case(inst, mip_tol=1e-9)
+        vertex = adjustable_special_case(inst.with_uncertainty(verts))
+        yield seed, topk, vertex
+
+
+@pytest.mark.parametrize("m", [10, 13, 16])
+@pytest.mark.parametrize("kind", ["uniform", "folded-normal"])
+def test_topk_route_matches_the_vertex_route(m, kind):
+    for seed, topk, vertex in _special_case_pairs(m, kind, range(20)):
+        assert topk == pytest.approx(vertex, rel=1e-9), seed
+
+
+@pytest.mark.skipif(not os.environ.get("ADJROBUST_SLOW"),
+                    reason="about 2 min; set ADJROBUST_SLOW=1 to run")
+@pytest.mark.parametrize("kind", ["uniform", "folded-normal"])
+def test_topk_route_matches_the_vertex_route_at_m20(kind):
+    for seed, topk, vertex in _special_case_pairs(20, kind, range(20)):
+        assert topk == pytest.approx(vertex, rel=1e-9), seed
+
+
+def test_topk_cut_loops_match_the_oracle():
+    # criterion 4's sizes on the HRep budget set, with A = 0 (criterion
+    # 4's instances) and with a first stage
+    sizes = [3] * 17 + [4] * 17 + [5] * 16
+    for i, m in enumerate(sizes):
+        for inst in (gen_iid(m, m, RandomSpec("uniform"), seed=i),
+                     mixed_instance(m, m, seed=i)):
+            res = solve_adjustable(inst, mip_tol=1e-7)
+            assert res.status == "optimal"
+            assert res.z_ar == pytest.approx(
+                solve_adjustable_vertex_oracle(inst), rel=0, abs=1e-9)
+
+
+def test_topk_bracket_has_no_digitization_slack():
+    # an iteration-capped loop on the budget set brackets z_AR by its
+    # master and c.x + value + mip_tol, with no eps_total in the slack
+    inst = mixed_instance(4, 3, seed=8)
+    res = solve_adjustable(inst, eps=0.5, max_iters=1, mip_tol=1e-3)
+    z = solve_adjustable_vertex_oracle(inst)
+    assert res.status == "iteration_limit"
+    lo, hi = res.bracket
+    assert hi == max(lo, float(inst.c @ res.x) + res.cuts[-1].value + 1e-3)
+    assert lo - 1e-7 <= z <= hi + 1e-7
+    assert hi - lo < Digitization.from_instance(inst, 0.5).eps_total
+
+
+# ---------------------------------------------------------------------------
 # VRep separation against one LP per vertex
 
 
@@ -312,7 +406,7 @@ def test_adjustable_vrep_matches_oracle():
         inst = mixed_instance(3 + seed, 3, seed, vrep=True)
         res = solve_adjustable(inst, eps=1e-3)
         z = solve_adjustable_vertex_oracle(inst)
-        assert res.status == "optimal"
+        assert res.status == "optimal" and res.nodes == 0
         assert abs(res.z_ar - z) <= 1e-3 + 1e-5
         assert res.bracket[0] <= res.bracket[1] + 1e-12
 
@@ -321,22 +415,27 @@ def test_adjustable_vrep_matches_oracle():
                                                   (3, range(5), 0.1, 0.01)])
 def test_warm_separation_roots_stay_in_the_oracle_bracket(m, seeds, eps,
                                                          mip_tol, monkeypatch):
-    # each separation MIP's root starts from the previous root's basis
-    warm = []
+    # each separation MIP's root starts from the previous root's basis;
+    # the budget set's top-k MIPs are exact, so the loop ends within
+    # mip_tol + sep_tol of the oracle, and its nodes are its searches'
+    warm, nodes = [], []
 
     def record(prob, **kw):
         warm.append(kw.get("start") is not None)
-        return solve_mip(prob, **kw)
+        sol = solve_mip(prob, **kw)
+        nodes.append(sol.nodes)
+        return sol
 
     monkeypatch.setattr(adjustable, "solve_mip", record)
     for seed in seeds:
         inst = mixed_instance(m, m, seed)
-        dig = Digitization.from_instance(inst, eps)
+        made = len(nodes)
         res = solve_adjustable(inst, eps=eps, mip_tol=mip_tol)
         z = solve_adjustable_vertex_oracle(inst)
         assert res.status == "optimal"
+        assert res.nodes == sum(nodes[made:]) > 0
         assert res.z_ar <= z + 1e-7
-        assert res.z_ar >= z - (dig.eps_total + 10 * mip_tol) - 1e-7
+        assert res.z_ar >= z - 11 * mip_tol - 1e-7
     # all but the first separation of each loop
     assert sum(warm) == len(warm) - len(seeds) > 0
 
@@ -368,8 +467,11 @@ def test_separation_cutoff_keeps_the_cut_loops(m, seeds, eps, mip_tol,
 
 
 def test_adjustable_hrep_digitized_loop():
-    # full loop with MIP separation, coarse digitization
-    inst = mixed_instance(3, 3, seed=42)
+    # full loop with MIP separation, coarse digitization, on an HRep set
+    # that is not the budget set (which separates by the top-k MIP)
+    inst = replace(mixed_instance(3, 3, seed=42),
+                   uncertainty=UncertaintySet.hrep(budget_set(3).R,
+                                                   [1.0, 1.0, 1.0, 1.5]))
     dig = Digitization.from_instance(inst, 0.5)
     res = solve_adjustable(inst, eps=0.5, mip_tol=0.05)
     z = solve_adjustable_vertex_oracle(inst)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from adjrobust import bench
+from adjrobust.adjustable import adjustable_special_case
 from adjrobust.affine import solve_affine
 from adjrobust.bench import (CSV_HEADER, BenchConfig, _ratio, format_csv,
                              generate_bench_instance, run_benchmark,
                              write_csv)
+from adjrobust.instances import budget_vertices
 
 ROW_RE = re.compile(
     r"^\d+,\d+,\d+,[^,]*,[^,]*,[^,]*,\d+\.\d{3},\d+\.\d{3},(ok|timeout|error)$")
@@ -166,3 +168,26 @@ def test_error_row_keeps_exception_text(monkeypatch):
     assert text.split("\n")[0] == CSV_HEADER
     assert all(ROW_RE.match(ln) for ln in text.split("\n")[1:3])
     assert "pivot on zero" not in text
+
+
+def test_the_budget_set_route_switches_at_the_break_even(monkeypatch):
+    # up to VERTEX_ROUTE_MAX_M a row separates over the closed-form
+    # vertices (the m=10 table among them); above it, over the HRep
+    # budget set by the top-k MIP, to the vertex route's value
+    seen = []
+
+    def spy(inst, **kw):
+        seen.append(inst.uncertainty.is_hrep)
+        return adjustable_special_case(inst, **kw)
+
+    monkeypatch.setattr(bench, "adjustable_special_case", spy)
+    assert 10 <= bench.VERTEX_ROUTE_MAX_M < 13
+    for m, hrep in ((10, False), (13, True)):
+        seen.clear()
+        (row,), _ = run_benchmark(BenchConfig(kind="uniform", m_list=[m],
+                                              count=1, seed_base=3))
+        assert row.status == "ok" and seen == [hrep]
+        inst = generate_bench_instance("uniform", m, m, 3)
+        vertex = adjustable_special_case(
+            inst.with_uncertainty(budget_vertices(m)))
+        assert row.z_ar == pytest.approx(vertex, rel=1e-9)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from adjrobust.bench import CSV_HEADER
 from adjrobust.cli import main
-from adjrobust.instances import Instance, UncertaintySet, write_instance
+from adjrobust.adjustable import solve_adjustable
+from adjrobust.instances import (Instance, UncertaintySet, read_instance,
+                                 write_instance)
 
 
 def run(capsys, *argv):
@@ -97,6 +100,10 @@ def test_solve_adjustable_auto_with_cuts(capsys, tmp_path):
                        "--eps", "0.5", "--cuts-out", str(cuts))
     assert code == 0
     assert "engine=auto status=optimal" in out
+    # the generated set is the budget set, whose separations are top-k
+    # MIPs: their B&B nodes are printed next to the loop's counts
+    nodes = int(grab(r"iterations=\d+ cuts=\d+ nodes=(\d+) t_s=", out))
+    assert nodes == solve_adjustable(read_instance(inst), eps=0.5).nodes > 0
     data = json.loads(cuts.read_text())["cuts"]
     assert len(data) == int(grab(r"cuts=(\d+)", out)) >= 2
     # the loop starts from the w = 0 cut; every cut's value is h.w, as
@@ -206,6 +213,20 @@ def test_bench_out_file(capsys, tmp_path):
     assert code == 0
     assert re.search(r"m=2 completed=2/2 r_avg=", out)
     assert csv.read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.skipif(not os.environ.get("ADJROBUST_SLOW"),
+                    reason="about 15 s and 450 MB; set ADJROBUST_SLOW=1 to run")
+def test_bench_finishes_both_values_at_m30(capsys):
+    # the budget set has 3.7 million vertices at m = 30: z_ar comes from
+    # the top-k MIP on the HRep set
+    code, out, _ = run(capsys, "bench", "--m", "30", "--count", "2")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:3]]
+    assert [r[8] for r in rows] == ["ok", "ok"]
+    for r in rows:
+        assert float(r[3]) >= float(r[4]) > 0.0
+    assert "completed=2/2 timeouts=0 errors=0" in out
 
 
 # ---------------------------------------------------------------------------

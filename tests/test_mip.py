@@ -7,7 +7,7 @@ import pytest
 from adjrobust import adjustable, mip
 from adjrobust.adjustable import (Digitization, build_separation_mip,
                                   solve_adjustable)
-from adjrobust.instances import Instance, budget_set
+from adjrobust.instances import Instance, UncertaintySet, budget_set
 from adjrobust.lp import LinearProgram, LpSolution, _Form, _Tableau, solve_lp
 from adjrobust.mip import MipError, MixedBinaryProgram, solve_mip
 from adjrobust.rng import SplitMix64
@@ -294,19 +294,26 @@ def test_dual_phase_refreshes_keep_the_search(monkeypatch):
     assert any(dual_refreshes)
 
 
-def _cut_loop_instance(seed):
-    """An m = n = 2 HRep budget instance of the cut-loop recipe."""
+def _cut_loop_instance(seed, uncertainty=None):
+    """An m = n = 2 HRep instance of the cut-loop recipe, on the budget
+    set unless ``uncertainty`` is given."""
     rng = np.random.default_rng(seed)
     return Instance(m=2, n=2, c=0.2 * rng.random(2),
                     A=0.3 * rng.random((2, 2)),
                     B=0.1 + rng.random((2, 2)), d_bar=1.0,
-                    uncertainty=budget_set(2), seed=seed)
+                    uncertainty=uncertainty or budget_set(2), seed=seed)
 
 
 def _run_cut_loops():
-    # the cut loop's separation MIPs, eps 0.5, mip_tol 0.05
+    # the cut loop's digitized separation MIPs, eps 0.5, mip_tol 0.05:
+    # the budget set separates by the top-k MIP in a few dozen nodes, so
+    # the loops run on {h in [0,1]^2 : h_1 + h_2 <= 1.4}, which keeps
+    # the digitized MIP and its warm starts (about 200 nodes)
+    uset = UncertaintySet.hrep([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                               [1.0, 1.0, 1.4])
     for seed in range(10):
-        solve_adjustable(_cut_loop_instance(seed), eps=0.5, mip_tol=0.05)
+        solve_adjustable(_cut_loop_instance(seed, uset), eps=0.5,
+                         mip_tol=0.05)
 
 
 def test_warm_started_search_pivots_per_node(monkeypatch):
