@@ -335,6 +335,8 @@ def _separate_vrep(inst: Instance, x_hat):
     # w_i is held at 0 on a zero row of B, which then bounds nothing
     live = caps > 0.0
     upper = np.where(live, np.inf, 0.0)
+    # the entries of c_h that bound t: positive, on a live w_i
+    binds = (C > 0.0) & live
     ub = np.maximum(C, 0.0) @ caps
     best, best_h, best_w = -np.inf, None, None
     k = int(np.argmax(ub))
@@ -350,8 +352,7 @@ def _separate_vrep(inst: Instance, x_hat):
             best, best_h, best_w = vals[j], j, sol.x.copy()
         y = np.maximum(sol.duals, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where((C > 0.0) & live, C / (inst.B @ y),
-                         0.0).max(axis=1)
+            t = np.where(binds, C / (inst.B @ y), 0.0).max(axis=1)
             np.minimum(ub, t * (inst.d_bar * y.sum()), out=ub,
                        where=t < np.inf)
         ub[k] = -np.inf    # solved

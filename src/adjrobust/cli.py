@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .adjustable import (SeparationError, adjustable_special_case,
+from .adjustable import (SeparationError, TopK, adjustable_special_case,
                          solve_adjustable, solve_adjustable_vertex_oracle)
 from .affine import solve_affine
 from .analysis import (kappa_sandwich, theorem1_bound, theorem2_bound,
@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     sj.add_argument("--engine", choices=("auto", "special", "oracle"),
                     default="auto",
                     help="auto: cutting plane; special: exact separation at "
-                         "x=0 on enumerated vertices (needs A=0, c=0); "
+                         "x=0, by the top-k MIP on the budget set and on "
+                         "enumerated vertices otherwise (needs A=0, c=0); "
                          "oracle: one LP over all vertices")
     sj.add_argument("--max-iters", type=int, default=100)
     sj.add_argument("--cuts-out", default=None)
@@ -162,8 +163,11 @@ def _cmd_solve_adjustable(args) -> int:
         print(f"z_ar={z!r} engine=oracle t_s={t:.3f}")
         return 0
     if args.engine == "special":
-        if inst.uncertainty.is_hrep:
-            inst = inst.with_uncertainty(enumerate_vertices(inst.uncertainty))
+        # the budget set keeps its exact top-k separation; another HRep
+        # set is separated exactly over its enumerated vertices
+        uset = inst.uncertainty
+        if uset.is_hrep and TopK.of(uset) is None:
+            inst = inst.with_uncertainty(enumerate_vertices(uset))
         z = adjustable_special_case(inst, eps=args.eps)
         t = time.perf_counter() - t0
         print(f"z_ar={z!r} engine=special t_s={t:.3f}")

@@ -13,7 +13,9 @@ within that tolerance outside their bounds are clipped onto them.
 Under Bland it is the exact min-ratio test with ties to the smallest
 basic variable index, the tie-break Bland's termination argument needs.
 An entering column whose bounds are closer than the step flips to its
-other bound with no change of basis.
+other bound with no change of basis.  The primal iteration works in
+place on per-phase buffers: under Dantzig, its pricing and its ratio
+test, one pass over all rows, build no temporary arrays.
 
 The tableau's storage (``_Store``) keeps it in deferred product form:
 a pivot does not rewrite the tableau but appends one rank-one factor,
@@ -409,11 +411,17 @@ class _Store:
         T = self.T - self.U[:, :k] @ self.V[:k] if k else self.T.copy()
         return _Store(T, self.V.shape[0])
 
-    def column(self, q: int) -> np.ndarray:
+    def column(self, q: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Column q of the current tableau, written to ``out`` if given."""
         k = self.k
+        if out is None:
+            out = np.empty(self.T.shape[0])
         if k == 0:
-            return self.T[:, q].copy()
-        return self.T[:, q] - self.U[:, :k] @ self.V[:k, q]
+            out[:] = self.T[:, q]
+        else:
+            np.matmul(self.U[:, :k], self.V[:k, q], out=out)
+            np.subtract(self.T[:, q], out, out=out)
+        return out
 
     def row(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
         """Row p of the current tableau, written to ``out`` if given; that
@@ -612,10 +620,15 @@ class _Tableau:
         self.lo_b, self.up_b = self.lo[self.basis], self.up[self.basis]
         self.lo_t, self.up_t = self.lo_b - _FEAS_TOL, self.up_b + _FEAS_TOL
 
-    def gain(self) -> np.ndarray:
-        """Per column, the improvement per unit of a move it may make."""
+    def gain(self, out: np.ndarray | None = None,
+             fall: np.ndarray | None = None) -> np.ndarray:
+        """Per column, the improvement per unit of a move it may make,
+        written to ``out`` if given; ``fall`` is a second buffer."""
         z = self.z
-        return np.maximum(-z * self.rise, z * self.fall)
+        out = np.multiply(z, self.rise, out=out)
+        np.negative(out, out=out)
+        np.maximum(out, np.multiply(z, self.fall, out=fall), out=out)
+        return out
 
     def _rest(self, j: int, at: float) -> None:
         """Put column j, now nonbasic, at its bound ``at``."""
@@ -641,7 +654,8 @@ class _Tableau:
               row: np.ndarray | None = None) -> None:
         """Pivot on (p, q): column q enters, moving as far as brings the
         column basic in row p to its bound ``at``, where it leaves.
-        ``col`` is column q and ``row`` row p of the current tableau."""
+        ``col`` is column q and ``row`` row p of the current tableau;
+        ``col`` is overwritten."""
         if col is None:
             col = self.store.column(q)
         piv = col[p]
@@ -650,14 +664,19 @@ class _Tableau:
         v = self.store.append(p, q, col, row)
         rhs = self.rhs
         delta = (rhs[p] - at) / piv
-        rhs -= delta * col
+        np.multiply(col, delta, out=col)
+        np.subtract(rhs, col, out=rhs)
         rhs[p] = self.xn[q] + delta
         z = self.z
         zq = z[q]
         if zq != 0.0:
             z -= zq * v
             z[q] = 0.0
-        self._rest(self.basis[p], at)
+        # the leaving column rests at its bound ``at`` (``_rest``)
+        j = self.basis[p]
+        self.xn[j] = at
+        self.rise[j] = at < self.up[j]
+        self.fall[j] = at > self.lo[j]
         self.xn[q] = 0.0
         self.rise[q] = self.fall[q] = 0.0
         self.basis[p] = q
@@ -724,13 +743,24 @@ class _Tableau:
 
     def _primal(self, shift: bool) -> str:
         """The pivots of ``run``; with ``shift``, more than _SHIFT_AFTER
-        zero-step pivots in a row shift the slack bounds once."""
+        zero-step pivots in a row shift the slack bounds once.
+
+        Pricing and the ratio test work in place on buffers allocated
+        once per call.  The ratio test is one pass over all rows: a row
+        whose entry in the entering column is at most PIVOT_TOL, or whose
+        basic column has no bound on the side it moves to, gets an
+        infinite ratio."""
+        nr = self.rhs.size
+        gain, fall = np.empty_like(self.z), np.empty_like(self.z)
+        side, near = np.empty(nr, dtype=bool), np.empty(nr, dtype=bool)
+        col, mag = np.empty(nr), np.empty(nr)
+        room, ratio = np.empty(nr), np.empty(nr)
         flat = 0
         while True:
             dantzig = self._tick(primal=True)
-            gain = self.gain()
+            self.gain(gain, fall)
             if dantzig:
-                q = int(np.argmax(gain))
+                q = int(gain.argmax())
                 if gain[q] <= _RC_TOL:
                     return OPTIMAL
             else:
@@ -738,42 +768,57 @@ class _Tableau:
                 if cand.size == 0:
                     return OPTIMAL
                 q = int(cand[0])
-            col = self.store.column(q)
-            sign = 1.0 if self.z[q] < 0.0 else -1.0
-            # a step t of column q moves the basic values by -t * d
-            d = col if sign > 0.0 else -col
+            self.store.column(q, out=col)
+            # a step t of column q moves the basic values by -t * col if
+            # it rises, by t * col if it falls; ``side`` marks the basic
+            # columns that move down, toward their lower bound
+            rises = self.z[q] < 0.0
             lo, up, rhs = self.lo_b, self.up_b, self.rhs
-            room = np.where(d > 0.0, rhs - lo, up - rhs)
-            rows = ((np.abs(d) > PIVOT_TOL) & (room < np.inf)).nonzero()[0]
-            step = np.inf
-            if rows.size:
-                a = np.abs(d[rows])
-                b = room[rows]
-                ratios = b / a
-                if dantzig:
-                    # Harris: the largest pivot among the rows whose ratio
-                    # is within the feasibility tolerance of the smallest
-                    near = (ratios <= ((b + _FEAS_TOL) / a).min()).nonzero()[0]
-                    i = int(near[a[near].argmax()])
-                else:
-                    # exact min ratio, ties to the smallest basic index
-                    cand = (ratios == ratios.min()).nonzero()[0]
-                    i = int(cand[self.basis[rows[cand]].argmin()])
-                step = ratios[i]
+            if rises:
+                np.greater(col, 0.0, out=side)
+            else:
+                np.less(col, 0.0, out=side)
+            np.subtract(up, rhs, out=room)
+            np.subtract(rhs, lo, out=ratio)
+            np.copyto(room, ratio, where=side)
+            np.absolute(col, out=mag)
+            np.less_equal(mag, PIVOT_TOL, out=near)
+            np.copyto(room, np.inf, where=near)
+            np.divide(room, mag, out=ratio)
+            if dantzig:
+                # Harris: the largest pivot among the rows whose ratio is
+                # within the feasibility tolerance of the smallest
+                np.add(room, _FEAS_TOL, out=room)
+                np.divide(room, mag, out=room)
+                thresh = room.min(initial=np.inf)
+                bounded = thresh < np.inf
+                if bounded:
+                    np.less_equal(ratio, thresh, out=near)
+                    np.multiply(mag, near, out=room)
+                    p = int(room.argmax())
+            else:
+                # exact min ratio, ties to the smallest basic index
+                least = ratio.min(initial=np.inf)
+                bounded = least < np.inf
+                if bounded:
+                    cand = np.flatnonzero(ratio == least)
+                    p = int(cand[self.basis[cand].argmin()])
+            step = ratio[p] if bounded else np.inf
             span = self.up[q] - self.lo[q]
             if span < np.inf and span <= step:
                 # the column reaches its other bound first
-                self.rhs -= (sign * span) * col
-                self._rest(q, self.up[q] if sign > 0.0 else self.lo[q])
-                self._clip(self.rhs)
-            elif not rows.size:
+                np.multiply(col, span if rises else -span, out=col)
+                np.subtract(rhs, col, out=rhs)
+                self._rest(q, self.up[q] if rises else self.lo[q])
+                self._clip(rhs)
+            elif not bounded:
+                sign = 1.0 if rises else -1.0
                 self._ray = np.zeros(self.xn.size)
                 self._ray[self.basis] = -sign * col
                 self._ray[q] = sign
                 return UNBOUNDED
             else:
-                p = int(rows[i])
-                self.pivot(p, q, lo[p] if d[p] > 0.0 else up[p], col)
+                self.pivot(p, q, lo[p] if side[p] else up[p], col)
                 flat = flat + 1 if step <= _FEAS_TOL else 0
                 if shift and flat > _SHIFT_AFTER and not self.shifted:
                     self._shift()

@@ -93,6 +93,42 @@ def test_solve_adjustable_engines_agree(capsys, tmp_path):
     assert z_special == pytest.approx(z_oracle, abs=1e-8)
 
 
+def test_special_engine_takes_the_top_k_route_past_the_vertex_cap(capsys,
+                                                                  tmp_path):
+    # m=13 is past the vertex enumeration cap of 12: on the generated
+    # budget set the special engine separates by the top-k MIP, as the
+    # default engine does
+    inst = tmp_path / "m13.json"
+    code, _, _ = run(capsys, "generate", "--m", "13", "--seed", "0",
+                     "--out", str(inst))
+    assert code == 0
+    code, out, _ = run(capsys, "solve-adjustable", str(inst),
+                       "--engine", "special")
+    assert code == 0
+    z_special = float(grab(r"z_ar=([\d.e+-]+) engine=special", out))
+    code, out, _ = run(capsys, "solve-adjustable", str(inst))
+    assert code == 0
+    z_auto = float(grab(r"z_ar=([\d.e+-]+) engine=auto", out))
+    assert z_special == pytest.approx(z_auto, rel=1e-6)
+
+
+def test_special_engine_enumerates_another_hrep_set(capsys, tmp_path):
+    # a budget of 1.2 instead of sqrt(3) is not the budget set: the
+    # special engine separates over the set's enumerated vertices
+    inst = read_instance(gen(capsys, tmp_path))
+    uset = UncertaintySet.hrep(np.vstack([np.eye(2), np.ones((1, 2))]),
+                               [1.0, 1.0, 1.2])
+    path = tmp_path / "cut.json"
+    write_instance(inst.with_uncertainty(uset), path)
+    z = {}
+    for engine in ("special", "oracle"):
+        code, out, _ = run(capsys, "solve-adjustable", str(path),
+                           "--engine", engine)
+        assert code == 0
+        z[engine] = float(grab(rf"z_ar=([\d.e+-]+) engine={engine}", out))
+    assert z["special"] == pytest.approx(z["oracle"], abs=1e-8)
+
+
 def test_solve_adjustable_auto_with_cuts(capsys, tmp_path):
     inst = gen(capsys, tmp_path)
     cuts = tmp_path / "cuts.json"

@@ -24,6 +24,7 @@ from adjrobust.lp import (
     LE,
     LinearProgram,
     LpBreakdownError,
+    PIVOT_TOL,
     _Form,
     _Tableau,
     solve_lp,
@@ -271,6 +272,53 @@ def test_beale_cycling_lp_terminates():
             again = solve_lp(lp)
         assert again.objective == pytest.approx(-1.25, abs=1e-12)
         _assert_certified(lp, again)
+
+
+@pytest.mark.parametrize("bland_after,pivots", [(50, 1138), (200, 541)])
+def test_bland_ratio_test_on_the_m10_affine_lp(bland_after, pivots):
+    # most of the primal phase runs Bland's pricing and exact min-ratio
+    # test; the two-pass ratio test the one-pass one replaced took the
+    # same pivots
+    lp = build_affine_lp(gen_iid(10, 10, RandomSpec("uniform"), 0))
+    want = solve_lp(lp).objective
+    with _bland_after(bland_after):
+        sol = solve_lp(lp)
+    assert sol.status == "optimal" and sol.iterations == pivots
+    assert sol.objective == pytest.approx(want, rel=1e-9)
+    _assert_certified(lp, sol)
+
+
+def test_ratio_test_passes_over_free_rows_and_tiny_entries(monkeypatch):
+    # x1 (free) enters first and turns basic in row 2; then x2 enters,
+    # with -1 in x1's row, which no bound stops, and 1e-11 (below
+    # PIVOT_TOL) in row 3, whose slack is basic at 0.  Neither row may
+    # stop x2, so it flips to its upper bound 4; HiGHS also drops the
+    # 1e-11 entry
+    lp = LinearProgram.from_arrays(
+        "min", [-3.0, -1.0, -1.0, 0.0],
+        [[1.0, -1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0],
+         [0.0, 1e-11, 0.0, -1.0]],
+        ["<="] * 3, [2.0, 1.0, 0.0],
+        lower=[-np.inf, 0.0, 0.0, 0.0], upper=[np.inf, 4.0, np.inf, 1.0])
+    gain, entering = _Tableau.gain, []
+
+    def spy(self, *buffers):
+        out = gain(self, *buffers)
+        q = int(out.argmax())
+        col = np.abs(self.store.column(q))
+        free = np.isinf(self.lo_b) & np.isinf(self.up_b)
+        entering.append((q, (col[free] > 0).any(),
+                         ((col > 0) & (col <= PIVOT_TOL)).any()))
+        return out
+
+    monkeypatch.setattr(_Tableau, "gain", spy)
+    sol = solve_lp(lp)
+    assert (1, True, True) in entering
+    status, value = _highs_status(lp)
+    assert sol.status == status == "optimal"
+    assert sol.objective == pytest.approx(value, rel=1e-9)
+    np.testing.assert_allclose(sol.x, [5.0, 4.0, 1.0, 0.0], atol=1e-9)
+    _assert_certified(lp, sol)
 
 
 @contextlib.contextmanager
